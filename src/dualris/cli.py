@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import os
 import sys
 import tempfile
+import typing
 from datetime import datetime, timezone
 
 from . import __version__
@@ -27,12 +29,12 @@ from .experiments import (
     delta_metrics,
     evaluate_point,
     phase_histogram,
+    solve_point,
     sweep_elevation,
-    _solve_point,
 )
 from .geometry import GeometryParams
 from .metrics import Calibration, CostWeights
-from .qubo import build_qubo, export_qubo
+from .qubo import build_qubo, format_qubo
 from .ris import RisConfig
 from .solvers import SolverConfig, trace_csv_lines
 
@@ -61,16 +63,15 @@ _SECTION_TYPES = {
     "sweep": SweepSpec,
 }
 _RUN_KEYS = ("seed", "output_dir")
+_CALIBRATION_FIELDS = tuple(f.name for f in dataclasses.fields(Calibration))
 
 
 def _parse_scalar(raw: str, typ) -> object:
     raw = raw.strip()
-    if typ is float or typ == "float":
+    if typ is float:
         return float(raw)
-    if typ is int or typ == "int":
+    if typ is int:
         return int(raw)
-    if typ is bool or typ == "bool":
-        return raw.lower() in ("1", "true", "yes", "on")
     return raw
 
 
@@ -87,20 +88,16 @@ def _parse_sequence(raw: str, item_type) -> tuple:
     return tuple(item_type(_parse_scalar(p, float)) for p in raw.split(",") if p.strip())
 
 
-def _coerce_field(field: dataclasses.Field, raw: str):
-    typ = field.type
-    if "tuple" in str(typ):
-        item = int if "int" in str(typ) else float
-        return _parse_sequence(raw, item)
-    if "int" in str(typ) and "float" not in str(typ):
-        return _parse_scalar(raw, int)
-    if "float" in str(typ):
-        return _parse_scalar(raw, float)
-    if "bool" in str(typ):
-        return _parse_scalar(raw, bool)
-    if "None" in str(typ):  # optional float (initial_temp)
-        return None if raw.strip().lower() in ("none", "") else float(raw)
-    return raw.strip()
+def _coerce_field(typ, raw: str):
+    """Parse raw as a value of the resolved annotation typ."""
+    args = typing.get_args(typ)
+    if typing.get_origin(typ) is tuple:
+        return _parse_sequence(raw, args[0])
+    if type(None) in args:             # optional scalar, e.g. float | None
+        if raw.strip().lower() in ("none", ""):
+            return None
+        typ, = (a for a in args if a is not type(None))
+    return _parse_scalar(raw, typ)
 
 
 def load_config(path: str) -> RunConfig:
@@ -115,24 +112,21 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config file {path!r}")
     kwargs = {}
     for section in parser.sections():
-        if section == "run":
-            for key, raw in parser.items("run"):
-                if key not in _RUN_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in [run]")
-                kwargs[key] = int(raw) if key == "seed" else raw.strip()
-            continue
-        if section not in _SECTION_TYPES:
+        if section != "run" and section not in _SECTION_TYPES:
             raise ConfigError(f"unknown config section [{section}]")
-        cls = _SECTION_TYPES[section]
-        fields = {f.name: f for f in dataclasses.fields(cls)}
+        cls = _SECTION_TYPES.get(section, RunConfig)
+        types = typing.get_type_hints(cls)
         values = {}
         for key, raw in parser.items(section):
-            if key not in fields:
+            if key not in (_RUN_KEYS if cls is RunConfig else types):
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
             try:
-                values[key] = _coerce_field(fields[key], raw)
+                values[key] = _coerce_field(types[key], raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
+        if cls is RunConfig:
+            kwargs.update(values)
+            continue
         try:
             kwargs[section] = cls(**values)
         except ValueError as exc:
@@ -171,9 +165,7 @@ def _metadata_lines(cfg: RunConfig, cal: Calibration, with_timestamp: bool) -> l
         f"# seed: {cfg.seed}",
         "# rng: numpy-pcg64",
         "# calibration: " + " ".join(
-            f"{name}={getattr(cal, name):.17g}"
-            for name in ("raw_rate_scale", "effective_visibility", "h_ref_sq",
-                         "rf_gain_offset_db", "element_amp_scale", "rf_element_scale")),
+            f"{name}={getattr(cal, name):.17g}" for name in _CALIBRATION_FIELDS),
     ]
     if with_timestamp:
         lines.append(f"# timestamp: {datetime.now(timezone.utc).isoformat()}")
@@ -201,9 +193,7 @@ def write_histogram_csv(path: str, cfg: RunConfig, cal: Calibration,
 
 
 def _calibration_lines(cal: Calibration) -> list[str]:
-    return [f"{name} = {getattr(cal, name):.17g}"
-            for name in ("raw_rate_scale", "effective_visibility", "h_ref_sq",
-                         "rf_gain_offset_db", "element_amp_scale", "rf_element_scale")]
+    return [f"{name} = {getattr(cal, name):.17g}" for name in _CALIBRATION_FIELDS]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -243,6 +233,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_number(opts: dict) -> str | None:
+    """Why a numeric argument is out of range, or None when all are usable."""
+    elevation, att, n = opts.get("elevation"), opts.get("att"), opts.get("n")
+    if elevation is not None and not 0.0 < elevation <= 90.0:
+        return f"--elevation must lie in (0, 90] deg, got {elevation:g}"
+    if att is not None and not (math.isfinite(att) and att > 0.0):
+        return f"--att must be finite and > 0, got {att:g}"
+    if n is not None and n < 0:
+        return f"--n must be >= 0, got {n}"
+    return None
+
+
 def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -253,6 +255,10 @@ def run_cli(argv=None) -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    problem = _bad_number(vars(args))
+    if problem:
+        print(f"argument error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
@@ -301,8 +307,8 @@ def run_cli(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "optimize":
-        result, objective = _solve_point(cfg, cal, args.elevation, args.n,
-                                         att=args.att)
+        result, objective = solve_point(cfg, cal, args.elevation, args.n,
+                                        att=args.att)
         if not result.feasible:
             print("no feasible phase assignment (QBER above security threshold)",
                   file=sys.stderr)
@@ -323,17 +329,7 @@ def run_cli(argv=None) -> int:
         path = os.path.join(out_dir, args.out)
         comments = [f"dualris {__version__}", f"seed {cfg.seed}",
                     f"elevation_deg {args.elevation:g}", f"n_elements {args.n}"]
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-        os.close(fd)
-        try:
-            export_qubo(model, tmp, comments=comments)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _atomic_write(path, format_qubo(model, comments))
         print(f"wrote {path} (dim {model.dim}, {len(model.pair_w)} pair terms)")
         return EXIT_OK
 

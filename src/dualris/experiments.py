@@ -185,10 +185,11 @@ def _direct_amplitudes(cfg: RunConfig, elevation_deg: float) -> tuple[float, flo
     return hq.amplitude, hc.amplitude
 
 
-def _solve_point(cfg: RunConfig, cal: Calibration, elevation_deg: float,
-                 n_elements: int, att: float = 1.0,
-                 solver: SolverConfig | None = None
-                 ) -> tuple[SolverResult, ExactObjective]:
+def solve_point(cfg: RunConfig, cal: Calibration, elevation_deg: float,
+                n_elements: int, att: float = 1.0,
+                solver: SolverConfig | None = None
+                ) -> tuple[SolverResult, ExactObjective]:
+    """Optimize one sweep point and apply the BB84 rule to the winner."""
     state, ris_cfg, _ = build_channel_state(cfg, cal, elevation_deg, n_elements, att)
     objective = ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
     scfg = solver if solver is not None else cfg.solver
@@ -284,8 +285,8 @@ def calibrate(cfg: RunConfig, anchors: CalibrationAnchors | None = None) -> Cali
 
     def skr_gain_residual(scale: float) -> float:
         c = replace(cal, element_amp_scale=scale)
-        result, objective = _solve_point(cfg, c, a.high_deg, a.ris_n,
-                                         solver=_FIT_SOLVER)
+        result, objective = solve_point(cfg, c, a.high_deg, a.ris_n,
+                                        solver=_FIT_SOLVER)
         m = objective.metrics_of(result.best_bits)
         return m.skr_bits_s / base_skr - (1.0 + a.skr_gain_high)
 
@@ -301,8 +302,8 @@ def calibrate(cfg: RunConfig, anchors: CalibrationAnchors | None = None) -> Cali
 
     def dsnr_residual(scale: float) -> float:
         c = replace(cal, rf_element_scale=scale)
-        result, objective = _solve_point(cfg, c, a.high_deg, a.ris_n,
-                                         solver=_FIT_SOLVER)
+        result, objective = solve_point(cfg, c, a.high_deg, a.ris_n,
+                                        solver=_FIT_SOLVER)
         m = objective.metrics_of(result.best_bits)
         return 10.0 * math.log10(m.snr_linear / base_snr_high) - a.dsnr_high_db
 
@@ -324,7 +325,7 @@ def evaluate_point(cfg: RunConfig, cal: Calibration, elevation_deg: float,
         row = SweepRow(elevation_deg, 0, m.snr_db, m.ber, m.qber, m.skr_bits_s,
                        m.cost, m.qber <= QBER_SECURITY_THRESHOLD, 0)
         return row, None
-    result, objective = _solve_point(cfg, cal, elevation_deg, n_elements, att)
+    result, objective = solve_point(cfg, cal, elevation_deg, n_elements, att)
     m = objective.metrics_of(result.best_bits)
     row = SweepRow(elevation_deg, n_elements, m.snr_db, m.ber, m.qber,
                    m.skr_bits_s, m.cost, bool(result.feasible), result.evaluations)
@@ -385,8 +386,8 @@ def phase_histogram(cfg: RunConfig, cal: Calibration,
     levels = att_levels if att_levels is not None else cfg.sweep.attenuation_levels
     grids: dict[float, np.ndarray] = {}
     for att in levels:
-        result, objective = _solve_point(cfg, cal, elevation_deg,
-                                         cfg.ris.n_elements, att)
+        result, objective = solve_point(cfg, cal, elevation_deg,
+                                        cfg.ris.n_elements, att)
         if not result.feasible:
             raise CalibrationError(
                 f"no feasible phase assignment at att={att:g}")

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channels import OpticalParams, RfParams
 
 BOLTZMANN = 1.380649e-23  # J/K
@@ -30,7 +32,6 @@ class Metrics:
     qber: float
     skr_bits_s: float
     cost: float
-    skr_raw_bits_s: float = 0.0   # pre-clamp value, kept for debugging
 
     @property
     def snr_db(self) -> float:
@@ -138,12 +139,6 @@ def skr(raw_rate: float, eps: float, f_ec: float) -> float:
     return max(0.0, raw_rate * (1.0 - 2.0 * h) - f_ec * raw_rate * h)
 
 
-def skr_unclamped(raw_rate: float, eps: float, f_ec: float) -> float:
-    """skr() without the zero clamp, for debug output."""
-    h = binary_entropy(min(max(eps, 0.0), 1.0))
-    return raw_rate * (1.0 - 2.0 * h) - f_ec * raw_rate * h
-
-
 def static_weights(cw: CostWeights) -> tuple[float, float]:
     """Range-normalized weights: alpha = 1, beta = eps*/log2(1 + snr*)."""
     if cw.snr_target <= 0:
@@ -194,19 +189,38 @@ def calibrated_baseline_qber(direct_amp: float, cal: Calibration, p_dark: float)
     return qber(cal.effective_visibility, h, p_dark)
 
 
+def field_gain_qber(total_amp: float, direct_amp: float, eps_base: float,
+                    p_dark: float) -> float:
+    """QBER with the RIS field gain |H_tot| / |H_direct| dividing the residual error.
+
+    eps = (eps_base - p_dark) / gain + p_dark, clamped to [0, 0.5 + p_dark]; a
+    dead channel gives 0.5 + p_dark. A misaligned RIS (gain < 1) therefore
+    raises the QBER. The clamp is a conditional expression because coordinate
+    descent calls this once per candidate level.
+    """
+    eps_hi = 0.5 + p_dark
+    if total_amp <= 0.0:
+        return eps_hi
+    eps = (eps_base - p_dark) / (total_amp / direct_amp) + p_dark
+    return eps_hi if eps > eps_hi else (0.0 if eps < 0.0 else eps)
+
+
+def field_gain_qber_array(total_amp: np.ndarray, direct_amp: float, eps_base: float,
+                          p_dark: float) -> np.ndarray:
+    """Elementwise field_gain_qber over an array of total amplitudes."""
+    eps_hi = 0.5 + p_dark
+    # the floor only keeps the discarded dead-channel branch finite
+    eps = np.where(total_amp > 0.0,
+                   (eps_base - p_dark) / np.maximum(total_amp / direct_amp, 1e-300) + p_dark,
+                   eps_hi)
+    return np.clip(eps, 0.0, eps_hi)
+
+
 def calibrated_qber(direct_amp: float, total_amp: float, cal: Calibration,
                     p_dark: float) -> float:
-    """QBER with the RIS field gain dividing the residual error rate.
-
-    eps = (eps_base - p_dark) / (|H_tot| / |H_direct|) + p_dark, clamped to
-    [0, 0.5 + p_dark]. A misaligned RIS (gain < 1) therefore raises the QBER.
-    """
-    eps_base = calibrated_baseline_qber(direct_amp, cal, p_dark)
-    if total_amp <= 0.0:
-        return 0.5 + p_dark
-    gain = total_amp / direct_amp
-    eps = (eps_base - p_dark) / gain + p_dark
-    return min(max(eps, 0.0), 0.5 + p_dark)
+    """field_gain_qber at the calibrated baseline QBER of the direct channel."""
+    return field_gain_qber(total_amp, direct_amp,
+                           calibrated_baseline_qber(direct_amp, cal, p_dark), p_dark)
 
 
 def calibrated_raw_rate(total_amp: float, cal: Calibration) -> float:
@@ -228,5 +242,4 @@ def link_metrics(direct_q_amp: float, total_q_amp: float, total_c_amp: float,
         qber=eps,
         skr_bits_s=skr(raw, eps, optical.ec_inefficiency),
         cost=cost(eps, gamma, w),
-        skr_raw_bits_s=skr_unclamped(raw, eps, optical.ec_inefficiency),
     )

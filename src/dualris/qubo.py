@@ -16,14 +16,18 @@ import numpy as np
 
 from .channels import OpticalParams, RfParams
 from .metrics import (
-    BOLTZMANN,
     Calibration,
     CostWeights,
     Metrics,
+    calibrated_baseline_qber,
+    field_gain_qber,
+    field_gain_qber_array,
     link_metrics,
     resolve_weights,
+    snr,
 )
-from .ris import QUANTUM, CLASSICAL, ChannelState, PhaseConfig, RisConfig, decode_phases
+from .ris import (QUANTUM, CLASSICAL, ChannelState, PhaseConfig, RisConfig, bits_to_levels,
+                  decode_phases, levels_to_bits)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -100,7 +104,9 @@ class ExactObjective:
 
     Wraps a ChannelState (cascades already calibration-scaled) and precomputes
     everything needed to score a bit vector: per-band complex totals are the
-    only state that changes between configurations.
+    only state that changes between configurations. The cost is the sum of
+    alpha * QBER(|T_Q|), which depends on the optical band only, and
+    -beta * log2(1 + kappa |T_C|^2), which depends on the RF band only.
     """
 
     def __init__(self, state: ChannelState, weights: CostWeights, cal: Calibration,
@@ -122,27 +128,19 @@ class ExactObjective:
         self.uc = np.asarray(state.cascade_classical, dtype=complex)
         self.direct_amp = abs(self.h0q)
         self.p_dark = optical.dark_count_prob
-        from .metrics import calibrated_baseline_qber
         self.eps_base = calibrated_baseline_qber(self.direct_amp, cal, self.p_dark)
-        noise_w = BOLTZMANN * rf.sys_temp_k * rf.bandwidth_hz
-        self.snr_coeff = rf.tx_power_w * 10.0 ** (cal.rf_gain_offset_db / 10.0) / noise_w
+        self.snr_coeff = snr(rf, 1.0, cal.rf_gain_offset_db)     # SNR per unit |T_C|^2
         baseline_snr = self.snr_coeff * abs(self.h0c) ** 2
         self.alpha, self.beta = resolve_weights(
             weights, current_snr=baseline_snr if baseline_snr > 0 else None)
         # unit phasors per quantized level, shared by all evaluation paths
         self._phasor_q = np.exp(1j * _TWO_PI * np.arange(1 << self.bq) / (1 << self.bq))
         self._phasor_c = np.exp(1j * _TWO_PI * np.arange(1 << self.bc) / (1 << self.bc))
-        self._wq = 1 << np.arange(self.bq)
-        self._wc = 1 << np.arange(self.bc)
 
     # -- scalar pieces ---------------------------------------------------
 
     def qber_from_total(self, tq_abs: float) -> float:
-        if tq_abs <= 0.0:
-            return 0.5 + self.p_dark
-        gain = tq_abs / self.direct_amp
-        eps = (self.eps_base - self.p_dark) / gain + self.p_dark
-        return min(max(eps, 0.0), 0.5 + self.p_dark)
+        return field_gain_qber(tq_abs, self.direct_amp, self.eps_base, self.p_dark)
 
     def cost_from_totals(self, tq: complex, tc: complex) -> float:
         eps = self.qber_from_total(abs(tq))
@@ -155,15 +153,11 @@ class ExactObjective:
         x = np.asarray(x, dtype=np.uint8)
         if x.shape != (self.dim,):
             raise ValueError(f"expected bit vector of length {self.dim}")
-        lq = (x[: self.n * self.bq].reshape(self.n, self.bq) * self._wq).sum(axis=1)
-        lc = (x[self.n * self.bq:].reshape(self.n, self.bc) * self._wc).sum(axis=1)
-        return lq, lc
+        return bits_to_levels(x, self.cfg)
 
-    def levels_to_bits(self, levels_q: np.ndarray, levels_c: np.ndarray) -> np.ndarray:
-        """Inverse of levels_of."""
-        bq_bits = ((np.asarray(levels_q)[:, None] >> np.arange(self.bq)) & 1)
-        bc_bits = ((np.asarray(levels_c)[:, None] >> np.arange(self.bc)) & 1)
-        return np.concatenate([bq_bits.ravel(), bc_bits.ravel()]).astype(np.uint8)
+    def _qber_rows(self, lq: np.ndarray) -> np.ndarray:
+        tq = self.h0q + (self.uq * self._phasor_q[lq]).sum(axis=-1)
+        return field_gain_qber_array(np.abs(tq), self.direct_amp, self.eps_base, self.p_dark)
 
     def totals_of(self, x: np.ndarray) -> tuple[complex, complex]:
         lq, lc = self.levels_of(x)
@@ -177,48 +171,23 @@ class ExactObjective:
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized value() over rows of a (m, dim) bit matrix."""
-        xs = np.asarray(xs, dtype=np.uint8)
-        m = xs.shape[0]
-        lq = (xs[:, : self.n * self.bq].reshape(m, self.n, self.bq) * self._wq).sum(axis=2)
-        lc = (xs[:, self.n * self.bq:].reshape(m, self.n, self.bc) * self._wc).sum(axis=2)
-        tq = self.h0q + (self.uq[None, :] * self._phasor_q[lq]).sum(axis=1)
-        tc = self.h0c + (self.uc[None, :] * self._phasor_c[lc]).sum(axis=1)
-        tq_abs = np.abs(tq)
-        eps = np.where(
-            tq_abs > 0,
-            (self.eps_base - self.p_dark) / np.maximum(tq_abs / self.direct_amp, 1e-300)
-            + self.p_dark,
-            0.5 + self.p_dark,
-        )
-        eps = np.clip(eps, 0.0, 0.5 + self.p_dark)
+        lq, lc = bits_to_levels(xs, self.cfg)
+        tc = self.h0c + (self.uc * self._phasor_c[lc]).sum(axis=1)
         gamma = self.snr_coeff * np.abs(tc) ** 2
-        return self.alpha * eps - self.beta * np.log2(1.0 + gamma)
+        return self.alpha * self._qber_rows(lq) - self.beta * np.log2(1.0 + gamma)
 
     def qber_of(self, x: np.ndarray) -> float:
         tq, _ = self.totals_of(x)
         return self.qber_from_total(abs(tq))
 
     def qber_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.uint8)
-        m = xs.shape[0]
-        lq = (xs[:, : self.n * self.bq].reshape(m, self.n, self.bq) * self._wq).sum(axis=2)
-        tq_abs = np.abs(self.h0q + (self.uq[None, :] * self._phasor_q[lq]).sum(axis=1))
-        eps = np.where(
-            tq_abs > 0,
-            (self.eps_base - self.p_dark) / np.maximum(tq_abs / self.direct_amp, 1e-300)
-            + self.p_dark,
-            0.5 + self.p_dark,
-        )
-        return np.clip(eps, 0.0, 0.5 + self.p_dark)
+        """Vectorized qber_of() over rows of a (m, dim) bit matrix."""
+        return self._qber_rows(bits_to_levels(xs, self.cfg)[0])
 
     def metrics_of(self, x: np.ndarray) -> Metrics:
         tq, tc = self.totals_of(x)
-        return self.metrics_from_totals(tq, tc)
-
-    def metrics_from_totals(self, tq: complex, tc: complex, weights: CostWeights | None = None) -> Metrics:
-        w = weights if weights is not None else CostWeights(alpha=self.alpha, beta=self.beta)
-        return link_metrics(self.direct_amp, abs(tq), abs(tc),
-                            self.optical, self.rf, w, self.cal)
+        return link_metrics(self.direct_amp, abs(tq), abs(tc), self.optical, self.rf,
+                            CostWeights(alpha=self.alpha, beta=self.beta), self.cal)
 
     def walk(self, x: np.ndarray) -> "ObjectiveWalk":
         return ObjectiveWalk(self, x)
@@ -230,9 +199,7 @@ class ObjectiveWalk:
     def __init__(self, obj: ExactObjective, x: np.ndarray):
         self.obj = obj
         self.x = np.array(x, dtype=np.uint8, copy=True)
-        lq, lc = obj.levels_of(self.x)
-        self.levels_q = lq.astype(int)
-        self.levels_c = lc.astype(int)
+        self.levels_q, self.levels_c = obj.levels_of(self.x)
         self.tq, self.tc = obj.totals_of(self.x)
         self.value = obj.cost_from_totals(self.tq, self.tc)
 
@@ -267,22 +234,9 @@ class ObjectiveWalk:
         self.x[i] ^= 1
         self.value = self.obj.cost_from_totals(self.tq, self.tc)
 
-    def set_element(self, band: str, n: int, new_level: int) -> None:
-        """Set one element's phase level directly (used by coordinate descent)."""
-        obj = self.obj
-        if band == QUANTUM:
-            self.tq += obj.uq[n] * (obj._phasor_q[new_level] - obj._phasor_q[self.levels_q[n]])
-            old, width = self.levels_q[n], obj.bq
-            self.levels_q[n] = new_level
-            base = n * obj.bq
-        else:
-            self.tc += obj.uc[n] * (obj._phasor_c[new_level] - obj._phasor_c[self.levels_c[n]])
-            old, width = self.levels_c[n], obj.bc
-            self.levels_c[n] = new_level
-            base = obj.n * obj.bq + n * obj.bc
-        for k in range(width):
-            self.x[base + k] = (new_level >> k) & 1
-        self.value = obj.cost_from_totals(self.tq, self.tc)
+    def qber(self) -> float:
+        """QBER of the current state."""
+        return self.obj.qber_from_total(abs(self.tq))
 
 
 def eval_exact(state: ChannelState, weights: CostWeights, cal: Calibration,
@@ -394,8 +348,7 @@ def build_qubo(state: ChannelState, weights: CostWeights, cal: Calibration,
     obj = ExactObjective(state, weights, cal, optical, rf, cfg)
     if expansion_point is None:
         expansion_point = decode_phases(np.zeros(cfg.bits_total, np.uint8), cfg)
-    x0 = np.asarray(expansion_point.bits, dtype=np.uint8)
-    levels0_q, levels0_c = obj.levels_of(x0)
+    levels0_q, levels0_c = obj.levels_of(expansion_point.bits)
 
     # cascades rotated to the expansion phases
     uq0 = obj.uq * obj._phasor_q[levels0_q]
@@ -456,7 +409,11 @@ def eval_quadratic(model: QuboModel, x: np.ndarray) -> float:
 
 
 class QuadraticObjective:
-    """Solver-facing wrapper for a built QuboModel with O(degree) flips."""
+    """Solver-facing wrapper for a built QuboModel with O(degree) flips.
+
+    The surrogate carries no QBER: qber_batch and QuadraticWalk.qber report
+    +inf, so no state it visits counts as security-feasible.
+    """
 
     def __init__(self, model: QuboModel):
         self.model = model
@@ -473,6 +430,9 @@ class QuadraticObjective:
             out = out + (xs[:, self.model.pair_i] * xs[:, self.model.pair_j]
                          * self.model.pair_w).sum(axis=1)
         return out
+
+    def qber_batch(self, xs: np.ndarray) -> np.ndarray:
+        return np.full(len(xs), math.inf)
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
         if self._adjacency is None:
@@ -518,6 +478,9 @@ class QuadraticWalk:
             self._sums[j] += w * step
         self.x[i] ^= 1
 
+    def qber(self) -> float:
+        return math.inf
+
 
 def expansion_error(state: ChannelState, weights: CostWeights, cal: Calibration,
                     optical: OpticalParams, rf: RfParams, cfg: RisConfig,
@@ -542,13 +505,13 @@ def expansion_error(state: ChannelState, weights: CostWeights, cal: Calibration,
     else:
         if expansion_point is None:
             expansion_point = decode_phases(np.zeros(cfg.bits_total, np.uint8), cfg)
-        lev_q0, lev_c0 = obj.levels_of(np.asarray(expansion_point.bits, np.uint8))
+        lev_q0, lev_c0 = obj.levels_of(expansion_point.bits)
         n = cfg.n_elements
         dq = rng.integers(-max_step, max_step + 1, size=(samples, n))
         dc = rng.integers(-max_step, max_step + 1, size=(samples, n))
         lq = np.clip(lev_q0 + dq, 0, (1 << cfg.bits_quantum) - 1)
         lc = np.clip(lev_c0 + dc, 0, (1 << cfg.bits_classical) - 1)
-        xs = np.stack([obj.levels_to_bits(lq[i], lc[i]) for i in range(samples)])
+        xs = levels_to_bits(lq, lc, cfg)
     exact = obj.batch(xs)
     quad = QuadraticObjective(model).batch(xs)
     dev = np.abs(quad - exact) / (np.abs(exact) + 1e-300)
@@ -557,8 +520,8 @@ def expansion_error(state: ChannelState, weights: CostWeights, cal: Calibration,
 
 # --- plain-text sparse triplet export -----------------------------------------
 
-def export_qubo(model: QuboModel, path: str, comments: list[str] | None = None) -> None:
-    """Write the model as a plain-text sparse triplet file.
+def format_qubo(model: QuboModel, comments: list[str] | None = None) -> str:
+    """The model as plain-text sparse triplets.
 
     Format: '#' comment lines, a header 'qubo <dim> <n_linear> <n_quadratic>
     <offset>', then 'i i value' lines for nonzero linear terms and 'i j value'
@@ -574,8 +537,13 @@ def export_qubo(model: QuboModel, path: str, comments: list[str] | None = None) 
         lines.append(f"{i} {i} {model.linear[i]:.16e}")
     for i, j, w in zip(model.pair_i, model.pair_j, model.pair_w):
         lines.append(f"{i} {j} {w:.16e}")
+    return "\n".join(lines) + "\n"
+
+
+def export_qubo(model: QuboModel, path: str, comments: list[str] | None = None) -> None:
+    """Write format_qubo(model, comments) to path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_qubo(model, comments))
 
 
 def load_qubo(path: str) -> QuboModel:
@@ -587,6 +555,7 @@ def load_qubo(path: str) -> QuboModel:
     pi: list[int] = []
     pj: list[int] = []
     pw: list[float] = []
+    linear_seen: set[int] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
@@ -604,6 +573,9 @@ def load_qubo(path: str) -> QuboModel:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"index out of range in line {line!r}")
             if i == j:
+                if i in linear_seen:
+                    raise ValueError(f"repeated linear line {line!r}")
+                linear_seen.add(i)
                 linear[i] = v
             else:
                 if i > j:
@@ -615,6 +587,9 @@ def load_qubo(path: str) -> QuboModel:
         raise ValueError("missing qubo header line")
     if len(pw) != n_quad or int(np.count_nonzero(linear)) != n_lin:
         raise ValueError("header counts disagree with triplet data")
-    return QuboModel(dim=dim, linear=linear, pair_i=np.array(pi, np.int32),
-                     pair_j=np.array(pj, np.int32), pair_w=np.array(pw),
-                     offset=offset)
+    pair_i, pair_j = np.array(pi, np.int32), np.array(pj, np.int32)
+    # checked once, sorted: a per-line set would slow large loads by a third
+    if (np.diff(np.sort(pair_i.astype(np.int64) * dim + pair_j)) == 0).any():
+        raise ValueError("repeated pair line")
+    return QuboModel(dim=dim, linear=linear, pair_i=pair_i, pair_j=pair_j,
+                     pair_w=np.array(pw), offset=offset)

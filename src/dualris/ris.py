@@ -87,40 +87,53 @@ def quantized_phases(bits_per_element: int) -> np.ndarray:
     return TWO_PI * np.arange(levels) / levels
 
 
+def bits_to_levels(bits: np.ndarray, cfg: RisConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element (quantum, classical) phase levels of a bit vector or of each row.
+
+    The one bit layout of the package: all quantum bits first (element-major,
+    bit k minor), then all classical bits; level_n = sum_k 2^k x_{n,k}.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    lead, n = bits.shape[:-1], cfg.n_elements
+    bq, bc = cfg.bits_quantum, cfg.bits_classical
+    q_block = bits[..., : n * bq].reshape(*lead, n, bq)
+    c_block = bits[..., n * bq:].reshape(*lead, n, bc)
+    return q_block @ (1 << np.arange(bq)), c_block @ (1 << np.arange(bc))
+
+
+def levels_to_bits(levels_q: np.ndarray, levels_c: np.ndarray, cfg: RisConfig) -> np.ndarray:
+    """Inverse of bits_to_levels, for one level pair or a batch of them."""
+    q_bits = (np.asarray(levels_q, np.int64)[..., None] >> np.arange(cfg.bits_quantum)) & 1
+    c_bits = (np.asarray(levels_c, np.int64)[..., None] >> np.arange(cfg.bits_classical)) & 1
+    lead, n = q_bits.shape[:-2], cfg.n_elements
+    return np.concatenate([q_bits.reshape(*lead, n * cfg.bits_quantum),
+                           c_bits.reshape(*lead, n * cfg.bits_classical)],
+                          axis=-1).astype(np.uint8)
+
+
 def decode_phases(bits: np.ndarray, cfg: RisConfig) -> PhaseConfig:
     """Decode the flat bit vector into per-element quantized phases.
 
-    Layout: all quantum bits first (element-major, bit k minor), then all
-    classical bits. theta_n = (2 pi / 2^b) * sum_k 2^k x_{n,k}.
+    theta_n = (2 pi / 2^b) * level_n, with levels from bits_to_levels.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1 or bits.size != cfg.bits_total:
         raise ValueError(f"expected {cfg.bits_total} bits, got shape {bits.shape}")
     if bits.size and bits.max() > 1:
         raise ValueError("bits must be 0/1")
-    n, bq, bc = cfg.n_elements, cfg.bits_quantum, cfg.bits_classical
-    q_block = bits[: n * bq].reshape(n, bq) if n else np.zeros((0, bq), np.uint8)
-    c_block = bits[n * bq:].reshape(n, bc) if n else np.zeros((0, bc), np.uint8)
-    weights_q = 1 << np.arange(bq)
-    weights_c = 1 << np.arange(bc)
-    phases_q = (TWO_PI / (1 << bq)) * (q_block * weights_q).sum(axis=1)
-    phases_c = (TWO_PI / (1 << bc)) * (c_block * weights_c).sum(axis=1)
-    return PhaseConfig(bits=bits, phases_quantum=phases_q, phases_classical=phases_c)
+    lq, lc = bits_to_levels(bits, cfg)
+    return PhaseConfig(bits=bits,
+                       phases_quantum=(TWO_PI / (1 << cfg.bits_quantum)) * lq,
+                       phases_classical=(TWO_PI / (1 << cfg.bits_classical)) * lc)
 
 
 def encode_phases(phases_quantum: np.ndarray, phases_classical: np.ndarray,
                   cfg: RisConfig) -> PhaseConfig:
     """Inverse of decode_phases for phases already on the quantized grid."""
-    n, bq, bc = cfg.n_elements, cfg.bits_quantum, cfg.bits_classical
-    bits = np.zeros(cfg.bits_total, dtype=np.uint8)
+    bq, bc = cfg.bits_quantum, cfg.bits_classical
     lev_q = np.rint(np.asarray(phases_quantum) * (1 << bq) / TWO_PI).astype(int) % (1 << bq)
     lev_c = np.rint(np.asarray(phases_classical) * (1 << bc) / TWO_PI).astype(int) % (1 << bc)
-    for i in range(n):
-        for k in range(bq):
-            bits[i * bq + k] = (lev_q[i] >> k) & 1
-        for k in range(bc):
-            bits[n * bq + i * bc + k] = (lev_c[i] >> k) & 1
-    return decode_phases(bits, cfg)
+    return decode_phases(levels_to_bits(lev_q, lev_c, cfg), cfg)
 
 
 def element_phase_offsets(cfg: RisConfig, band: str) -> np.ndarray:

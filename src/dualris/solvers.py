@@ -5,6 +5,11 @@ resolve toward the lexicographically smallest bit vector, and the returned
 best value is re-scored from scratch so no incremental cache can go stale.
 The RNG is numpy's PCG64; the algorithm name is recorded in each result so
 runs replay across platforms.
+
+Every solver but coordinate descent takes any objective with dim, value(x),
+batch(xs) over rows, qber_batch(xs) (+inf where the objective has no QBER) and
+walk(x); a walk holds x and value and offers peek_flip(i), apply_flip(i) and
+qber(). ExactObjective and QuadraticObjective implement this interface.
 """
 from __future__ import annotations
 
@@ -13,9 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import QBER_SECURITY_THRESHOLD, field_gain_qber
+from .qubo import ExactObjective
+from .ris import levels_to_bits
+
 RNG_ALGORITHM = "numpy-pcg64"
 BRUTE_FORCE_MAX_BITS = 24
-QBER_SECURITY_THRESHOLD = 0.11
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,6 @@ class SolverResult:
     rng_algorithm: str = RNG_ALGORITHM
     qber: float | None = None
     best_feasible_bits: np.ndarray | None = None
-    best_feasible_value: float | None = None
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
@@ -76,59 +83,21 @@ class _Best:
         return False
 
 
-class _GenericWalk:
-    """Fallback O(value) flip walk for objectives without incremental support."""
-
-    def __init__(self, objective, x: np.ndarray):
-        self.obj = objective
-        self.x = np.array(x, dtype=np.uint8, copy=True)
-        self.value = objective.value(self.x)
-
-    def peek_flip(self, i: int) -> float:
-        self.x[i] ^= 1
-        val = self.obj.value(self.x)
-        self.x[i] ^= 1
-        return val
-
-    def apply_flip(self, i: int) -> None:
-        self.x[i] ^= 1
-        self.value = self.obj.value(self.x)
-
-
-def _make_walk(objective, x: np.ndarray):
-    if hasattr(objective, "walk"):
-        return objective.walk(x)
-    return _GenericWalk(objective, x)
-
-
-def _walk_qber(walk) -> float | None:
-    obj = getattr(walk, "obj", None)
-    if obj is not None and hasattr(obj, "qber_from_total") and hasattr(walk, "tq"):
-        return obj.qber_from_total(abs(walk.tq))
-    return None
-
-
 class _FeasibleBest(_Best):
     """Best-so-far restricted to QBER-feasible states."""
 
     def offer_walk(self, walk) -> None:
-        eps = _walk_qber(walk)
-        if eps is not None and eps <= QBER_SECURITY_THRESHOLD:
+        if walk.qber() <= QBER_SECURITY_THRESHOLD:
             self.offer(walk.value, walk.x)
 
 
 def _finalize(objective, best: _Best, feas: _FeasibleBest, evaluations: int,
               trace: list[tuple[int, float]]) -> SolverResult:
     bits = best.bits if best.bits is not None else np.zeros(0, np.uint8)
-    value = objective.value(bits)     # re-score: no stale caching
-    result = SolverResult(best_bits=bits, best_value=value,
-                          evaluations=evaluations, trace=trace)
-    if feas.bits is not None:
-        result.best_feasible_bits = feas.bits
-        result.best_feasible_value = objective.value(feas.bits)
-    if hasattr(objective, "qber_of") and bits.size >= 0:
-        result.qber = objective.qber_of(bits)
-    return result
+    return SolverResult(best_bits=bits,
+                        best_value=objective.value(bits),   # re-score: no stale caching
+                        evaluations=evaluations, trace=trace,
+                        best_feasible_bits=feas.bits)
 
 
 def _enumerate_codes(dim: int, chunk: int = 1 << 15):
@@ -156,33 +125,22 @@ def brute_force(objective, dim: int) -> SolverResult:
         val = objective.value(empty)
         return SolverResult(best_bits=empty, best_value=val, evaluations=1,
                             trace=[(0, val)])
-    has_batch = hasattr(objective, "batch")
-    has_qber = hasattr(objective, "qber_batch")
     for codes, bits in _enumerate_codes(dim):
-        if has_batch:
-            vals = np.asarray(objective.batch(bits))
-        else:
-            vals = np.array([objective.value(row) for row in bits])
+        vals = objective.batch(bits)
         evaluations += len(vals)
         k = int(np.argmin(vals))      # first minimum = lexicographically smallest
         if best.offer(float(vals[k]), bits[k]):
             trace.append((evaluations, best.value))
-        if has_qber:
-            eps = np.asarray(objective.qber_batch(bits))
-            ok = eps <= QBER_SECURITY_THRESHOLD
-            if ok.any():
-                kf = int(np.flatnonzero(ok)[np.argmin(vals[ok])])
-                feas.offer(float(vals[kf]), bits[kf])
+        ok = objective.qber_batch(bits) <= QBER_SECURITY_THRESHOLD
+        if ok.any():
+            kf = int(np.flatnonzero(ok)[np.argmin(vals[ok])])
+            feas.offer(float(vals[kf]), bits[kf])
     return _finalize(objective, best, feas, evaluations, trace)
 
 
 def _auto_temperature(objective, dim: int, rng: np.random.Generator) -> float:
     probes = rng.integers(0, 2, size=(100, dim), dtype=np.uint8)
-    if hasattr(objective, "batch"):
-        vals = np.asarray(objective.batch(probes))
-    else:
-        vals = np.array([objective.value(p) for p in probes])
-    spread = float(vals.std())
+    spread = float(objective.batch(probes).std())
     return 10.0 * spread if spread > 0 else 1.0
 
 
@@ -197,7 +155,7 @@ def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
         return brute_force(objective, 0)
     for _ in range(max(1, cfg.restarts)):
         x0 = rng.integers(0, 2, size=dim, dtype=np.uint8)
-        walk = _make_walk(objective, x0)
+        walk = objective.walk(x0)
         evaluations += 1
         if best.offer(walk.value, walk.x):
             trace.append((evaluations, best.value))
@@ -235,7 +193,7 @@ def tabu_search(objective, dim: int, cfg: SolverConfig) -> SolverResult:
         return brute_force(objective, 0)
     for _ in range(max(1, cfg.restarts)):
         x0 = rng.integers(0, 2, size=dim, dtype=np.uint8)
-        walk = _make_walk(objective, x0)
+        walk = objective.walk(x0)
         evaluations += 1
         if best.offer(walk.value, walk.x):
             trace.append((evaluations, best.value))
@@ -269,7 +227,7 @@ def _lex_level_order(bits: int) -> list[int]:
     return sorted(range(1 << bits), key=lambda l: tuple((l >> k) & 1 for k in range(bits)))
 
 
-def block_coordinate_descent(objective, cfg: SolverConfig) -> SolverResult:
+def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> SolverResult:
     """Element-wise exact descent over all joint per-element phase options.
 
     Requires the exact objective (needs the per-element channel structure).
@@ -279,8 +237,6 @@ def block_coordinate_descent(objective, cfg: SolverConfig) -> SolverResult:
     are sums of 4 + 4 band terms) and the best is kept. Stops when a full
     sweep makes no change or after max_iters sweeps.
     """
-    from .qubo import ExactObjective  # local import to avoid a cycle
-
     if not isinstance(objective, ExactObjective):
         raise TypeError("block coordinate descent needs the exact objective")
     obj = objective
@@ -288,11 +244,10 @@ def block_coordinate_descent(objective, cfg: SolverConfig) -> SolverResult:
     if obj.dim == 0:
         return brute_force(obj, 0)
 
-    log2 = math.log2
+    # local names: every candidate level goes through these in the inner loop
+    log2, qber = math.log2, field_gain_qber
     alpha, beta, kappa = obj.alpha, obj.beta, obj.snr_coeff
-    pd = obj.p_dark
-    eps_hi = 0.5 + pd
-    eps_num = (obj.eps_base - pd) * obj.direct_amp   # eps = eps_num/|tq| + pd
+    direct, eps_base, pd = obj.direct_amp, obj.eps_base, obj.p_dark
     order_q = _lex_level_order(obj.bq)
     order_c = _lex_level_order(obj.bc)
     # per-element candidate contributions, fixed for the whole run
@@ -304,17 +259,11 @@ def block_coordinate_descent(objective, cfg: SolverConfig) -> SolverResult:
     tq = obj.h0q + sum(row[0] for row in cand_q)
     tc = obj.h0c + sum(row[0] for row in cand_c)
 
-    def eps_of(t: complex) -> float:
-        a = abs(t)
-        if a <= 0.0:
-            return eps_hi
-        e = eps_num / a + pd
-        return eps_hi if e > eps_hi else (0.0 if e < 0.0 else e)
-
-    value = alpha * eps_of(tq) - beta * log2(1.0 + kappa * (tc.real**2 + tc.imag**2))
+    eps = qber(abs(tq), direct, eps_base, pd)
+    value = alpha * eps - beta * log2(1.0 + kappa * (tc.real**2 + tc.imag**2))
     evaluations += 1
     trace: list[tuple[int, float]] = [(evaluations, value)]
-    feas_levels = (list(levels_q), list(levels_c)) if eps_of(tq) <= QBER_SECURITY_THRESHOLD else None
+    feas_levels = (list(levels_q), list(levels_c)) if eps <= QBER_SECURITY_THRESHOLD else None
 
     for _ in range(cfg.max_iters):
         changed = False
@@ -329,7 +278,7 @@ def block_coordinate_descent(objective, cfg: SolverConfig) -> SolverResult:
             eps_terms = []
             for lq in order_q:
                 t = base_tq + row_q[lq]
-                eps_terms.append((alpha * eps_of(t), lq))
+                eps_terms.append((alpha * qber(abs(t), direct, eps_base, pd), lq))
             log_terms = []
             for lc in order_c:
                 t = base_tc + row_c[lc]
@@ -350,18 +299,16 @@ def block_coordinate_descent(objective, cfg: SolverConfig) -> SolverResult:
                 value = pick_val
                 changed = True
                 trace.append((evaluations, value))
-                if eps_of(tq) <= QBER_SECURITY_THRESHOLD:
+                if qber(abs(tq), direct, eps_base, pd) <= QBER_SECURITY_THRESHOLD:
                     feas_levels = (list(levels_q), list(levels_c))
         if not changed:
             break
 
     best = _Best()
     feas = _FeasibleBest()
-    bits = obj.levels_to_bits(np.array(levels_q), np.array(levels_c))
-    best.offer(value, bits)
+    best.offer(value, levels_to_bits(levels_q, levels_c, obj.cfg))
     if feas_levels is not None:
-        feas.offer(value, obj.levels_to_bits(np.array(feas_levels[0]),
-                                             np.array(feas_levels[1])))
+        feas.offer(value, levels_to_bits(*feas_levels, obj.cfg))
     # descent is monotone, so the final state is also the best feasible seen
     return _finalize(obj, best, feas, evaluations, trace)
 
@@ -377,7 +324,7 @@ def solve(objective, dim: int, cfg: SolverConfig) -> SolverResult:
     return block_coordinate_descent(objective, cfg)
 
 
-def enforce_security(result: SolverResult, objective,
+def enforce_security(result: SolverResult, objective: ExactObjective,
                      threshold: float = QBER_SECURITY_THRESHOLD) -> SolverResult:
     """Apply the BB84 feasibility rule qber(x*) <= threshold.
 
@@ -385,17 +332,12 @@ def enforce_security(result: SolverResult, objective,
     exists; otherwise the result is marked infeasible for the caller to reject.
     """
     eps = objective.qber_of(result.best_bits)
-    if eps <= threshold:
-        result.feasible = True
-        result.qber = eps
-        return result
-    if result.best_feasible_bits is not None:
+    result.feasible = eps <= threshold
+    if not result.feasible and result.best_feasible_bits is not None:
         result.best_bits = result.best_feasible_bits
-        result.best_value = objective.value(result.best_feasible_bits)
-        result.qber = objective.qber_of(result.best_feasible_bits)
+        result.best_value = objective.value(result.best_bits)
+        eps = objective.qber_of(result.best_bits)
         result.feasible = True
-        return result
-    result.feasible = False
     result.qber = eps
     return result
 

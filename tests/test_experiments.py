@@ -213,6 +213,15 @@ output_dir = out
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.ini")
 
+    @pytest.mark.parametrize("raw,expected", [("none", None), ("2.5", 2.5)])
+    def test_optional_float_field(self, tmp_path, raw, expected):
+        cfg = load_config(self._write(tmp_path, f"[solver]\ninitial_temp = {raw}\n"))
+        assert cfg.solver.initial_temp == expected
+
+    def test_bad_run_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_config(self._write(tmp_path, "[run]\nseed = abc\n"))
+
 
 class TestCsvOutput:
     def test_byte_identical_without_timestamp(self, run_config, calibrated,
@@ -288,6 +297,19 @@ class TestCli:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0].startswith("elevation_deg,")
         assert len(data) == 1 + 4
+
+    @pytest.mark.parametrize("argv", [
+        ["link-budget", "--elevation", "45", "--att", "-1"],
+        ["link-budget", "--elevation", "0"],
+        ["link-budget", "--elevation", "nan"],
+        ["link-budget", "--elevation", "45", "--n", "-3"],
+        ["qubo-export", "--n", "-1"],
+    ])
+    def test_bad_numbers_exit_config(self, argv, capsys):
+        assert run_cli(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert argv[-2] in err
+        assert "Traceback" not in err
 
     def test_qubo_export_roundtrip(self, tmp_path):
         cfg = tmp_path / "q.ini"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,11 +14,12 @@ from dualris.metrics import (
     calibrated_baseline_qber,
     calibrated_qber,
     cost,
+    field_gain_qber,
+    field_gain_qber_array,
     normalized_transmittance,
     qber,
     resolve_weights,
     skr,
-    skr_unclamped,
     snr,
     static_weights,
     swing_weights,
@@ -122,7 +124,6 @@ class TestSkr:
         assert boundary == pytest.approx(0.05877945730610566, rel=1e-9)
         assert skr(1000.0, boundary + 1e-6, 1.1) == 0.0
         assert skr(1000.0, boundary - 1e-6, 1.1) > 0.0
-        assert skr_unclamped(1000.0, boundary + 0.01, 1.1) < 0.0
 
     @given(st.floats(min_value=0.0, max_value=0.058), st.floats(min_value=0.0, max_value=0.058))
     def test_strictly_decreasing_before_boundary(self, e1, e2):
@@ -205,3 +206,12 @@ class TestCalibratedPipeline:
     def test_misalignment_raises_qber(self):
         base = calibrated_baseline_qber(0.05, self.CAL, 1e-5)
         assert calibrated_qber(0.05, 0.03, self.CAL, 1e-5) > base
+
+    def test_scalar_and_array_maps_agree_bit_for_bit(self):
+        base = calibrated_baseline_qber(0.05, self.CAL, 1e-5)
+        # dead channel, deep misalignment (upper clamp), ordinary gains
+        amps = np.array([0.0, 1e-9, 0.003, 0.03, 0.05, 0.0731, 0.5, 12.0])
+        scalar = [field_gain_qber(a, 0.05, base, 1e-5) for a in amps]
+        array = field_gain_qber_array(amps, 0.05, base, 1e-5)
+        assert scalar[0] == scalar[1] == 0.5 + 1e-5
+        assert array.tolist() == scalar

@@ -277,6 +277,16 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError):
             load_qubo(str(bad))
 
+    @pytest.mark.parametrize("body", ["0 0 1.5\n0 0 2.5\n1 2 0.5\n",
+                                      "0 0 1.5\n1 2 0.5\n1 2 0.75\n"])
+    def test_repeated_lines_rejected(self, tmp_path, body):
+        # a repeat keeps the header counts right, so only the repeat check sees it
+        path = tmp_path / "repeat.qubo"
+        n_quad = body.count("1 2 ")
+        path.write_text(f"qubo 3 1 {n_quad} 0.0\n" + body)
+        with pytest.raises(ValueError, match="repeated"):
+            load_qubo(str(path))
+
 
 class TestWalkConsistency:
     @settings(deadline=None, max_examples=25)

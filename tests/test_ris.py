@@ -12,11 +12,13 @@ from dualris.ris import (
     ChannelState,
     RisConfig,
     best_quantized_alignment,
+    bits_to_levels,
     cascade_gains,
     composite_gain,
     decode_phases,
     element_phase_offsets,
     encode_phases,
+    levels_to_bits,
     quantized_phases,
 )
 
@@ -66,6 +68,21 @@ class TestDecode:
         assert np.array_equal(again.bits, bits)
         levels = quantized_phases(bq)
         assert all(any(abs(p - l) < 1e-12 for l in levels) for p in pc.phases_quantum)
+
+    @pytest.mark.parametrize("n,bq,bc", [(0, 1, 2), (1, 2, 2), (5, 3, 1), (7, 2, 3)])
+    def test_level_layout_batches_match_decode_and_encode(self, n, bq, bc):
+        cfg = RisConfig(n_elements=n, bits_quantum=bq, bits_classical=bc)
+        rng = np.random.default_rng(n + 10 * bq + 100 * bc)
+        rows = rng.integers(0, 2, size=(6, cfg.bits_total), dtype=np.uint8)
+        lq, lc = bits_to_levels(rows, cfg)
+        assert lq.shape == lc.shape == (6, n)
+        assert np.array_equal(levels_to_bits(lq, lc, cfg), rows)
+        for row, q, c in zip(rows, lq, lc):
+            pc = decode_phases(row, cfg)
+            assert np.array_equal(pc.phases_quantum, 2 * math.pi / (1 << bq) * q)
+            assert np.array_equal(pc.phases_classical, 2 * math.pi / (1 << bc) * c)
+            assert np.array_equal(encode_phases(pc.phases_quantum, pc.phases_classical,
+                                                cfg).bits, levels_to_bits(q, c, cfg))
 
 
 class TestCascades:

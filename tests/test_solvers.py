@@ -202,6 +202,18 @@ class TestSecurity:
             assert np.array_equal(checked.best_bits, fallback)
 
 
+class TestQuadraticObjective:
+    @pytest.mark.parametrize("kind", ["brute", "anneal", "tabu"])
+    def test_surrogate_never_supplies_a_feasible_fallback(self, kind):
+        # the surrogate has no QBER, so no visited state counts as feasible
+        model = QuboModel(dim=3, linear=np.array([0.5, -1.0, 0.25]),
+                          pair_i=np.array([0], np.int32), pair_j=np.array([2], np.int32),
+                          pair_w=np.array([-2.0]), offset=0.1)
+        result = solve(QuadraticObjective(model), 3,
+                       SolverConfig(kind=kind, seed=1, max_iters=10, restarts=1))
+        assert result.best_feasible_bits is None
+
+
 class TestOracleMiniCampaign:
     def test_heuristics_never_beat_the_oracle(self):
         # the full 200-instance campaign runs in the acceptance suite
