@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the heuristic solvers against the exhaustive oracle.
+"""Benchmark the solvers against the exhaustive oracle and the exact band sweep.
 
-Generates seeded random small instances (N <= 4 elements, 2-bit phases in both
-bands, at most 16 binary variables), solves each with every method, and prints
-optimum hit rates and timings.
+Part one generates seeded random small instances (N <= 4 elements, 2-bit
+phases in both bands, at most 16 binary variables), solves each with every
+method, and prints optimum hit rates and timings against brute force. Part two
+builds the calibrated channel state at 20, 45 and 80 deg for N = 128 / 512 /
+4096 and prints each heuristic's relative gap to the exact band sweep and its
+CPU time next to the sweep's own.
 """
 import argparse
 import math
@@ -13,11 +16,13 @@ import time
 import numpy as np
 
 from dualris.channels import ComplexGain, OpticalParams, RfParams
+from dualris.experiments import RunConfig, build_channel_state, calibrate
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights
 from dualris.qubo import ExactObjective
 from dualris.ris import ChannelState, RisConfig
 from dualris.solvers import (
     SolverConfig,
+    band_sweep,
     block_coordinate_descent,
     brute_force,
     simulated_annealing,
@@ -42,14 +47,48 @@ def random_instance(seed: int, n_elements: int) -> tuple[ExactObjective, RisConf
     return ExactObjective(state, CostWeights(), cal, OpticalParams(), rf, cfg), cfg
 
 
+# heuristic budgets per N for the large states: (anneal sweeps, tabu moves)
+LARGE_BUDGETS = {128: (16, 32), 512: (4, 8), 4096: (1, 2)}
+
+
+def _timed(run):
+    t0 = time.process_time()
+    result = run()
+    return result, time.process_time() - t0
+
+
+def large_states() -> None:
+    """Gap of each heuristic to the exact band sweep on calibrated states."""
+    cfg = RunConfig()
+    cal = calibrate(cfg)
+    print("\ncalibrated states, gap = (value - exact) / |exact|, CPU time in ms:")
+    for n, (sweeps, moves) in LARGE_BUDGETS.items():
+        for elevation in (20.0, 45.0, 80.0):
+            state, ris_cfg, _ = build_channel_state(cfg, cal, elevation, n)
+            obj = ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
+            exact, spent = _timed(lambda: band_sweep(obj))
+            cells = [f"exact {1e3 * spent:7.1f}"]
+            for name, run in (
+                ("bcd", lambda: block_coordinate_descent(obj, SolverConfig(kind="bcd"))),
+                ("anneal", lambda: simulated_annealing(obj, obj.dim, SolverConfig(
+                    kind="anneal", seed=1, max_iters=sweeps, restarts=1))),
+                ("tabu", lambda: tabu_search(obj, obj.dim, SolverConfig(
+                    kind="tabu", seed=1, max_iters=moves, restarts=1))),
+            ):
+                result, spent = _timed(run)
+                gap = (result.best_value - exact.best_value) / abs(exact.best_value)
+                cells.append(f"{name} gap {gap:9.3e} {1e3 * spent:8.1f}")
+            print(f"  N={n:<5d} {elevation:4.0f} deg  " + "  ".join(cells))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1000)
     args = parser.parse_args()
 
-    hits = {"anneal": 0, "tabu": 0, "bcd": 0}
-    spent = {"brute": 0.0, "anneal": 0.0, "tabu": 0.0, "bcd": 0.0}
+    hits = {"exact": 0, "anneal": 0, "tabu": 0, "bcd": 0}
+    spent = {"brute": 0.0, "exact": 0.0, "anneal": 0.0, "tabu": 0.0, "bcd": 0.0}
     for i in range(args.instances):
         obj, cfg = random_instance(args.seed + i, 1 + i % 4)
         dim = cfg.bits_total
@@ -58,6 +97,7 @@ def main() -> int:
         spent["brute"] += time.time() - t0
         tol = 1e-9 * abs(oracle.best_value) + 1e-12
         runs = {
+            "exact": lambda: band_sweep(obj),
             "anneal": lambda: simulated_annealing(
                 obj, dim, SolverConfig(kind="anneal", seed=i, max_iters=400, restarts=3)),
             "tabu": lambda: tabu_search(
@@ -75,9 +115,10 @@ def main() -> int:
 
     print(f"instances: {args.instances} (N = 1..4, 2+2 phase bits)")
     print(f"brute force oracle time: {spent['brute']:.1f} s")
-    for name in ("anneal", "tabu", "bcd"):
+    for name in ("exact", "anneal", "tabu", "bcd"):
         rate = 100.0 * hits[name] / args.instances
         print(f"  {name:7s} optimum rate {rate:5.1f} %   time {spent[name]:.1f} s")
+    large_states()
     return 0
 
 

@@ -28,15 +28,16 @@ from .experiments import (
     chi_square_uniform,
     delta_metrics,
     evaluate_point,
+    histogram_problem,
     phase_histogram,
     solve_point,
     sweep_elevation,
 )
 from .geometry import GeometryParams
-from .metrics import Calibration, CostWeights
-from .qubo import build_qubo, format_qubo
+from .metrics import QBER_SECURITY_THRESHOLD, Calibration, CostWeights
+from .qubo import ExactObjective, build_qubo, format_qubo
 from .ris import RisConfig
-from .solvers import SolverConfig, trace_csv_lines
+from .solvers import SolverConfig, min_qber, trace_csv_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,6 +76,12 @@ def _parse_scalar(raw: str, typ) -> object:
     return raw
 
 
+def _sequence_item(value: float, item_type):
+    if item_type is int and not value.is_integer():
+        raise ConfigError(f"{value:g} is not an integer")
+    return item_type(value)
+
+
 def _parse_sequence(raw: str, item_type) -> tuple:
     raw = raw.strip()
     if ":" in raw and "," not in raw:   # start:stop:step inclusive grid
@@ -84,8 +91,9 @@ def _parse_sequence(raw: str, item_type) -> tuple:
         start, stop, step = parts
         count = int(round((stop - start) / step)) + 1
         values = [start + i * step for i in range(count) if start + i * step <= stop + 1e-9]
-        return tuple(item_type(v) for v in values)
-    return tuple(item_type(_parse_scalar(p, float)) for p in raw.split(",") if p.strip())
+    else:
+        values = [float(p) for p in raw.split(",") if p.strip()]
+    return tuple(_sequence_item(v, item_type) for v in values)
 
 
 def _coerce_field(typ, raw: str):
@@ -245,6 +253,12 @@ def _bad_number(opts: dict) -> str | None:
     return None
 
 
+def _qber_margin(eps_min: float) -> str:
+    """The smallest reachable QBER and its margin below the security threshold."""
+    return (f"{eps_min:.6f} (margin {QBER_SECURITY_THRESHOLD - eps_min:+.6f} "
+            f"below {QBER_SECURITY_THRESHOLD:g})")
+
+
 def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -259,6 +273,10 @@ def run_cli(argv=None) -> int:
     problem = _bad_number(vars(args))
     if problem:
         print(f"argument error: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
+    problem = histogram_problem(cfg.ris) if args.command == "histogram" else None
+    if problem:
+        print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
@@ -279,6 +297,9 @@ def run_cli(argv=None) -> int:
 
     if args.command == "link-budget":
         row, _ = evaluate_point(cfg, cal, args.elevation, args.n, args.att)
+        state, ris_cfg, _ = build_channel_state(cfg, cal, args.elevation, args.n, args.att)
+        eps_min = min_qber(ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf,
+                                          ris_cfg))
         print(f"elevation_deg: {row.elevation_deg:g}")
         print(f"n_elements:    {row.n_elements}")
         print(f"snr_db:        {row.snr_db:.3f}")
@@ -287,6 +308,7 @@ def run_cli(argv=None) -> int:
         print(f"skr_bits_s:    {row.skr_bits_s:.2f}")
         print(f"cost:          {row.cost:.6e}")
         print(f"feasible:      {row.feasible}")
+        print(f"min_qber:      {_qber_margin(eps_min)}")
         return EXIT_OK
 
     if args.command == "sweep":
@@ -309,15 +331,17 @@ def run_cli(argv=None) -> int:
     if args.command == "optimize":
         result, objective = solve_point(cfg, cal, args.elevation, args.n,
                                         att=args.att)
+        eps_min = min_qber(objective)
         if not result.feasible:
-            print("no feasible phase assignment (QBER above security threshold)",
-                  file=sys.stderr)
+            print("no feasible phase assignment (QBER above security threshold); "
+                  f"minimum achievable QBER {_qber_margin(eps_min)}", file=sys.stderr)
             return EXIT_INFEASIBLE
         m = objective.metrics_of(result.best_bits)
         print("x*:", "".join(str(int(b)) for b in result.best_bits))
         print(f"cost: {result.best_value:.6e}   evaluations: {result.evaluations}")
         print(f"snr_db: {m.snr_db:.3f}  qber: {m.qber:.6f}  "
               f"skr_bits_s: {m.skr_bits_s:.2f}")
+        print(f"min_qber: {_qber_margin(eps_min)}")
         if args.trace:
             _atomic_write(os.path.join(out_dir, args.trace),
                           "\n".join(trace_csv_lines(result)) + "\n")

@@ -193,7 +193,7 @@ def solve_point(cfg: RunConfig, cal: Calibration, elevation_deg: float,
     state, ris_cfg, _ = build_channel_state(cfg, cal, elevation_deg, n_elements, att)
     objective = ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
     scfg = solver if solver is not None else cfg.solver
-    if scfg.objective == "quadratic" and scfg.kind in ("anneal", "tabu", "brute"):
+    if scfg.objective == "quadratic":
         model = build_qubo(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
         result = solve(QuadraticObjective(model), ris_cfg.bits_total, scfg)
         result.best_value = objective.value(result.best_bits)  # re-score exactly
@@ -202,7 +202,7 @@ def solve_point(cfg: RunConfig, cal: Calibration, elevation_deg: float,
     return enforce_security(result, objective), objective
 
 
-_FIT_SOLVER = SolverConfig(kind="bcd", max_iters=50)
+_FIT_SOLVER = SolverConfig(kind="exact")
 
 
 def calibrate(cfg: RunConfig, anchors: CalibrationAnchors | None = None) -> Calibration:
@@ -373,16 +373,27 @@ def delta_metrics(rows: list[SweepRow]) -> list[DeltaRow]:
     return out
 
 
+def histogram_problem(ris: RisConfig) -> str | None:
+    """Why phase_histogram cannot run on this RIS, or None when it can."""
+    if ris.n_elements < 1:
+        return "phase histograms need at least one RIS element"
+    if ris.bits_quantum != 2 or ris.bits_classical != 2:
+        return "phase histograms require 2-bit phases in both bands"
+    return None
+
+
 def phase_histogram(cfg: RunConfig, cal: Calibration,
                     att_levels: tuple[float, ...] | None = None,
                     elevation_deg: float = 45.0) -> dict[float, np.ndarray]:
     """Joint (optical, RF) phase-bin counts of the optimized RIS per Att level.
 
-    Needs 2-bit quantization in both bands (16 joint bins). Configurations
-    violating the QBER security threshold are rejected outright.
+    Needs at least one element and 2-bit quantization in both bands (16 joint
+    bins). Configurations violating the QBER security threshold are rejected
+    outright.
     """
-    if cfg.ris.bits_quantum != 2 or cfg.ris.bits_classical != 2:
-        raise ValueError("phase histograms require 2-bit phases in both bands")
+    problem = histogram_problem(cfg.ris)
+    if problem:
+        raise ValueError(problem)
     levels = att_levels if att_levels is not None else cfg.sweep.attenuation_levels
     grids: dict[float, np.ndarray] = {}
     for att in levels:

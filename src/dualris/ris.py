@@ -197,21 +197,3 @@ def composite_gain(direct: ComplexGain, cascades: np.ndarray,
     total = direct.as_complex + (cascades * np.exp(1j * phases)).sum()
     return ComplexGain.from_complex(total)
 
-
-def best_quantized_alignment(direct: ComplexGain, cascades: np.ndarray,
-                             bits_per_element: int) -> np.ndarray:
-    """Greedy per-element phases maximizing each projection onto the direct path.
-
-    For every element the 2^b quantized phases are enumerated and the one
-    maximizing Re(g_n e^{j theta} e^{-j arg H_direct}) is kept; ties go to the
-    lowest phase index. Used as a deterministic sanity baseline for solvers.
-    """
-    if bits_per_element < 1:
-        raise ValueError("need at least 1 phase bit")
-    cascades = np.asarray(cascades, dtype=complex)
-    levels = quantized_phases(bits_per_element)
-    ref = np.exp(-1j * direct.phase_rad)
-    # projections: (N, 2^b); argmax returns the first (lowest) index on ties
-    proj = np.real(cascades[:, None] * np.exp(1j * levels)[None, :] * ref)
-    best = np.argmax(proj, axis=1)
-    return levels[best]

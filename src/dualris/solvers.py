@@ -1,15 +1,19 @@
-"""Binary objective minimizers: brute force, annealing, tabu, coordinate descent.
+"""Binary objective minimizers: exact band sweep, brute force, annealing, tabu,
+coordinate descent.
 
-Every solver is bit-reproducible given (seed, config, objective), ties always
-resolve toward the lexicographically smallest bit vector, and the returned
-best value is re-scored from scratch so no incremental cache can go stale.
-The RNG is numpy's PCG64; the algorithm name is recorded in each result so
-runs replay across platforms.
+Every solver is bit-reproducible given (seed, config, objective), and the
+returned best value is re-scored from scratch so no incremental cache can go
+stale. The heuristics and brute force resolve ties toward the
+lexicographically smallest bit vector; the band sweep has its own documented
+tie rule. The RNG is numpy's PCG64; the algorithm name is recorded in each
+result so runs replay across platforms.
 
-Every solver but coordinate descent takes any objective with dim, value(x),
+Brute force, annealing and tabu take any objective with dim, value(x),
 batch(xs) over rows, qber_batch(xs) (+inf where the objective has no QBER) and
 walk(x); a walk holds x and value and offers peek_flip(i), apply_flip(i) and
-qber(). ExactObjective and QuadraticObjective implement this interface.
+qber(). ExactObjective and QuadraticObjective implement this interface. The
+band sweep and coordinate descent need the per-element channel structure of
+ExactObjective.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ BRUTE_FORCE_MAX_BITS = 24
 
 @dataclass(frozen=True)
 class SolverConfig:
-    kind: str = "bcd"                  # brute | anneal | tabu | bcd
+    kind: str = "exact"                # exact | brute | anneal | tabu | bcd
     seed: int = 0
     max_iters: int = 200               # sweeps (anneal/bcd) or moves (tabu)
     initial_temp: float | None = None  # None: 10 x std of F over 100 probes
@@ -42,10 +46,13 @@ class SolverConfig:
             raise ValueError("cooling_rate must be in (0, 1)")
         if self.tabu_tenure < 1:
             raise ValueError("tabu_tenure must be >= 1")
-        if self.kind not in ("brute", "anneal", "tabu", "bcd"):
+        if self.kind not in ("exact", "brute", "anneal", "tabu", "bcd"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
         if self.objective not in ("exact", "quadratic"):
             raise ValueError(f"unknown objective {self.objective!r}")
+        # exact and bcd read the channel structure, which the surrogate lacks
+        if self.objective == "quadratic" and self.kind not in ("brute", "anneal", "tabu"):
+            raise ValueError(f"solver kind {self.kind!r} cannot use the quadratic objective")
 
 
 @dataclass
@@ -313,8 +320,75 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     return _finalize(obj, best, feas, evaluations, trace)
 
 
+def _band_levels(h0: complex, u: np.ndarray, phasor: np.ndarray) -> np.ndarray:
+    """Per-element levels l_n that maximize |h0 + sum_n u_n phasor[l_n]|.
+
+    For a reference angle phi, Re(T e^{-j phi}) is maximized element by element
+    by the level closest to phi - arg u_n, and |T| = Re(T e^{-j phi}) at
+    phi = arg T. The per-element choice changes only at the N*K breakpoints
+    arg u_n + 2 pi (l + 1/2) / K (mod 2 pi), where element n steps from level l
+    to l + 1 (mod K). Visiting them in sorted order from phi = 0 passes through
+    every per-phi best assignment, so the largest |T| among the N*K + 1
+    assignments met is the exact maximum, in O(NK log NK) (Zhang, Shen, Ren,
+    Li, Chen, Luo, "Configuring Intelligent Reflecting Surface with Performance
+    Guarantees: Optimal Beamforming", IEEE JSTSP 2022).
+
+    Tie rule: the breakpoints are ordered by a stable argsort of the (N, K)
+    breakpoint array, flattened element-major, so equal angles keep element
+    order. Among equal |T| the first assignment met wins; the sweep starts
+    from the assignment in which every element sits before its earliest
+    breakpoint.
+    """
+    k = len(phasor)
+    step = 2.0 * math.pi / k
+    breaks = np.mod(np.angle(u)[:, None] + step * (np.arange(k) + 0.5), 2.0 * math.pi)
+    # each element's earliest breakpoint moves it off the level it starts on
+    start = np.argmin(breaks, axis=1)
+    elem, lev = np.divmod(np.argsort(breaks, axis=None, kind="stable"), k)
+    totals = np.empty(elem.size + 1, dtype=complex)
+    totals[0] = h0 + (u * phasor[start]).sum()
+    totals[1:] = totals[0] + np.cumsum(u[elem] * (phasor[(lev + 1) % k] - phasor[lev]))
+    first_best = int(np.argmax(np.abs(totals)))
+    return (start + np.bincount(elem[:first_best], minlength=u.size)) % k
+
+
+def band_sweep(objective: ExactObjective) -> SolverResult:
+    """Exact minimum by one breakpoint sweep per band.
+
+    The cost alpha * QBER(|T_Q|) - beta * log2(1 + kappa |T_C|^2) has one term
+    per band, and with alpha, beta >= 0 each term is non-increasing in its
+    band's |T|, so maximizing |T_Q| and |T_C| separately (_band_levels, with
+    its tie rule) minimizes it. evaluations counts the band totals scored,
+    2 + N (2^b_Q + 2^b_C). The chosen |T_Q| is the largest any assignment
+    reaches, so its QBER is the smallest: the result is its own feasible
+    fallback when that QBER meets the threshold, and otherwise no assignment
+    is feasible.
+    """
+    if not isinstance(objective, ExactObjective):
+        raise TypeError("the band sweep needs the exact objective")
+    obj = objective
+    if obj.dim == 0:
+        return brute_force(obj, 0)
+    bits = levels_to_bits(_band_levels(obj.h0q, obj.uq, obj._phasor_q),
+                          _band_levels(obj.h0c, obj.uc, obj._phasor_c), obj.cfg)
+    evaluations = 2 + obj.n * (len(obj._phasor_q) + len(obj._phasor_c))
+    best = _Best()
+    feas = _FeasibleBest()
+    best.offer(obj.value(bits), bits)
+    if obj.qber_of(bits) <= QBER_SECURITY_THRESHOLD:
+        feas.offer(best.value, bits)
+    return _finalize(obj, best, feas, evaluations, [(evaluations, best.value)])
+
+
+def min_qber(objective: ExactObjective) -> float:
+    """Smallest QBER any phase assignment reaches: the QBER at the largest |T_Q|."""
+    return objective.qber_of(band_sweep(objective).best_bits)
+
+
 def solve(objective, dim: int, cfg: SolverConfig) -> SolverResult:
     """Dispatch on cfg.kind."""
+    if cfg.kind == "exact":
+        return band_sweep(objective)
     if cfg.kind == "brute":
         return brute_force(objective, dim)
     if cfg.kind == "anneal":

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualris.cli import (
     ConfigError,
@@ -22,6 +23,7 @@ from dualris.experiments import (
     derived_seed,
     evaluate_point,
     phase_histogram,
+    solve_point,
     sweep_elevation,
 )
 from dualris.metrics import Calibration
@@ -156,6 +158,26 @@ class TestHistogramApi:
         with pytest.raises(ValueError):
             phase_histogram(cfg, calibrated["cal"])
 
+    def test_requires_elements(self, calibrated):
+        with pytest.raises(ValueError):
+            phase_histogram(RunConfig(ris=RisConfig(n_elements=0)), calibrated["cal"])
+
+
+class TestAttenuationInvariance:
+    # build_channel_state scales every amplitude of both bands by sqrt(att),
+    # and a common positive factor does not move the maximizer of |T|
+    @settings(max_examples=100, deadline=None)
+    @given(elevation=st.sampled_from((10.0, 30.0, 45.0, 70.0, 90.0)),
+           n=st.sampled_from((1, 7, 128, 512, 4096)),
+           att=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    def test_optimized_levels_ignore_uniform_attenuation(self, run_config, calibrated,
+                                                         elevation, n, att):
+        cal = calibrated["cal"]
+        full, obj_full = solve_point(run_config, cal, elevation, n)
+        dim, obj_dim = solve_point(run_config, cal, elevation, n, att)
+        for a, b in zip(obj_full.levels_of(full.best_bits), obj_dim.levels_of(dim.best_bits)):
+            assert np.array_equal(a, b)
+
 
 class TestConfigFile:
     def _write(self, tmp_path, text):
@@ -218,6 +240,11 @@ output_dir = out
         cfg = load_config(self._write(tmp_path, f"[solver]\ninitial_temp = {raw}\n"))
         assert cfg.solver.initial_temp == expected
 
+    @pytest.mark.parametrize("raw", ["0,1.5", "0:3:1.5", "inf"])
+    def test_non_integer_list_item_rejected(self, tmp_path, raw):
+        with pytest.raises(ConfigError):
+            load_config(self._write(tmp_path, f"[sweep]\nris_sizes = {raw}\n"))
+
     def test_bad_run_seed_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(self._write(tmp_path, "[run]\nseed = abc\n"))
@@ -253,6 +280,7 @@ class TestCli:
         assert run_cli(["link-budget", "--elevation", "90", "--n", "0"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "snr_db" in out
+        assert "min_qber:" in out and "below 0.11" in out
 
     def test_calibrate_prints_constants(self, capsys):
         assert run_cli(["calibrate"]) == EXIT_OK
@@ -270,11 +298,14 @@ class TestCli:
         cfg.write_text("[rf]\nrain_rate_mm_h = 1e9\n")
         assert run_cli(["--config", str(cfg), "calibrate"]) == EXIT_CALIBRATION
 
-    def test_optimize_infeasible_exit_code(self, tmp_path):
+    def test_optimize_infeasible_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "fast.ini"
         cfg.write_text("[ris]\nn_elements = 4\n")
         assert run_cli(["--config", str(cfg), "optimize", "--elevation", "45",
                         "--n", "4", "--att", "1e-5"]) == EXIT_INFEASIBLE
+        # the default exact solver proves it: even the best QBER is above 11 %
+        err = capsys.readouterr().err
+        assert "minimum achievable QBER" in err and "(margin -" in err
 
     def test_optimize_feasible(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -285,6 +316,7 @@ class TestCli:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "x*:" in out
+        assert "min_qber:" in out
         assert (tmp_path / "trace.csv").exists()
 
     def test_sweep_writes_csv(self, tmp_path, capsys):
@@ -310,6 +342,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert argv[-2] in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("ini,argv", [
+        ("[sweep]\nris_sizes = 0,1.5\n", ["sweep"]),
+        ("[sweep]\nris_sizes = 0:3:1.5\n", ["sweep"]),
+        ("[ris]\nn_elements = 0\n", ["histogram"]),
+        ("[ris]\nbits_quantum = 3\n", ["histogram"]),
+    ])
+    def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
+        cfg = tmp_path / "edge.ini"
+        cfg.write_text(ini + f"[run]\noutput_dir = {tmp_path}\n")
+        assert run_cli(["--config", str(cfg)] + argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["edge.ini"]
 
     def test_qubo_export_roundtrip(self, tmp_path):
         cfg = tmp_path / "q.ini"

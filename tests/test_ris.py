@@ -11,7 +11,6 @@ from dualris.ris import (
     QUANTUM,
     ChannelState,
     RisConfig,
-    best_quantized_alignment,
     bits_to_levels,
     cascade_gains,
     composite_gain,
@@ -160,36 +159,6 @@ class TestComposite:
         phases = rng.uniform(0, 2 * math.pi, n)
         tot = composite_gain(direct, cascades, phases)
         assert tot.amplitude <= direct.amplitude + np.abs(cascades).sum() + 1e-12
-
-
-class TestAlignment:
-    def test_already_aligned_picks_zero(self):
-        direct = ComplexGain(1.0, 0.7)
-        cascades = np.array([0.2 * np.exp(1j * 0.7)])
-        phases = best_quantized_alignment(direct, cascades, 2)
-        assert phases[0] == 0.0
-
-    def test_two_bit_residual(self):
-        # cascade 100 deg ahead of the direct path: 270 deg shift leaves 10 deg
-        direct = ComplexGain(1.0, 0.0)
-        cascades = np.array([0.2 * np.exp(1j * math.radians(100.0))])
-        phases = best_quantized_alignment(direct, cascades, 2)
-        assert phases[0] == pytest.approx(3 * math.pi / 2)
-
-    def test_one_bit_orthogonal_tie(self):
-        direct = ComplexGain(1.0, 0.0)
-        cascades = np.array([0.2 * np.exp(1j * math.pi / 2)])
-        phases = best_quantized_alignment(direct, cascades, 1)
-        assert phases[0] == 0.0     # tie broken toward the smaller phase index
-
-    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6))
-    def test_alignment_never_loses_with_two_bits(self, n, seed):
-        rng = np.random.default_rng(seed)
-        direct = ComplexGain(1.0, rng.uniform(0, 2 * math.pi))
-        cascades = rng.uniform(0.0, 0.3, n) * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
-        phases = best_quantized_alignment(direct, cascades, 2)
-        tot = composite_gain(direct, cascades, phases)
-        assert tot.amplitude >= direct.amplitude - 1e-12
 
 
 class TestIndependence:

@@ -2,21 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualris.channels import ComplexGain, OpticalParams, RfParams
+from dualris.experiments import RunConfig, build_channel_state
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights
 from dualris.qubo import ExactObjective, QuadraticObjective, QuboModel
 from dualris.ris import ChannelState, RisConfig
 from dualris.solvers import (
     SolverConfig,
+    band_sweep,
     block_coordinate_descent,
     brute_force,
     enforce_security,
+    min_qber,
     simulated_annealing,
     solve,
     tabu_search,
     trace_csv_lines,
 )
+from perfbench import oracle, workloads
 
 OPT = OpticalParams()
 RF = RfParams()
@@ -28,9 +33,9 @@ def linear_model(coeffs, offset=0.0):
                      pair_j=np.zeros(0, np.int32), pair_w=np.zeros(0), offset=offset)
 
 
-def random_instance(seed, n, amp_lo=0.02, amp_hi=0.3):
+def random_instance(seed, n, amp_lo=0.02, amp_hi=0.3, bits=(2, 2)):
     rng = np.random.default_rng(seed)
-    cfg = RisConfig(n_elements=n, bits_quantum=2, bits_classical=2)
+    cfg = RisConfig(n_elements=n, bits_quantum=bits[0], bits_classical=bits[1])
     state = ChannelState(
         ComplexGain(1.0, rng.uniform(0, 2 * np.pi)),
         ComplexGain(1.0, rng.uniform(0, 2 * np.pi)),
@@ -92,7 +97,7 @@ class TestDeterminism:
 
 
 class TestTraces:
-    @pytest.mark.parametrize("kind", ["brute", "anneal", "tabu", "bcd"])
+    @pytest.mark.parametrize("kind", ["exact", "brute", "anneal", "tabu", "bcd"])
     def test_trace_non_increasing(self, kind):
         obj, cfg = random_instance(5, 3)
         result = solve(obj, cfg.bits_total, SolverConfig(kind=kind, seed=3, max_iters=80))
@@ -107,7 +112,7 @@ class TestTraces:
         assert lines[0] == "iteration,best_value"
         assert len(lines) == len(result.trace) + 1
 
-    @pytest.mark.parametrize("kind", ["brute", "anneal", "tabu", "bcd"])
+    @pytest.mark.parametrize("kind", ["exact", "brute", "anneal", "tabu", "bcd"])
     def test_best_value_is_rescored(self, kind):
         obj, cfg = random_instance(9, 3)
         result = solve(obj, cfg.bits_total, SolverConfig(kind=kind, seed=4, max_iters=60))
@@ -166,6 +171,114 @@ class TestBcd:
         with pytest.raises(TypeError):
             block_coordinate_descent(QuadraticObjective(linear_model([1.0])),
                                      SolverConfig(kind="bcd"))
+
+
+class TestBandSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 16),
+           st.integers(0, 10**6))
+    def test_equals_brute_force(self, bq, bc, n_raw, seed):
+        n = n_raw % (16 // (bq + bc) + 1)            # dim <= 16
+        obj, cfg = random_instance(seed, n, bits=(bq, bc))
+        exact = band_sweep(obj)
+        oracle = brute_force(obj, cfg.bits_total)
+        assert abs(exact.best_value - oracle.best_value) <= 1e-12 * abs(oracle.best_value)
+        # the sweep's fallback rule agrees with exhaustive feasibility
+        assert (exact.best_feasible_bits is None) == (oracle.best_feasible_bits is None)
+
+    @pytest.mark.parametrize("n,bits", [(1, (2, 2)), (5, (1, 3)), (64, (3, 2))])
+    def test_counts_band_totals(self, n, bits):
+        obj, _ = random_instance(7, n, bits=bits)
+        result = band_sweep(obj)
+        assert result.evaluations == 2 + n * (2 ** bits[0] + 2 ** bits[1])
+        assert result.trace == [(result.evaluations, result.best_value)]
+
+    def test_zero_elements_is_brute_force(self):
+        obj, _ = random_instance(7, 0)
+        result, oracle = band_sweep(obj), brute_force(obj, 0)
+        assert result.best_bits.size == 0
+        assert (result.best_value, result.evaluations, result.trace) == (
+            oracle.best_value, oracle.evaluations, oracle.trace)
+
+    def test_repeat_calls_are_identical(self):
+        obj, _ = random_instance(11, 300)
+        a, b = band_sweep(obj), band_sweep(obj)
+        assert np.array_equal(a.best_bits, b.best_bits)
+        assert a.best_value == b.best_value
+
+    def test_tie_goes_to_first_maximum_in_breakpoint_order(self):
+        # element 1 has a zero cascade, so its level never changes |T|. Both
+        # elements share the breakpoints pi/4, 3pi/4, ...; the stable order puts
+        # element 0's first, so the first maximum (element 0 on level 1, facing
+        # the direct path at pi/2) is met before element 1 leaves level 0.
+        cfg = RisConfig(n_elements=2, bits_quantum=2, bits_classical=2)
+        state = ChannelState(ComplexGain(1.0, math.pi / 2), ComplexGain(1.0, 0.0),
+                             np.array([0.2, 0.0], complex), np.zeros(2, complex))
+        cal = Calibration(raw_rate_scale=1000.0, effective_visibility=0.98,
+                          h_ref_sq=1e-2, rf_gain_offset_db=0.0)
+        obj = ExactObjective(state, CostWeights(), cal, OPT, RF, cfg)
+        lq, lc = obj.levels_of(band_sweep(obj).best_bits)
+        assert lq.tolist() == [1, 0]
+        assert lc.tolist() == [0, 0]
+
+    def test_feasible_result_is_its_own_fallback(self):
+        obj, _ = random_instance(40, 3)
+        result = band_sweep(obj)
+        assert obj.qber_of(result.best_bits) <= 0.11
+        assert np.array_equal(result.best_feasible_bits, result.best_bits)
+        assert min_qber(obj) == obj.qber_of(result.best_bits)
+
+    def test_no_fallback_proves_infeasibility(self):
+        # a reference power far above the channel puts the baseline QBER near
+        # 50 %; no assignment of 2 small elements brings it under 11 %
+        obj, cfg = random_instance(41, 2)
+        obj = ExactObjective(obj.state, CostWeights(), Calibration(
+            raw_rate_scale=1.0, effective_visibility=0.98, h_ref_sq=1e6), OPT, RF, cfg)
+        result = band_sweep(obj)
+        assert result.best_feasible_bits is None
+        assert min_qber(obj) > 0.11
+        assert brute_force(obj, cfg.bits_total).best_feasible_bits is None
+        assert enforce_security(result, obj).feasible is False
+
+    def test_requires_exact_objective(self):
+        with pytest.raises(TypeError):
+            band_sweep(QuadraticObjective(linear_model([1.0])))
+
+
+class TestBenchmarkStates:
+    """The 9 channel states of the benchmark's solve workload, pinned calibration."""
+
+    @pytest.mark.parametrize("n", workloads.SOLVE_SIZES)
+    @pytest.mark.parametrize("elevation", workloads.SOLVE_ELEVATIONS)
+    def test_exact_is_the_oracle_optimum_and_unbeaten(self, elevation, n):
+        cfg = RunConfig(seed=workloads.STATE_SEED)
+        state, ris_cfg, _ = build_channel_state(cfg, workloads.pinned_calibration(),
+                                                elevation, n)
+        obj = ExactObjective(state, cfg.weights, workloads.pinned_calibration(),
+                             cfg.optical, cfg.rf, ris_cfg)
+        exact = band_sweep(obj).best_value
+        opt = oracle.optimum(obj)
+        assert abs(oracle.relative_excess(exact, opt)) <= 1e-12
+        (sweeps, restarts), (moves, tabu_restarts) = (workloads.ANNEAL_BUDGET[n],
+                                                      workloads.TABU_BUDGET[n])
+        for result in (
+            block_coordinate_descent(obj, SolverConfig(kind="bcd")),
+            simulated_annealing(obj, obj.dim, SolverConfig(
+                kind="anneal", seed=1, max_iters=sweeps, restarts=restarts)),
+            tabu_search(obj, obj.dim, SolverConfig(
+                kind="tabu", seed=1, max_iters=moves, restarts=tabu_restarts)),
+        ):
+            assert oracle.relative_excess(result.best_value, exact) >= -oracle.DUST
+
+
+class TestSolverConfig:
+    def test_exact_is_the_default(self):
+        assert SolverConfig().kind == "exact"
+
+    @pytest.mark.parametrize("kind", ["exact", "bcd"])
+    def test_quadratic_objective_needs_a_generic_solver(self, kind):
+        with pytest.raises(ValueError):
+            SolverConfig(kind=kind, objective="quadratic")
 
 
 class TestSecurity:
