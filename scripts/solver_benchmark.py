@@ -6,11 +6,14 @@ phases in both bands, at most 16 binary variables), solves each with every
 method, and prints optimum hit rates and timings against brute force. Part two
 builds the calibrated channel state at 20, 45 and 80 deg for N = 128 / 512 /
 4096 and prints each heuristic's relative gap to the exact band sweep and its
-CPU time next to the sweep's own.
+CPU time next to the sweep's own. Part three times the QUBO layers at 45 deg
+for N = 64 / 128 / 256: build, text export and load CPU time and pair count.
 """
 import argparse
 import math
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from dualris.channels import ComplexGain, OpticalParams, RfParams
 from dualris.experiments import RunConfig, build_channel_state, calibrate
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights
-from dualris.qubo import ExactObjective
+from dualris.qubo import ExactObjective, build_qubo, export_qubo, load_qubo
 from dualris.ris import ChannelState, RisConfig
 from dualris.solvers import (
     SolverConfig,
@@ -57,10 +60,8 @@ def _timed(run):
     return result, time.process_time() - t0
 
 
-def large_states() -> None:
+def large_states(cfg: RunConfig, cal: Calibration) -> None:
     """Gap of each heuristic to the exact band sweep on calibrated states."""
-    cfg = RunConfig()
-    cal = calibrate(cfg)
     print("\ncalibrated states, gap = (value - exact) / |exact|, CPU time in ms:")
     for n, (sweeps, moves) in LARGE_BUDGETS.items():
         for elevation in (20.0, 45.0, 80.0):
@@ -79,6 +80,21 @@ def large_states() -> None:
                 gap = (result.best_value - exact.best_value) / abs(exact.best_value)
                 cells.append(f"{name} gap {gap:9.3e} {1e3 * spent:8.1f}")
             print(f"  N={n:<5d} {elevation:4.0f} deg  " + "  ".join(cells))
+
+
+def qubo_layers(cfg: RunConfig, cal: Calibration) -> None:
+    """CPU time of the QUBO build, export and load at 45 deg."""
+    print("\nQUBO layers at 45 deg, CPU time in ms:")
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in (64, 128, 256):
+            state, ris_cfg, _ = build_channel_state(cfg, cal, 45.0, n)
+            path = os.path.join(tmp, f"n{n}.qubo")
+            model, build_s = _timed(lambda: build_qubo(
+                state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg))
+            _, export_s = _timed(lambda: export_qubo(model, path))
+            _, load_s = _timed(lambda: load_qubo(path))
+            print(f"  N={n:<4d} build {1e3 * build_s:7.1f}  export {1e3 * export_s:7.1f}"
+                  f"  load {1e3 * load_s:7.1f}  pairs {model.pair_w.size}")
 
 
 def main() -> int:
@@ -118,7 +134,10 @@ def main() -> int:
     for name in ("exact", "anneal", "tabu", "bcd"):
         rate = 100.0 * hits[name] / args.instances
         print(f"  {name:7s} optimum rate {rate:5.1f} %   time {spent[name]:.1f} s")
-    large_states()
+    cfg = RunConfig()
+    cal = calibrate(cfg)
+    large_states(cfg, cal)
+    qubo_layers(cfg, cal)
     return 0
 
 

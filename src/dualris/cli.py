@@ -65,6 +65,7 @@ _SECTION_TYPES = {
 }
 _RUN_KEYS = ("seed", "output_dir")
 _CALIBRATION_FIELDS = tuple(f.name for f in dataclasses.fields(Calibration))
+_MAX_RANGE_ITEMS = 100_000           # a range spec is checked before its list is built
 
 
 def _parse_scalar(raw: str, typ) -> object:
@@ -86,11 +87,14 @@ def _parse_sequence(raw: str, item_type) -> tuple:
     raw = raw.strip()
     if ":" in raw and "," not in raw:   # start:stop:step inclusive grid
         parts = [float(p) for p in raw.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
+        if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[2] <= 0:
             raise ConfigError(f"bad range spec {raw!r}")
         start, stop, step = parts
-        count = int(round((stop - start) / step)) + 1
-        values = [start + i * step for i in range(count) if start + i * step <= stop + 1e-9]
+        span = (stop - start) / step       # inf when the quotient overflows
+        if not span <= _MAX_RANGE_ITEMS - 1:
+            raise ConfigError(f"range spec {raw!r} has more than {_MAX_RANGE_ITEMS} items")
+        values = [start + i * step for i in range(int(round(span)) + 1)
+                  if start + i * step <= stop + 1e-9]
     else:
         values = [float(p) for p in raw.split(",") if p.strip()]
     return tuple(_sequence_item(v, item_type) for v in values)

@@ -2,10 +2,12 @@
 
 The exact objective (no approximation) is the solver objective of record:
 decode bits -> composite gains -> calibrated metrics -> scalar cost. The QUBO
-surrogate expands both |H_tot|^2 terms with a second-order Taylor polynomial of
-each pairwise cosine about an expansion point, and uses first-order affine
-surrogates of the QBER and log-SNR maps, giving F(x) = x^T Q x + c^T x + offset
-that matches the exact objective at the expansion point.
+surrogate expands each band's |H_tot|^2 to second order in the phase steps
+about an expansion point and replaces the QBER and log-SNR maps by affine
+surrogates there: F(x) = x^T Q x + c^T x + offset, exact at that point. The
+cost splits by band, so Q has no pair across the quantum and classical blocks,
+and each band's block is a rank-2 term plus a per-element diagonal, spread onto
+the bits by their weights (_band_terms). The bit layout is ris.bits_to_levels.
 """
 from __future__ import annotations
 
@@ -27,40 +29,9 @@ from .metrics import (
     snr,
 )
 from .ris import (QUANTUM, CLASSICAL, ChannelState, PhaseConfig, RisConfig, bits_to_levels,
-                  decode_phases, levels_to_bits)
+                  levels_to_bits)
 
 _TWO_PI = 2.0 * math.pi
-
-
-def index_of(n: int, band: str, k: int, cfg: RisConfig) -> int:
-    """Variable index of bit k of element n in the given band.
-
-    The quantum block comes first (element-major, bit-minor), the classical
-    block second; the map is a bijection onto [0, N*(b_Q+b_C)).
-    """
-    if not 0 <= n < cfg.n_elements:
-        raise IndexError(f"element {n} out of range")
-    if band == QUANTUM:
-        if not 0 <= k < cfg.bits_quantum:
-            raise IndexError(f"quantum bit {k} out of range")
-        return n * cfg.bits_quantum + k
-    if band == CLASSICAL:
-        if not 0 <= k < cfg.bits_classical:
-            raise IndexError(f"classical bit {k} out of range")
-        return cfg.n_elements * cfg.bits_quantum + n * cfg.bits_classical + k
-    raise ValueError(f"unknown band {band!r}")
-
-
-def build_index_map(cfg: RisConfig) -> tuple[tuple[int, str, int], ...]:
-    """idx -> (element, band, bit) table matching index_of."""
-    entries = []
-    for n in range(cfg.n_elements):
-        for k in range(cfg.bits_quantum):
-            entries.append((n, QUANTUM, k))
-    for n in range(cfg.n_elements):
-        for k in range(cfg.bits_classical):
-            entries.append((n, CLASSICAL, k))
-    return tuple(entries)
 
 
 @dataclass
@@ -78,10 +49,7 @@ class QuboModel:
     pair_j: np.ndarray
     pair_w: np.ndarray
     offset: float
-    index_map: tuple[tuple[int, str, int], ...] = ()
-    n_elements: int = 0
-    bits_quantum: int = 0
-    bits_classical: int = 0
+    n_elements: int = 0          # of a built model (perfbench's tracer reads it); 0 when loaded
 
     def quad_matrix(self) -> np.ndarray:
         """Dense symmetric Q (zero diagonal)."""
@@ -246,94 +214,31 @@ def eval_exact(state: ChannelState, weights: CostWeights, cal: Calibration,
     return ExactObjective(state, weights, cal, optical, rf, cfg).value(x)
 
 
-class _Accumulator:
-    """Collects linear/pair/offset coefficients of a polynomial in bits."""
+def _band_terms(mult: float, t0: complex, u: np.ndarray, levels0: np.ndarray,
+                bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """mult * (P(y) - P0) of one band as (linear, pair_i, pair_j, pair_w, offset).
 
-    def __init__(self, dim: int):
-        self.linear = np.zeros(dim)
-        self.pairs: dict[tuple[int, int], float] = {}
-        self.offset = 0.0
-
-    def add_pair(self, i: int, j: int, w: float) -> None:
-        if i == j:
-            self.linear[i] += w        # x^2 = x
-            return
-        key = (i, j) if i < j else (j, i)
-        self.pairs[key] = self.pairs.get(key, 0.0) + w
-
-
-def _add_affine_terms(acc: _Accumulator, coef: float, idxs: list[int],
-                      weights: np.ndarray, t0: float, scale: float) -> None:
-    """Accumulate coef * delta where delta = scale * (sum_k w_k x_k - t0)."""
-    for k, i in enumerate(idxs):
-        acc.linear[i] += coef * scale * weights[k]
-    acc.offset += -coef * scale * t0
-
-
-def _add_square_terms(acc: _Accumulator, coef: float, idxs: list[int],
-                      weights: np.ndarray, t0: float, scale: float) -> None:
-    """Accumulate coef * delta^2 for the same affine delta."""
-    s2 = scale * scale
-    for a, ia in enumerate(idxs):
-        for b, ib in enumerate(idxs):
-            acc.add_pair(ia, ib, coef * s2 * weights[a] * weights[b])
-        acc.linear[ia] += -coef * s2 * 2.0 * t0 * weights[a]
-    acc.offset += coef * s2 * t0 * t0
-
-
-def _add_cross_terms(acc: _Accumulator, coef: float,
-                     idxs_n: list[int], t0_n: float,
-                     idxs_m: list[int], t0_m: float,
-                     weights: np.ndarray, scale: float) -> None:
-    """Accumulate coef * delta_n * delta_m for two affine deltas."""
-    s2 = scale * scale
-    for a, ia in enumerate(idxs_n):
-        for b, ib in enumerate(idxs_m):
-            acc.add_pair(ia, ib, coef * s2 * weights[a] * weights[b])
-        acc.linear[ia] += -coef * s2 * t0_m * weights[a]
-    for b, ib in enumerate(idxs_m):
-        acc.linear[ib] += -coef * s2 * t0_n * weights[b]
-    acc.offset += coef * s2 * t0_n * t0_m
-
-
-def _expand_band_power(acc: _Accumulator, mult: float, h0: complex, u: np.ndarray,
-                       levels0: np.ndarray, bits: int, idx_base: int) -> float:
-    """Add mult * (P(x) - P0) for one band to the accumulator; returns P0.
-
-    P(x) = |h0 + sum_n u_n e^{j delta_n}|^2 with u_n already rotated to the
-    expansion point, expanded with cos(d + psi) ~ cos psi - sin psi d
-    - cos psi d^2 / 2. delta_n is affine in the element's bits.
+    u holds the cascades rotated to the expansion point and t0 the band's total
+    there. With e^{jd} ~ 1 + jd - d^2/2, P - P0 ~ -2 Im(conj(t0) u).d
+    - Re(conj(t0) u).d^2 + |u.d|^2, so mult (P - P0) = d^T M d + g.d with
+    M = mult (Re u Re u^T + Im u Im u^T - diag Re(conj(t0) u)) and
+    g = -2 mult Im(conj(t0) u). d_n = s (y_n - level0_n), s = 2 pi / 2^bits, is
+    affine in the bits with weights v_k = s 2^k, so the bits see M (x) v v^T.
+    Indices are local to the band; pairs are sorted, exact zeros dropped.
     """
-    n = len(u)
-    scale = _TWO_PI / (1 << bits)
-    weights = (1 << np.arange(bits)).astype(float)
-    h0_abs, h0_arg = abs(h0), math.atan2(h0.imag, h0.real)
-    u_abs = np.abs(u)
-    u_arg = np.angle(u)
-    p0 = abs(h0 + u.sum()) ** 2
-
-    idxs = [[idx_base + i * bits + k for k in range(bits)] for i in range(n)]
-    t0 = levels0.astype(float)
-
-    for i in range(n):
-        a = 2.0 * h0_abs * u_abs[i]          # direct-cascade beat term
-        phi = u_arg[i] - h0_arg
-        _add_affine_terms(acc, mult * (-a * math.sin(phi)), idxs[i], weights, t0[i], scale)
-        _add_square_terms(acc, mult * (-0.5 * a * math.cos(phi)), idxs[i], weights, t0[i], scale)
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = 2.0 * u_abs[i] * u_abs[j]    # cascade-cascade beat term
-            phi = u_arg[i] - u_arg[j]
-            sin_c = mult * (-b * math.sin(phi))
-            cos_c = mult * (-0.5 * b * math.cos(phi))
-            # (delta_i - delta_j) and (delta_i - delta_j)^2
-            _add_affine_terms(acc, sin_c, idxs[i], weights, t0[i], scale)
-            _add_affine_terms(acc, -sin_c, idxs[j], weights, t0[j], scale)
-            _add_square_terms(acc, cos_c, idxs[i], weights, t0[i], scale)
-            _add_square_terms(acc, cos_c, idxs[j], weights, t0[j], scale)
-            _add_cross_terms(acc, -2.0 * cos_c, idxs[i], t0[i], idxs[j], t0[j],
-                             weights, scale)
-    return p0
+    beat = np.conj(t0) * u
+    m = mult * (np.outer(u.real, u.real) + np.outer(u.imag, u.imag)
+                - np.diag(beat.real))
+    g = -2.0 * mult * beat.imag
+    v = (_TWO_PI / (1 << bits)) * (1 << np.arange(bits))
+    c = (_TWO_PI / (1 << bits)) * levels0
+    q = np.kron(m, np.outer(v, v))                     # coefficient of x_i x_j
+    linear = q.diagonal() + np.kron(g - 2.0 * (m @ c), v)
+    pair_i, pair_j = np.triu_indices(len(q), 1)
+    pair_w = 2.0 * q[pair_i, pair_j]
+    keep = pair_w != 0.0
+    return (linear, pair_i[keep].astype(np.int32), pair_j[keep].astype(np.int32),
+            pair_w[keep], float(c @ m @ c - g @ c))
 
 
 def build_qubo(state: ChannelState, weights: CostWeights, cal: Calibration,
@@ -346,55 +251,34 @@ def build_qubo(state: ChannelState, weights: CostWeights, cal: Calibration,
     reproduces the exact objective there and stays quadratic everywhere.
     """
     obj = ExactObjective(state, weights, cal, optical, rf, cfg)
-    if expansion_point is None:
-        expansion_point = decode_phases(np.zeros(cfg.bits_total, np.uint8), cfg)
-    levels0_q, levels0_c = obj.levels_of(expansion_point.bits)
+    bits0 = np.zeros(cfg.bits_total, np.uint8) if expansion_point is None else expansion_point.bits
+    levels0_q, levels0_c = obj.levels_of(bits0)
 
-    # cascades rotated to the expansion phases
+    # cascades rotated to the expansion phases, and the band totals there
     uq0 = obj.uq * obj._phasor_q[levels0_q]
     uc0 = obj.uc * obj._phasor_c[levels0_c]
-
-    tq0 = obj.h0q + uq0.sum()
-    tc0 = obj.h0c + uc0.sum()
-    pq0 = abs(tq0) ** 2
-    pc0 = abs(tc0) ** 2
-    f0 = obj.cost_from_totals(tq0, tc0)
+    tq0, tc0 = obj.h0q + uq0.sum(), obj.h0c + uc0.sum()
+    pq0, pc0 = abs(tq0) ** 2, abs(tc0) ** 2
 
     # affine surrogates: d eps / d P_Q and -beta * d log2(1 + kappa P_C) / d P_C
-    eps_excess = obj.eps_base - obj.p_dark
-    if pq0 > 0:
-        deps_dp = -0.5 * eps_excess * obj.direct_amp * pq0 ** -1.5
-    else:
-        deps_dp = 0.0
+    deps_dp = (-0.5 * (obj.eps_base - obj.p_dark) * obj.direct_amp * pq0 ** -1.5
+               if pq0 > 0 else 0.0)
     gamma0 = obj.snr_coeff * pc0
     dlog_dp = obj.snr_coeff / ((1.0 + gamma0) * math.log(2.0))
 
-    acc = _Accumulator(cfg.bits_total)
-    acc.offset += f0
-    if cfg.n_elements:
-        p_const_q = _expand_band_power(acc, obj.alpha * deps_dp, obj.h0q, uq0,
-                                       levels0_q, cfg.bits_quantum, 0)
-        acc.offset += obj.alpha * deps_dp * (p_const_q - pq0)
-        p_const_c = _expand_band_power(acc, -obj.beta * dlog_dp, obj.h0c, uc0,
-                                       levels0_c, cfg.bits_classical,
-                                       cfg.n_elements * cfg.bits_quantum)
-        acc.offset += -obj.beta * dlog_dp * (p_const_c - pc0)
-
-    pairs = sorted((k, v) for k, v in acc.pairs.items() if v != 0.0)
-    pair_i = np.array([k[0] for k, _ in pairs], dtype=np.int32)
-    pair_j = np.array([k[1] for k, _ in pairs], dtype=np.int32)
-    pair_w = np.array([v for _, v in pairs], dtype=float)
+    lin_q, iq, jq, wq, off_q = _band_terms(obj.alpha * deps_dp, tq0, uq0, levels0_q,
+                                          cfg.bits_quantum)
+    lin_c, ic, jc, wc, off_c = _band_terms(-obj.beta * dlog_dp, tc0, uc0, levels0_c,
+                                          cfg.bits_classical)
+    split = np.int32(cfg.n_elements * cfg.bits_quantum)
     return QuboModel(
         dim=cfg.bits_total,
-        linear=acc.linear,
-        pair_i=pair_i,
-        pair_j=pair_j,
-        pair_w=pair_w,
-        offset=acc.offset,
-        index_map=build_index_map(cfg),
+        linear=np.concatenate([lin_q, lin_c]),
+        pair_i=np.concatenate([iq, ic + split]),
+        pair_j=np.concatenate([jq, jc + split]),
+        pair_w=np.concatenate([wq, wc]),
+        offset=obj.cost_from_totals(tq0, tc0) + off_q + off_c,
         n_elements=cfg.n_elements,
-        bits_quantum=cfg.bits_quantum,
-        bits_classical=cfg.bits_classical,
     )
 
 
@@ -503,9 +387,8 @@ def expansion_error(state: ChannelState, weights: CostWeights, cal: Calibration,
     if max_step is None:
         xs = rng.integers(0, 2, size=(samples, cfg.bits_total), dtype=np.uint8)
     else:
-        if expansion_point is None:
-            expansion_point = decode_phases(np.zeros(cfg.bits_total, np.uint8), cfg)
-        lev_q0, lev_c0 = obj.levels_of(expansion_point.bits)
+        lev_q0, lev_c0 = ((0, 0) if expansion_point is None
+                          else obj.levels_of(expansion_point.bits))
         n = cfg.n_elements
         dq = rng.integers(-max_step, max_step + 1, size=(samples, n))
         dc = rng.integers(-max_step, max_step + 1, size=(samples, n))
@@ -547,7 +430,7 @@ def export_qubo(model: QuboModel, path: str, comments: list[str] | None = None) 
 
 
 def load_qubo(path: str) -> QuboModel:
-    """Read a model written by export_qubo (index metadata is not recovered)."""
+    """Read a model written by export_qubo."""
     dim = None
     n_lin = n_quad = 0
     offset = 0.0
@@ -562,6 +445,8 @@ def load_qubo(path: str) -> QuboModel:
             if not line or line.startswith("#"):
                 continue
             if line.startswith("qubo"):
+                if dim is not None:
+                    raise ValueError("repeated qubo header")
                 _, d, nl, nq, off = line.split()
                 dim, n_lin, n_quad, offset = int(d), int(nl), int(nq), float(off)
                 linear = np.zeros(dim)

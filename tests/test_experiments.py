@@ -348,6 +348,8 @@ class TestCli:
         ("[sweep]\nris_sizes = 0:3:1.5\n", ["sweep"]),
         ("[ris]\nn_elements = 0\n", ["histogram"]),
         ("[ris]\nbits_quantum = 3\n", ["histogram"]),
+        ("[sweep]\nelevations_deg = 10:inf:5\n", ["sweep"]),
+        ("[sweep]\nelevations_deg = 0:1e12:1\n", ["sweep"]),
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"

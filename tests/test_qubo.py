@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualris.channels import ComplexGain, OpticalParams, RfParams
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights
@@ -10,16 +10,14 @@ from dualris.qubo import (
     ExactObjective,
     QuadraticObjective,
     QuboModel,
-    build_index_map,
     build_qubo,
     eval_exact,
     eval_quadratic,
     expansion_error,
     export_qubo,
-    index_of,
     load_qubo,
 )
-from dualris.ris import CLASSICAL, QUANTUM, ChannelState, RisConfig, decode_phases
+from dualris.ris import ChannelState, RisConfig, bits_to_levels, decode_phases
 from dualris.solvers import brute_force
 
 OPT = OpticalParams()
@@ -46,36 +44,6 @@ def make_instance(seed=0, n=3, bq=2, bc=2, amp=0.25, psi_spread=2 * math.pi):
                       h_ref_sq=1.0 / rng.uniform(30, 60),
                       rf_gain_offset_db=snr_offset_db(12.6))
     return state, cal, cfg
-
-
-class TestIndexing:
-    CFG = RisConfig(n_elements=100, bits_quantum=2, bits_classical=2)
-
-    def test_first_variable(self):
-        assert index_of(0, QUANTUM, 0, self.CFG) == 0
-
-    def test_classical_block_offset(self):
-        assert index_of(0, CLASSICAL, 0, self.CFG) == 200
-
-    def test_total_dimension(self):
-        assert self.CFG.bits_total == 400
-
-    def test_bijection(self):
-        seen = set()
-        mapping = build_index_map(self.CFG)
-        assert len(mapping) == 400
-        for idx, (n, band, k) in enumerate(mapping):
-            assert index_of(n, band, k, self.CFG) == idx
-            seen.add(idx)
-        assert seen == set(range(400))
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            index_of(100, QUANTUM, 0, self.CFG)
-        with pytest.raises(IndexError):
-            index_of(0, QUANTUM, 2, self.CFG)
-        with pytest.raises(ValueError):
-            index_of(0, "thz", 0, self.CFG)
 
 
 class TestEvalQuadratic:
@@ -127,43 +95,63 @@ class TestBuildQubo:
                               np.zeros(cfg.bits_total, np.uint8))
         assert model.offset == pytest.approx(baseline, rel=1e-12)
 
-    def test_matches_independent_taylor_expansion(self):
-        # N=2 with 1-bit phases: recompute the surrogate from the raw Taylor
-        # formulas and compare on all 16 bit patterns
-        state, cal, cfg = make_instance(seed=3, n=2, bq=1, bc=1)
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 10**6))
+    @example(3, 3, 3, 0)
+    def test_matches_independent_taylor_expansion(self, n, bq, bc, seed):
+        # recompute the surrogate from the raw pairwise cosine Taylor formulas
+        # about a random expansion point and compare on every bit vector
+        state, cal, cfg = make_instance(seed=seed, n=n, bq=bq, bc=bc)
         w = CostWeights()
         obj = ExactObjective(state, w, cal, OPT, RF, cfg)
-        model = build_qubo(state, w, cal, OPT, RF, cfg)
+        x0 = np.random.default_rng(seed).integers(0, 2, cfg.bits_total, dtype=np.uint8)
+        point = decode_phases(x0, cfg)
+        model = build_qubo(state, w, cal, OPT, RF, cfg, expansion_point=point)
 
-        def taylor_band_power(h0, u, phases):
-            items = [(abs(h0), np.angle(h0), 0.0)] + [
-                (abs(z), np.angle(z), p) for z, p in zip(u, phases)]
-            total = 0.0
-            for ai, pi, di in items:
-                for aj, pj, dj in items:
-                    psi = pi - pj
-                    d = di - dj
-                    total += ai * aj * (math.cos(psi) - math.sin(psi) * d
-                                        - 0.5 * math.cos(psi) * d * d)
-            return total
+        def taylor_band_power(h0, u, phases0, phases):
+            # sum over (a, b) of A_a A_b cos(psi_a - psi_b + d_a - d_b), each
+            # cosine to second order in d_a - d_b; one row per phase vector
+            z = np.concatenate([[h0], u])
+            psi = np.angle(z) + np.concatenate([[0.0], phases0])
+            d = np.pad(phases - phases0, ((0, 0), (1, 0)))
+            dpsi = psi[:, None] - psi[None, :]
+            dd = d[:, :, None] - d[:, None, :]
+            terms = np.cos(dpsi) - np.sin(dpsi) * dd - 0.5 * np.cos(dpsi) * dd * dd
+            return (np.outer(np.abs(z), np.abs(z)) * terms).sum(axis=(1, 2))
 
-        tq0 = state.direct_quantum.as_complex + state.cascade_quantum.sum()
-        tc0 = state.direct_classical.as_complex + state.cascade_classical.sum()
+        h0q, h0c = state.direct_quantum.as_complex, state.direct_classical.as_complex
+        tq0 = h0q + (state.cascade_quantum * np.exp(1j * point.phases_quantum)).sum()
+        tc0 = h0c + (state.cascade_classical * np.exp(1j * point.phases_classical)).sum()
         pq0, pc0 = abs(tq0) ** 2, abs(tc0) ** 2
         deps = -0.5 * (obj.eps_base - obj.p_dark) * obj.direct_amp * pq0 ** -1.5
         gamma0 = obj.snr_coeff * pc0
         dlog = obj.snr_coeff / ((1 + gamma0) * math.log(2))
         f0 = obj.alpha * obj.qber_from_total(math.sqrt(pq0)) - obj.beta * math.log2(1 + gamma0)
 
-        for code in range(16):
-            x = np.array([(code >> k) & 1 for k in range(4)], np.uint8)
-            pc = decode_phases(x, cfg)
-            pq = taylor_band_power(state.direct_quantum.as_complex,
-                                   state.cascade_quantum, pc.phases_quantum)
-            pcl = taylor_band_power(state.direct_classical.as_complex,
-                                    state.cascade_classical, pc.phases_classical)
+        for start in range(0, 1 << cfg.bits_total, 4096):
+            codes = np.arange(start, min(start + 4096, 1 << cfg.bits_total))
+            xs = ((codes[:, None] >> np.arange(cfg.bits_total)) & 1).astype(np.uint8)
+            lq, lc = bits_to_levels(xs, cfg)
+            pq = taylor_band_power(h0q, state.cascade_quantum, point.phases_quantum,
+                                   (2 * math.pi / (1 << bq)) * lq)
+            pcl = taylor_band_power(h0c, state.cascade_classical, point.phases_classical,
+                                    (2 * math.pi / (1 << bc)) * lc)
             expected = f0 + obj.alpha * deps * (pq - pq0) - obj.beta * dlog * (pcl - pc0)
-            assert eval_quadratic(model, x) == pytest.approx(expected, abs=1e-15)
+            got = QuadraticObjective(model).batch(xs)
+            assert np.abs(got - expected).max() <= 1e-15
+
+    def test_pairs_are_the_within_band_upper_triangles(self):
+        state, cal, cfg = make_instance(seed=11, n=4, bq=2, bc=3)
+        model = build_qubo(state, CostWeights(), cal, OPT, RF, cfg)
+        split = cfg.n_elements * cfg.bits_quantum
+        iq, jq = np.triu_indices(split, 1)
+        ic, jc = np.triu_indices(cfg.bits_total - split, 1)
+        assert model.pair_i.dtype == model.pair_j.dtype == np.int32
+        assert np.array_equal(model.pair_i, np.concatenate([iq, ic + split]))
+        assert np.array_equal(model.pair_j, np.concatenate([jq, jc + split]))
+        assert not ((model.pair_i < split) & (model.pair_j >= split)).any()
+        assert model.n_elements == cfg.n_elements      # read by perfbench's tracer
 
     def test_argmin_matches_brute_force(self):
         state, cal, cfg = make_instance(seed=3, n=2, bq=1, bc=1)
@@ -278,7 +266,8 @@ class TestFileRoundTrip:
             load_qubo(str(bad))
 
     @pytest.mark.parametrize("body", ["0 0 1.5\n0 0 2.5\n1 2 0.5\n",
-                                      "0 0 1.5\n1 2 0.5\n1 2 0.75\n"])
+                                      "0 0 1.5\n1 2 0.5\n1 2 0.75\n",
+                                      "0 0 7.0\n0 1 2.0\nqubo 2 1 1 5.0\n1 1 1.0\n"])
     def test_repeated_lines_rejected(self, tmp_path, body):
         # a repeat keeps the header counts right, so only the repeat check sees it
         path = tmp_path / "repeat.qubo"

@@ -51,6 +51,10 @@ class TestDecode:
         assert pc.phases_classical[0] == pytest.approx(math.pi / 2)
         assert pc.phases_classical[1] == 0.0
 
+    def test_total_dimension(self):
+        cfg = RisConfig(n_elements=100, bits_quantum=2, bits_classical=2)
+        assert cfg.bits_total == 400
+
     def test_length_mismatch(self):
         cfg = RisConfig(n_elements=2, bits_quantum=2, bits_classical=2)
         with pytest.raises(ValueError):
