@@ -22,7 +22,9 @@ code that was measured, because a commit cannot hold its own hash. It holds:
     included), passes, attempted and failed operations, the run's own medians
     and, on solve, each solver's gap to the exact optimum per state;
   - CPU count, Python and numpy versions, BLAS thread settings, the source
-    sha256 and the commit that run.py recorded.
+    sha256 and the commit that run.py recorded, followed by
+    " + uncommitted changes" when `git status` lists changes under src/ or
+    perfbench/ of a checkout that has git metadata.
 The closing table prints, per workload and metric, the median of the run
 medians of each checkout and, with two checkouts, in how many rounds the
 second was faster than the first.
@@ -101,12 +103,26 @@ def run_entry(run: dict, seed: int, position: int) -> dict:
     return entry
 
 
-def bench_file(runs: dict, args) -> dict:
+def commit_label(checkout: Path, recorded: str) -> str:
+    """run.py's commit, marked when the measured code differs from that commit.
+
+    run.py reads HEAD only, so a working copy with edits would otherwise be
+    recorded under its parent's commit.
+    """
+    if not (checkout / ".git").exists():
+        return recorded
+    status = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"],
+                            cwd=checkout, capture_output=True, text=True, check=True)
+    return recorded + " + uncommitted changes" if status.stdout.strip() else recorded
+
+
+def bench_file(checkout: Path, runs: dict, args) -> dict:
     """The BENCH_*.json content of one checkout from its runs per workload."""
     first = next(iter(runs.values()))[0]["record"]
     doc = {"command": f"python3 scripts/bench.py --rounds {args.rounds} "
                       f"--seconds {args.seconds:g} --seed {args.seed} CHECKOUT...",
-           "source_sha256": first["source_sha256"], "commit": first["commit"],
+           "source_sha256": first["source_sha256"],
+           "commit": commit_label(checkout, first["commit"]),
            "cpu_count": first["cpu_count"], "python": first["python"],
            "numpy": first["numpy"], "threads": first["threads"],
            "workloads": {}}
@@ -146,7 +162,7 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    docs = {c: bench_file(runs[c], args) for c in checkouts}
+    docs = {c: bench_file(c, runs[c], args) for c in checkouts}
     for c, doc in docs.items():
         path = out_dir / f"BENCH_{doc['source_sha256'][:12]}.json"
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .channels import ComplexGain, FadingSample, OpticalParams, RfParams
+from .channels import ComplexGain, OpticalParams, RfParams
 from .geometry import GeometryParams, LinkGeometry, link_geometry
 from .metrics import Calibration, CostWeights, Metrics
 from .ris import ChannelState, PhaseConfig, RisConfig
@@ -25,7 +25,6 @@ __all__ = [
     "ComplexGain",
     "CostWeights",
     "ExactObjective",
-    "FadingSample",
     "GeometryParams",
     "LinkGeometry",
     "Metrics",

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import LinkGeometry
 
 TWO_PI = 2.0 * math.pi
@@ -38,10 +36,6 @@ class ComplexGain:
     def as_complex(self) -> complex:
         return self.amplitude * complex(math.cos(self.phase_rad), math.sin(self.phase_rad))
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "ComplexGain":
-        return cls(abs(z), math.atan2(z.imag, z.real))
-
 
 @dataclass(frozen=True)
 class OpticalParams:
@@ -51,19 +45,13 @@ class OpticalParams:
     atten_per_km: float = 0.046          # linear per-km power coefficient (~0.2 dB/km)
     beam_divergence_rad: float = 10e-6
     rx_aperture_m: float = 0.3
-    cn2: float = 5e-14                   # m^(-2/3), kept as metadata
-    rytov_variance: float = 0.5          # direct sigma_R^2 override
     jitter_rad: float = 2e-6
-    baseline_visibility: float = 0.94
-    phase_variance: float = 1.03
     dark_count_prob: float = 1e-5
     ec_inefficiency: float = 1.1
 
     def __post_init__(self) -> None:
         if self.wavelength_m <= 0:
             raise ValueError("wavelength_m must be positive")
-        if not 0.0 < self.baseline_visibility <= 1.0:
-            raise ValueError("baseline_visibility must be in (0, 1]")
         if not 0.0 <= self.dark_count_prob <= 1e-3:
             raise ValueError("dark_count_prob must be in [0, 1e-3]")
         if self.ec_inefficiency < 1.0:
@@ -100,20 +88,6 @@ class RfParams:
             raise ValueError("rain_rate_mm_h must be non-negative")
 
 
-@dataclass(frozen=True)
-class FadingSample:
-    """One stochastic fading draw for the optical link."""
-
-    turbulence_gain: float = 1.0         # chi, Gamma-Gamma distributed
-    pointing_gain: float = 1.0           # h_pe in [0, 1]
-
-    def __post_init__(self) -> None:
-        if self.turbulence_gain < 0:
-            raise ValueError("turbulence_gain must be non-negative")
-        if not 0.0 <= self.pointing_gain <= 1.0:
-            raise ValueError("pointing_gain must be in [0, 1]")
-
-
 def optical_tx_gain(params: OpticalParams) -> float:
     """Laser directivity gain 4*pi / theta_div^2."""
     if params.beam_divergence_rad <= 0:
@@ -128,18 +102,17 @@ def optical_rx_gain(params: OpticalParams) -> float:
     return math.pi * params.rx_aperture_m**2 / params.wavelength_m**2
 
 
-def optical_direct_gain(params: OpticalParams, geom: LinkGeometry,
-                        fading: FadingSample) -> ComplexGain:
-    """Direct quantum channel amplitude.
+def optical_direct_gain(params: OpticalParams, geom: LinkGeometry) -> ComplexGain:
+    """Direct quantum channel amplitude at mean fading.
 
-    (lambda / 4 pi d) * sqrt(Gt Gr) * exp(-kappa d_atm / 2) * sqrt(chi h_pe),
-    with the carrier propagation phase 2 pi d / lambda.
+    (lambda / 4 pi d) * sqrt(Gt Gr) * exp(-kappa d_atm / 2) * sqrt(h_pe), with
+    h_pe the mean pointing gain and the carrier propagation phase 2 pi d / lambda.
     """
     d_m = geom.slant_range_km * 1e3
     friis = params.wavelength_m / (4.0 * math.pi * d_m)
     gains = math.sqrt(optical_tx_gain(params) * optical_rx_gain(params))
     atm = math.exp(-params.atten_per_km * geom.atm_path_km / 2.0)
-    fade = math.sqrt(fading.turbulence_gain * fading.pointing_gain)
+    fade = math.sqrt(mean_pointing_gain(params))
     phase = TWO_PI * d_m / params.wavelength_m
     return ComplexGain(friis * gains * atm * fade, wrap_phase(phase))
 
@@ -182,42 +155,6 @@ def rf_direct_gain(params: RfParams, geom: LinkGeometry) -> ComplexGain:
                        * rain_loss(params, geom))
     phase = TWO_PI * d_m / params.wavelength_m
     return ComplexGain(friis * gains * losses, wrap_phase(phase))
-
-
-def gamma_gamma_shape(rytov_variance: float) -> tuple[float, float]:
-    """(alpha, beta) shape parameters for Gamma-Gamma turbulence.
-
-    Uses the plane-wave closed forms driven by the Rytov variance. A zero
-    variance returns (inf, inf), signalling the degenerate chi == 1 channel.
-    """
-    if rytov_variance < 0:
-        raise ValueError("rytov_variance must be non-negative")
-    if rytov_variance == 0.0:
-        return (math.inf, math.inf)
-    s2 = rytov_variance
-    s_125 = s2 ** 1.2  # sigma_R^(12/5)
-    alpha = 1.0 / (math.exp(0.49 * s2 / (1.0 + 1.11 * s_125) ** (7.0 / 6.0)) - 1.0)
-    beta = 1.0 / (math.exp(0.51 * s2 / (1.0 + 0.69 * s_125) ** (5.0 / 6.0)) - 1.0)
-    return (alpha, beta)
-
-
-def sample_turbulence(shape: tuple[float, float], rng_seed: int, count: int) -> np.ndarray:
-    """Draw unit-mean Gamma-Gamma irradiance samples chi.
-
-    chi = X * Y with X ~ Gamma(alpha, 1/alpha), Y ~ Gamma(beta, 1/beta);
-    deterministic for a fixed seed (PCG64).
-    """
-    alpha, beta = shape
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if math.isinf(alpha) or math.isinf(beta):
-        return np.ones(count)
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("shape parameters must be positive")
-    rng = np.random.default_rng(rng_seed)
-    x = rng.gamma(alpha, 1.0 / alpha, size=count)
-    y = rng.gamma(beta, 1.0 / beta, size=count)
-    return x * y
 
 
 def mean_pointing_gain(params: OpticalParams) -> float:

@@ -323,7 +323,11 @@ def run_cli(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "histogram":
-        grids = phase_histogram(cfg, cal, elevation_deg=args.elevation)
+        try:
+            grids = phase_histogram(cfg, cal, elevation_deg=args.elevation)
+        except CalibrationError as exc:
+            print(f"{exc} (QBER above security threshold)", file=sys.stderr)
+            return EXIT_INFEASIBLE
         path = os.path.join(out_dir, args.out)
         write_histogram_csv(path, cfg, cal, grids, with_timestamp=not args.no_timestamp)
         for att, grid in grids.items():

@@ -13,14 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import (
-    FadingSample,
-    OpticalParams,
-    RfParams,
-    mean_pointing_gain,
-    optical_direct_gain,
-    rf_direct_gain,
-)
+from .channels import OpticalParams, RfParams, optical_direct_gain, rf_direct_gain
 from .geometry import GeometryParams, LinkGeometry, link_geometry
 from .metrics import (
     Calibration,
@@ -52,6 +45,14 @@ class SweepSpec:
         for e in self.elevations_deg:
             if not 0.0 < e <= 90.0:
                 raise ValueError(f"elevation {e} outside (0, 90] deg")
+        for n in self.ris_sizes:
+            if n < 0:
+                raise ValueError(f"RIS size {n} is negative")
+        for att in self.attenuation_levels:
+            if not (math.isfinite(att) and att > 0.0):
+                raise ValueError(f"attenuation level {att:g} must be finite and > 0")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -119,31 +120,25 @@ def derived_seed(master_seed: int, elevation_deg: float, n_elements: int) -> int
     return int(seq.generate_state(1)[0])
 
 
-def deterministic_fading(optical: OpticalParams) -> FadingSample:
-    """Mean-value fading used by the deterministic metric pipeline."""
-    return FadingSample(turbulence_gain=1.0, pointing_gain=mean_pointing_gain(optical))
-
-
 def build_channel_state(cfg: RunConfig, cal: Calibration, elevation_deg: float,
                         n_elements: int, att: float = 1.0
                         ) -> tuple[ChannelState, RisConfig, LinkGeometry]:
     """Direct gains plus calibration-scaled cascades for one sweep point.
 
     att scales every deterministic loss factor (both bands, direct and cascade
-    paths) by a single linear power factor; stochastic fading is untouched.
+    paths) by a single linear power factor.
     """
     theta = math.radians(elevation_deg)
     geom = link_geometry(theta, cfg.geometry)
-    hq = optical_direct_gain(cfg.optical, geom, deterministic_fading(cfg.optical))
+    hq = optical_direct_gain(cfg.optical, geom)
     hc = rf_direct_gain(cfg.rf, geom)
     amp_scale = math.sqrt(att)
     hq = replace(hq, amplitude=hq.amplitude * amp_scale)
     hc = replace(hc, amplitude=hc.amplitude * amp_scale)
-    ris_cfg = replace(cfg.ris, n_elements=n_elements,
-                      ris_offset_phase_seed=derived_seed(cfg.seed, elevation_deg,
-                                                         n_elements))
-    cq = cascade_gains(QUANTUM, ris_cfg, geom, cfg.optical)
-    cc = cascade_gains(CLASSICAL, ris_cfg, geom, cfg.rf)
+    ris_cfg = replace(cfg.ris, n_elements=n_elements)
+    seed = derived_seed(cfg.seed, elevation_deg, n_elements)
+    cq = cascade_gains(QUANTUM, ris_cfg, geom, cfg.optical, seed)
+    cc = cascade_gains(CLASSICAL, ris_cfg, geom, cfg.rf, seed)
     state = ChannelState(
         direct_quantum=hq,
         direct_classical=hc,
@@ -180,7 +175,7 @@ def _bisect(fn, lo: float, hi: float, rel_tol: float = 1e-6, max_iter: int = 200
 def _direct_amplitudes(cfg: RunConfig, elevation_deg: float) -> tuple[float, float]:
     theta = math.radians(elevation_deg)
     geom = link_geometry(theta, cfg.geometry)
-    hq = optical_direct_gain(cfg.optical, geom, deterministic_fading(cfg.optical))
+    hq = optical_direct_gain(cfg.optical, geom)
     hc = rf_direct_gain(cfg.rf, geom)
     return hq.amplitude, hc.amplitude
 
@@ -339,7 +334,7 @@ def sweep_elevation(cfg: RunConfig, cal: Calibration) -> list[SweepRow]:
     trial emits its own complete elevation x size block.
     """
     rows = []
-    for trial in range(max(1, cfg.sweep.trials)):
+    for trial in range(cfg.sweep.trials):
         trial_cfg = cfg if trial == 0 else replace(
             cfg, seed=int(np.random.SeedSequence([cfg.seed, 7777, trial])
                           .generate_state(1)[0]))

@@ -1,13 +1,11 @@
 """Receiver performance metrics and the joint scalar cost.
 
-Two evaluation modes coexist:
-
-* uncalibrated: the textbook formulas (visibility from the phase variance,
-  QBER affine in a caller-supplied normalized transmittance);
-* calibrated: the same formulas driven by a `Calibration` whose constants pin
-  the model to published Micius benchmark values. The calibrated normalized
-  transmittance saturates as r / (1 + r) so that both elevation anchors are
-  reachable, and the RIS field-amplitude gain divides the residual error rate.
+The textbook forms (`qber` affine in a caller-supplied normalized
+transmittance, `skr` from the binary entropy) are driven by a `Calibration`
+whose constants pin the model to published Micius benchmark values: a fitted
+effective visibility stands in for the turbulence-degraded one, the normalized
+transmittance saturates as r / (1 + r) so that both elevation anchors are
+reachable, and the RIS field-amplitude gain divides the residual error rate.
 """
 from __future__ import annotations
 
@@ -63,7 +61,7 @@ class Calibration:
     """Scale constants pinning the model to the Micius anchors.
 
     raw_rate_scale        bits/s per unit normalized field amplitude
-    effective_visibility  replaces V0*exp(-sigma_phi^2/2) in calibrated mode
+    effective_visibility  interferometric visibility V in the QBER
     h_ref_sq              reference power |H_ref|^2 normalizing transmittance
     rf_gain_offset_db     lumped RF antenna/system gain offset
     element_amp_scale     optical cascade amplitude multiplier
@@ -102,13 +100,6 @@ def ber_qpsk(snr_linear: float) -> float:
         raise ValueError("snr must be non-negative")
     # Q(x) = erfc(x / sqrt(2)) / 2, so Q(sqrt(2 G)) = erfc(sqrt(G)) / 2
     return 0.5 * math.erfc(math.sqrt(snr_linear))
-
-
-def visibility(v0: float, phase_var: float) -> float:
-    """Turbulence-degraded interferometric visibility V0 exp(-sigma_phi^2 / 2)."""
-    if not 0.0 < v0 <= 1.0:
-        raise ValueError("v0 must be in (0, 1]")
-    return v0 * math.exp(-phase_var / 2.0)
 
 
 def qber(v: float, h_norm_sq: float, p_dark: float) -> float:

@@ -1,4 +1,4 @@
-"""Dual-band RIS model: phase decoding, per-element cascade gains, composite channels.
+"""Dual-band RIS model: phase decoding and per-element cascade gains.
 
 The two bands are controlled independently: each element carries b_Q bits for
 the optical phase and b_C bits for the RF phase, and changing one band's bits
@@ -38,7 +38,6 @@ class RisConfig:
     bits_classical: int = 2
     element_gain: float = 1.0            # linear gain per unit cell
     ris_to_ground_km: float = 0.5
-    ris_offset_phase_seed: int = 7
 
     def __post_init__(self) -> None:
         if self.n_elements < 0:
@@ -79,12 +78,6 @@ class ChannelState:
     @property
     def n_elements(self) -> int:
         return len(self.cascade_quantum)
-
-
-def quantized_phases(bits_per_element: int) -> np.ndarray:
-    """All 2^b quantized levels 2*pi*m / 2^b."""
-    levels = 1 << bits_per_element
-    return TWO_PI * np.arange(levels) / levels
 
 
 def bits_to_levels(bits: np.ndarray, cfg: RisConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +129,7 @@ def encode_phases(phases_quantum: np.ndarray, phases_classical: np.ndarray,
     return decode_phases(levels_to_bits(lev_q, lev_c, cfg), cfg)
 
 
-def element_phase_offsets(cfg: RisConfig, band: str) -> np.ndarray:
+def element_phase_offsets(cfg: RisConfig, band: str, seed: int) -> np.ndarray:
     """Deterministic per-element incident phase offsets psi_n in [0, 2*pi).
 
     Stratified-jittered uniform draw: the N offsets are spread one per stratum
@@ -147,7 +140,7 @@ def element_phase_offsets(cfg: RisConfig, band: str) -> np.ndarray:
     n = cfg.n_elements
     if n == 0:
         return np.zeros(0)
-    seq = np.random.SeedSequence([int(cfg.ris_offset_phase_seed), _BAND_CODE[band]])
+    seq = np.random.SeedSequence([int(seed), _BAND_CODE[band]])
     rng = np.random.default_rng(seq)
     jitter = rng.random(n)
     perm = rng.permutation(n)
@@ -155,14 +148,14 @@ def element_phase_offsets(cfg: RisConfig, band: str) -> np.ndarray:
 
 
 def cascade_gains(band: str, cfg: RisConfig, geom: LinkGeometry,
-                  band_params: OpticalParams | RfParams) -> np.ndarray:
+                  band_params: OpticalParams | RfParams, seed: int) -> np.ndarray:
     """Per-element cascade gains g_n (complex array of length N).
 
     Each element contributes a two-segment Friis amplitude: satellite->RIS over
     the slant range (carrying the band's atmospheric factor) and RIS->ground
     over the short ground segment (lossless), times the unit-cell gain. The
-    phase is the element's seeded offset psi_n. Absolute scale is pinned later
-    by calibration.
+    phase is the element's offset psi_n drawn from seed. Absolute scale is
+    pinned later by calibration.
     """
     if band not in _BAND_CODE:
         raise ValueError(f"unknown band {band!r}")
@@ -183,17 +176,6 @@ def cascade_gains(band: str, cfg: RisConfig, geom: LinkGeometry,
                           * rain_loss(band_params, geom))
         seg2 = (lam / (4.0 * math.pi * d2_m)) * math.sqrt(band_params.rx_gain)
     amp = seg1 * seg2 * cfg.element_gain
-    psi = element_phase_offsets(cfg, band)
+    psi = element_phase_offsets(cfg, band, seed)
     return amp * np.exp(1j * psi)
-
-
-def composite_gain(direct: ComplexGain, cascades: np.ndarray,
-                   phases: np.ndarray) -> ComplexGain:
-    """Total channel H_direct + sum_n g_n e^{j theta_n}."""
-    cascades = np.asarray(cascades, dtype=complex)
-    phases = np.asarray(phases, dtype=float)
-    if cascades.shape != phases.shape:
-        raise ValueError("cascades and phases must have the same length")
-    total = direct.as_complex + (cascades * np.exp(1j * phases)).sum()
-    return ComplexGain.from_complex(total)
 

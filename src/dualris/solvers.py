@@ -46,6 +46,10 @@ class SolverConfig:
             raise ValueError("cooling_rate must be in (0, 1)")
         if self.tabu_tenure < 1:
             raise ValueError("tabu_tenure must be >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
         if self.kind not in ("exact", "brute", "anneal", "tabu", "bcd"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
         if self.objective not in ("exact", "quadratic"):
@@ -160,7 +164,7 @@ def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
     evaluations = 0
     if dim == 0:
         return brute_force(objective, 0)
-    for _ in range(max(1, cfg.restarts)):
+    for _ in range(cfg.restarts):
         x0 = rng.integers(0, 2, size=dim, dtype=np.uint8)
         walk = objective.walk(x0)
         evaluations += 1
@@ -198,7 +202,7 @@ def tabu_search(objective, dim: int, cfg: SolverConfig) -> SolverResult:
     evaluations = 0
     if dim == 0:
         return brute_force(objective, 0)
-    for _ in range(max(1, cfg.restarts)):
+    for _ in range(cfg.restarts):
         x0 = rng.integers(0, 2, size=dim, dtype=np.uint8)
         walk = objective.walk(x0)
         evaluations += 1

@@ -1,15 +1,12 @@
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from dualris.channels import (
     ComplexGain,
-    FadingSample,
     OpticalParams,
     RfParams,
-    gamma_gamma_shape,
     ionospheric_loss,
     mean_pointing_gain,
     optical_direct_gain,
@@ -18,13 +15,11 @@ from dualris.channels import (
     rain_loss,
     rf_atmospheric_loss,
     rf_direct_gain,
-    sample_turbulence,
     wrap_phase,
 )
 from dualris.geometry import GeometryParams, link_geometry
 
 GEO = GeometryParams()
-NO_FADE = FadingSample(1.0, 1.0)
 
 
 def geom_at(theta_deg, geo=GEO):
@@ -36,11 +31,6 @@ class TestComplexGain:
         g = ComplexGain(1.0, -0.5)
         assert 0.0 <= g.phase_rad < 2 * math.pi
         assert g.phase_rad == pytest.approx(2 * math.pi - 0.5)
-
-    def test_roundtrip(self):
-        z = 0.3 * complex(math.cos(1.2), math.sin(1.2))
-        g = ComplexGain.from_complex(z)
-        assert g.as_complex == pytest.approx(z)
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
@@ -76,30 +66,26 @@ class TestAntennaGains:
 
 class TestOpticalDirect:
     def test_friis_amplitude_500km(self):
-        # lossless 500 km zenith link, 10 urad divergence, 0.3 m telescope
-        p = OpticalParams(atten_per_km=0.0)
+        # lossless 500 km zenith link, 10 urad divergence, 0.3 m telescope,
+        # no pointing jitter
+        p = OpticalParams(atten_per_km=0.0, jitter_rad=0.0)
         geo = GeometryParams(sat_altitude_km=500.0)
-        g = optical_direct_gain(p, geom_at(90.0, geo), NO_FADE)
+        g = optical_direct_gain(p, geom_at(90.0, geo))
         assert g.amplitude == pytest.approx(0.03, rel=1e-3)
         assert 20 * math.log10(g.amplitude) == pytest.approx(-30.46, abs=0.01)
-
-    def test_total_fade_kills_channel(self):
-        g = optical_direct_gain(OpticalParams(), geom_at(45.0),
-                                FadingSample(0.0, 1.0))
-        assert g.amplitude == 0.0
 
     def test_attenuation_factor(self):
         p0 = OpticalParams(atten_per_km=0.0)
         p1 = OpticalParams(atten_per_km=0.046)
         geom = geom_at(90.0)
-        ratio = (optical_direct_gain(p1, geom, NO_FADE).amplitude
-                 / optical_direct_gain(p0, geom, NO_FADE).amplitude)
+        ratio = (optical_direct_gain(p1, geom).amplitude
+                 / optical_direct_gain(p0, geom).amplitude)
         assert ratio == pytest.approx(math.exp(-0.046 * geom.atm_path_km / 2), rel=1e-12)
 
     def test_propagation_phase(self):
         p = OpticalParams()
         geom = geom_at(60.0)
-        g = optical_direct_gain(p, geom, NO_FADE)
+        g = optical_direct_gain(p, geom)
         expected = wrap_phase(2 * math.pi * geom.slant_range_km * 1e3 / p.wavelength_m)
         assert g.phase_rad == pytest.approx(expected)
 
@@ -108,8 +94,8 @@ class TestOpticalDirect:
     def test_amplitude_monotone_in_elevation(self, t1, t2):
         lo, hi = sorted((t1, t2))
         p = OpticalParams()
-        a_lo = optical_direct_gain(p, link_geometry(lo, GEO), NO_FADE).amplitude
-        a_hi = optical_direct_gain(p, link_geometry(hi, GEO), NO_FADE).amplitude
+        a_lo = optical_direct_gain(p, link_geometry(lo, GEO)).amplitude
+        a_hi = optical_direct_gain(p, link_geometry(hi, GEO)).amplitude
         assert a_hi >= a_lo
 
 
@@ -186,36 +172,6 @@ class TestRfDirect:
                 assert 0.0 < loss <= 1.0
 
 
-class TestTurbulence:
-    def test_shape_at_unit_rytov(self):
-        alpha, beta = gamma_gamma_shape(1.0)
-        assert alpha == pytest.approx(4.393859025392147, rel=1e-12)
-        assert beta == pytest.approx(2.5636319795036955, rel=1e-12)
-
-    def test_shape_at_half_rytov(self):
-        alpha, beta = gamma_gamma_shape(0.5)
-        assert alpha == pytest.approx(5.977635328959128, rel=1e-12)
-        assert beta == pytest.approx(4.398043506280881, rel=1e-12)
-
-    def test_degenerate_no_turbulence(self):
-        alpha, beta = gamma_gamma_shape(0.0)
-        assert math.isinf(alpha) and math.isinf(beta)
-        assert np.array_equal(sample_turbulence((alpha, beta), 1, 5), np.ones(5))
-
-    def test_sampling_deterministic(self):
-        shape = gamma_gamma_shape(0.5)
-        a = sample_turbulence(shape, rng_seed=42, count=100)
-        b = sample_turbulence(shape, rng_seed=42, count=100)
-        assert np.array_equal(a, b)
-
-    @settings(deadline=None)
-    @given(st.floats(min_value=0.1, max_value=2.0))
-    def test_unit_mean(self, rytov):
-        chi = sample_turbulence(gamma_gamma_shape(rytov), rng_seed=7, count=100_000)
-        assert abs(chi.mean() - 1.0) < 0.02
-        assert (chi >= 0).all()
-
-
 class TestPointing:
     def test_perfect(self):
         assert mean_pointing_gain(OpticalParams(jitter_rad=0.0)) == 1.0
@@ -231,14 +187,8 @@ class TestPointing:
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        OpticalParams(baseline_visibility=0.0)
-    with pytest.raises(ValueError):
         OpticalParams(dark_count_prob=0.01)
     with pytest.raises(ValueError):
         OpticalParams(ec_inefficiency=0.9)
     with pytest.raises(ValueError):
         RfParams(carrier_ghz=5.0)
-    with pytest.raises(ValueError):
-        FadingSample(turbulence_gain=-0.1)
-    with pytest.raises(ValueError):
-        FadingSample(pointing_gain=1.5)

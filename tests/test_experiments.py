@@ -216,8 +216,15 @@ output_dir = out
         assert cfg.optical.wavelength_m == 850e-9
 
     def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_config(self._write(tmp_path, "[geometry]\naltitude = 1\n"))
+        # after the typo, keys of removed settings that never changed an output
+        for text in ("[geometry]\naltitude = 1\n",
+                     "[optical]\ncn2 = 1e-13\n",
+                     "[optical]\nrytov_variance = 1.0\n",
+                     "[optical]\nbaseline_visibility = 0.9\n",
+                     "[optical]\nphase_variance = 0.5\n",
+                     "[ris]\nris_offset_phase_seed = 3\n"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                load_config(self._write(tmp_path, text))
 
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -307,6 +314,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "minimum achievable QBER" in err and "(margin -" in err
 
+    def test_histogram_infeasible_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "dim.ini"
+        cfg.write_text("[ris]\nn_elements = 4\n[sweep]\nattenuation_levels = 1.0,1e-5\n"
+                       f"[run]\noutput_dir = {tmp_path}\n")
+        assert run_cli(["--config", str(cfg), "histogram", "--no-timestamp"]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "att=1e-05" in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["dim.ini"]
+
     def test_optimize_feasible(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "small.ini"
@@ -350,6 +367,13 @@ class TestCli:
         ("[ris]\nbits_quantum = 3\n", ["histogram"]),
         ("[sweep]\nelevations_deg = 10:inf:5\n", ["sweep"]),
         ("[sweep]\nelevations_deg = 0:1e12:1\n", ["sweep"]),
+        ("[sweep]\nris_sizes = 0,-1\n", ["sweep"]),
+        ("[sweep]\ntrials = -3\n", ["sweep"]),
+        ("[sweep]\nattenuation_levels = 1.0,-0.5\n", ["histogram"]),
+        ("[sweep]\nattenuation_levels = 1.0,inf\n", ["histogram"]),
+        ("[sweep]\nattenuation_levels = 1.0,0\n", ["histogram"]),
+        ("[solver]\nrestarts = 0\n", ["sweep"]),
+        ("[solver]\nmax_iters = -1\n", ["sweep"]),
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"

@@ -23,7 +23,6 @@ from dualris.metrics import (
     snr,
     static_weights,
     swing_weights,
-    visibility,
 )
 
 
@@ -58,19 +57,6 @@ class TestBer:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ber_qpsk(-0.1)
-
-
-class TestVisibility:
-    def test_no_phase_noise(self):
-        assert visibility(0.94, 0.0) == 0.94
-
-    def test_nominal_phase_variance(self):
-        assert visibility(0.94, 1.03) == pytest.approx(0.5616505589411431, rel=1e-12)
-        assert visibility(0.98, 1.03) == pytest.approx(0.5855505827258727, rel=1e-12)
-
-    def test_invalid_v0(self):
-        with pytest.raises(ValueError):
-            visibility(0.0, 1.0)
 
 
 class TestQber:

@@ -13,12 +13,10 @@ from dualris.ris import (
     RisConfig,
     bits_to_levels,
     cascade_gains,
-    composite_gain,
     decode_phases,
     element_phase_offsets,
     encode_phases,
     levels_to_bits,
-    quantized_phases,
 )
 
 GEOM = link_geometry(math.radians(45.0), GeometryParams())
@@ -69,7 +67,7 @@ class TestDecode:
         pc = decode_phases(bits, cfg)
         again = encode_phases(pc.phases_quantum, pc.phases_classical, cfg)
         assert np.array_equal(again.bits, bits)
-        levels = quantized_phases(bq)
+        levels = 2 * math.pi * np.arange(1 << bq) / (1 << bq)
         assert all(any(abs(p - l) < 1e-12 for l in levels) for p in pc.phases_quantum)
 
     @pytest.mark.parametrize("n,bq,bc", [(0, 1, 2), (1, 2, 2), (5, 3, 1), (7, 2, 3)])
@@ -91,78 +89,41 @@ class TestDecode:
 class TestCascades:
     def test_empty(self):
         cfg = RisConfig(n_elements=0)
-        assert cascade_gains(QUANTUM, cfg, GEOM, OpticalParams()).size == 0
+        assert cascade_gains(QUANTUM, cfg, GEOM, OpticalParams(), 7).size == 0
 
     def test_transparent_surface(self):
         cfg = RisConfig(n_elements=4, element_gain=0.0)
-        g = cascade_gains(QUANTUM, cfg, GEOM, OpticalParams())
+        g = cascade_gains(QUANTUM, cfg, GEOM, OpticalParams(), 7)
         assert np.allclose(np.abs(g), 0.0)
 
     def test_deterministic_per_seed(self):
-        cfg = RisConfig(n_elements=16, ris_offset_phase_seed=99)
-        a = cascade_gains(CLASSICAL, cfg, GEOM, RfParams())
-        b = cascade_gains(CLASSICAL, cfg, GEOM, RfParams())
+        cfg = RisConfig(n_elements=16)
+        a = cascade_gains(CLASSICAL, cfg, GEOM, RfParams(), 99)
+        b = cascade_gains(CLASSICAL, cfg, GEOM, RfParams(), 99)
         assert np.array_equal(a, b)
-        c = cascade_gains(CLASSICAL, RisConfig(n_elements=16, ris_offset_phase_seed=100),
-                          GEOM, RfParams())
+        c = cascade_gains(CLASSICAL, cfg, GEOM, RfParams(), 100)
         assert not np.array_equal(a, c)
 
     def test_bands_get_distinct_offsets(self):
-        cfg = RisConfig(n_elements=8, ris_offset_phase_seed=5)
-        assert not np.array_equal(element_phase_offsets(cfg, QUANTUM),
-                                  element_phase_offsets(cfg, CLASSICAL))
+        cfg = RisConfig(n_elements=8)
+        assert not np.array_equal(element_phase_offsets(cfg, QUANTUM, 5),
+                                  element_phase_offsets(cfg, CLASSICAL, 5))
 
     def test_offsets_cover_the_circle(self):
         # stratified draw: one offset per stratum of width 2 pi / N
-        cfg = RisConfig(n_elements=32, ris_offset_phase_seed=3)
-        psi = np.sort(element_phase_offsets(cfg, QUANTUM))
+        cfg = RisConfig(n_elements=32)
+        psi = np.sort(element_phase_offsets(cfg, QUANTUM, 3))
         strata = np.floor(psi / (2 * math.pi / 32)).astype(int)
         assert np.array_equal(strata, np.arange(32))
 
     def test_amplitudes_equal_across_elements(self):
         cfg = RisConfig(n_elements=8)
-        g = cascade_gains(QUANTUM, cfg, GEOM, OpticalParams())
+        g = cascade_gains(QUANTUM, cfg, GEOM, OpticalParams(), 7)
         assert np.allclose(np.abs(g), np.abs(g)[0])
 
     def test_unknown_band(self):
         with pytest.raises(ValueError):
-            cascade_gains("thz", RisConfig(n_elements=1), GEOM, RfParams())
-
-
-class TestComposite:
-    def test_no_elements_returns_direct(self):
-        direct = ComplexGain(0.5, 1.0)
-        tot = composite_gain(direct, np.zeros(0, complex), np.zeros(0))
-        assert tot.amplitude == pytest.approx(0.5)
-        assert tot.phase_rad == pytest.approx(1.0)
-
-    def test_aligned_sum(self):
-        direct = ComplexGain(1.0, 0.0)
-        cascades = np.array([0.1 + 0j, 0.1 + 0j])
-        tot = composite_gain(direct, cascades, np.zeros(2))
-        assert tot.amplitude == pytest.approx(1.2, rel=1e-12)
-        assert tot.phase_rad == pytest.approx(0.0, abs=1e-12)
-
-    def test_opposite_phases_cancel_back(self):
-        # cascade at angle pi with applied phase pi realigns with the direct path
-        direct = ComplexGain(1.0, 0.0)
-        cascades = np.array([0.1 * np.exp(1j * math.pi)])
-        tot = composite_gain(direct, cascades, np.array([math.pi]))
-        assert tot.amplitude == pytest.approx(1.1, rel=1e-12)
-
-    def test_zero_cascades_identity(self):
-        direct = ComplexGain(0.7, 2.2)
-        tot = composite_gain(direct, np.zeros(5, complex), np.ones(5))
-        assert tot.amplitude == pytest.approx(0.7, rel=1e-15)
-
-    @given(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=10**6))
-    def test_triangle_bound(self, n, seed):
-        rng = np.random.default_rng(seed)
-        direct = ComplexGain(rng.uniform(0.1, 2.0), rng.uniform(0, 2 * math.pi))
-        cascades = rng.uniform(0, 0.5, n) * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
-        phases = rng.uniform(0, 2 * math.pi, n)
-        tot = composite_gain(direct, cascades, phases)
-        assert tot.amplitude <= direct.amplitude + np.abs(cascades).sum() + 1e-12
+            cascade_gains("thz", RisConfig(n_elements=1), GEOM, RfParams(), 7)
 
 
 class TestIndependence:
@@ -175,8 +136,8 @@ class TestIndependence:
         cfg = RisConfig(n_elements=4)
         state = ChannelState(
             ComplexGain(1.0, 0.3), ComplexGain(1.0, 1.2),
-            cascade_gains(QUANTUM, cfg, GEOM, OpticalParams()) * 1e12,
-            cascade_gains(CLASSICAL, cfg, GEOM, RfParams()) * 10.0)
+            cascade_gains(QUANTUM, cfg, GEOM, OpticalParams(), 7) * 1e12,
+            cascade_gains(CLASSICAL, cfg, GEOM, RfParams(), 7) * 10.0)
         cal = Calibration(raw_rate_scale=1.0, effective_visibility=0.98,
                           h_ref_sq=1.0)
         obj = ExactObjective(state, CostWeights(), cal, OpticalParams(),
