@@ -35,9 +35,9 @@ from .experiments import (
 )
 from .geometry import GeometryParams
 from .metrics import QBER_SECURITY_THRESHOLD, Calibration, CostWeights
-from .qubo import ExactObjective, build_qubo, format_qubo
+from .qubo import build_qubo, format_qubo
 from .ris import RisConfig
-from .solvers import SolverConfig, min_qber, trace_csv_lines
+from .solvers import BRUTE_FORCE_MAX_BITS, SolverConfig, min_qber, trace_csv_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -257,6 +257,17 @@ def _bad_number(opts: dict) -> str | None:
     return None
 
 
+def _brute_force_problem(cfg: RunConfig, command: str, n: int | None) -> str | None:
+    """Why the command would brute-force more bits than the cap, or None."""
+    n = {"sweep": max(cfg.sweep.ris_sizes), "histogram": cfg.ris.n_elements,
+         "optimize": n, "link-budget": n}.get(command, 0)
+    bits = n * (cfg.ris.bits_quantum + cfg.ris.bits_classical)
+    if cfg.solver.kind == "brute" and bits > BRUTE_FORCE_MAX_BITS:
+        return (f"solver kind 'brute' refuses N = {n}: {bits} bits exceed its cap of "
+                f"{BRUTE_FORCE_MAX_BITS}")
+    return None
+
+
 def _qber_margin(eps_min: float) -> str:
     """The smallest reachable QBER and its margin below the security threshold."""
     return (f"{eps_min:.6f} (margin {QBER_SECURITY_THRESHOLD - eps_min:+.6f} "
@@ -279,6 +290,7 @@ def run_cli(argv=None) -> int:
         print(f"argument error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
     problem = histogram_problem(cfg.ris) if args.command == "histogram" else None
+    problem = problem or _brute_force_problem(cfg, args.command, getattr(args, "n", None))
     if problem:
         print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
@@ -300,10 +312,9 @@ def run_cli(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "link-budget":
-        row, _ = evaluate_point(cfg, cal, args.elevation, args.n, args.att)
-        state, ris_cfg, _ = build_channel_state(cfg, cal, args.elevation, args.n, args.att)
-        eps_min = min_qber(ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf,
-                                          ris_cfg))
+        row, _, objective = evaluate_point(cfg, cal, args.elevation, args.n, args.att)
+        # with no elements the direct path is the one assignment
+        eps_min = row.qber if objective is None else min_qber(objective)
         print(f"elevation_deg: {row.elevation_deg:g}")
         print(f"n_elements:    {row.n_elements}")
         print(f"snr_db:        {row.snr_db:.3f}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -18,11 +19,14 @@ from .geometry import GeometryParams, LinkGeometry, link_geometry
 from .metrics import (
     Calibration,
     CostWeights,
+    Metrics,
     QBER_SECURITY_THRESHOLD,
     calibrated_baseline_qber,
+    calibrated_raw_rate,
     link_metrics,
     normalized_transmittance,
     qber,
+    skr,
     snr,
 )
 from .qubo import ExactObjective, QuadraticObjective, build_qubo
@@ -68,6 +72,10 @@ class RunConfig:
     sweep: SweepSpec = field(default_factory=SweepSpec)
     seed: int = 1
     output_dir: str = "."
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -260,12 +268,10 @@ def calibrate(cfg: RunConfig, anchors: CalibrationAnchors | None = None) -> Cali
             f"QBER anchors not reproduced: {check_low:.6f} / {check_high:.6f}")
 
     # step 3: raw key rate scale against the high-elevation SKR anchor
-    from .metrics import calibrated_raw_rate, skr as skr_of
-
     def skr_high(scale: float) -> float:
         c = replace(cal, raw_rate_scale=scale)
-        return skr_of(calibrated_raw_rate(hq_high, c), check_high,
-                      cfg.optical.ec_inefficiency) - a.skr_high_bits_s
+        return skr(calibrated_raw_rate(hq_high, c), check_high,
+                   cfg.optical.ec_inefficiency) - a.skr_high_bits_s
 
     rate_scale = _bisect(skr_high, 1e-9, 1e15, what="raw_rate_scale")
     cal = replace(cal, raw_rate_scale=rate_scale)
@@ -274,44 +280,40 @@ def calibrate(cfg: RunConfig, anchors: CalibrationAnchors | None = None) -> Cali
         return cal
 
     # step 4: optical cascade scale against the optimized SKR gain anchor
-    base_skr = skr_of(calibrated_raw_rate(hq_high, cal),
-                      calibrated_baseline_qber(hq_high, cal, pd),
-                      cfg.optical.ec_inefficiency)
-
-    def skr_gain_residual(scale: float) -> float:
-        c = replace(cal, element_amp_scale=scale)
-        result, objective = solve_point(cfg, c, a.high_deg, a.ris_n,
-                                        solver=_FIT_SOLVER)
-        m = objective.metrics_of(result.best_bits)
-        return m.skr_bits_s / base_skr - (1.0 + a.skr_gain_high)
-
-    lo, hi = 1e-12, 1e-6
-    while skr_gain_residual(hi) < 0 and hi < 1e12:
-        lo, hi = hi, hi * 10.0
-    elem_scale = _bisect(skr_gain_residual, lo, hi, what="element_amp_scale")
-    cal = replace(cal, element_amp_scale=elem_scale)
+    base_skr = skr(calibrated_raw_rate(hq_high, cal),
+                   calibrated_baseline_qber(hq_high, cal, pd),
+                   cfg.optical.ec_inefficiency)
+    cal = _fit_cascade_scale(
+        cfg, cal, a, "element_amp_scale",
+        lambda m: m.skr_bits_s / base_skr - (1.0 + a.skr_gain_high))
 
     # step 5: RF cascade scale against the optimized SNR-gain anchor
     _, hc_high = _direct_amplitudes(cfg, a.high_deg)
     base_snr_high = snr(cfg.rf, hc_high, cal.rf_gain_offset_db)
+    return _fit_cascade_scale(
+        cfg, cal, a, "rf_element_scale",
+        lambda m: 10.0 * math.log10(m.snr_linear / base_snr_high) - a.dsnr_high_db)
 
-    def dsnr_residual(scale: float) -> float:
-        c = replace(cal, rf_element_scale=scale)
-        result, objective = solve_point(cfg, c, a.high_deg, a.ris_n,
-                                        solver=_FIT_SOLVER)
-        m = objective.metrics_of(result.best_bits)
-        return 10.0 * math.log10(m.snr_linear / base_snr_high) - a.dsnr_high_db
+
+def _fit_cascade_scale(cfg: RunConfig, cal: Calibration, a: CalibrationAnchors,
+                       name: str, residual_of: Callable[[Metrics], float]) -> Calibration:
+    """cal with its cascade scale `name` fitted so that residual_of(optimized
+    metrics at (ris_n, high_deg)) is 0; the residual must grow with the scale."""
+    def residual(scale: float) -> float:
+        c = replace(cal, **{name: scale})
+        result, objective = solve_point(cfg, c, a.high_deg, a.ris_n, solver=_FIT_SOLVER)
+        return residual_of(objective.metrics_of(result.best_bits))
 
     lo, hi = 1e-12, 1e-6
-    while dsnr_residual(hi) < 0 and hi < 1e12:
+    while residual(hi) < 0 and hi < 1e12:
         lo, hi = hi, hi * 10.0
-    rf_scale = _bisect(dsnr_residual, lo, hi, what="rf_element_scale")
-    return replace(cal, rf_element_scale=rf_scale)
+    return replace(cal, **{name: _bisect(residual, lo, hi, what=name)})
 
 
 def evaluate_point(cfg: RunConfig, cal: Calibration, elevation_deg: float,
-                   n_elements: int, att: float = 1.0) -> tuple[SweepRow, SolverResult | None]:
-    """Metrics for one sweep point; N = 0 needs no solver."""
+                   n_elements: int, att: float = 1.0
+                   ) -> tuple[SweepRow, SolverResult | None, ExactObjective | None]:
+    """Metrics for one sweep point, with the result and objective it solved (None at N = 0)."""
     if n_elements == 0:
         state, _, _ = build_channel_state(cfg, cal, elevation_deg, 0, att)
         m = link_metrics(state.direct_quantum.amplitude, state.direct_quantum.amplitude,
@@ -319,12 +321,12 @@ def evaluate_point(cfg: RunConfig, cal: Calibration, elevation_deg: float,
                          cfg.weights, cal)
         row = SweepRow(elevation_deg, 0, m.snr_db, m.ber, m.qber, m.skr_bits_s,
                        m.cost, m.qber <= QBER_SECURITY_THRESHOLD, 0)
-        return row, None
+        return row, None, None
     result, objective = solve_point(cfg, cal, elevation_deg, n_elements, att)
     m = objective.metrics_of(result.best_bits)
     row = SweepRow(elevation_deg, n_elements, m.snr_db, m.ber, m.qber,
                    m.skr_bits_s, m.cost, bool(result.feasible), result.evaluations)
-    return row, result
+    return row, result, objective
 
 
 def sweep_elevation(cfg: RunConfig, cal: Calibration) -> list[SweepRow]:
@@ -340,7 +342,7 @@ def sweep_elevation(cfg: RunConfig, cal: Calibration) -> list[SweepRow]:
                           .generate_state(1)[0]))
         for elevation in cfg.sweep.elevations_deg:
             for n in cfg.sweep.ris_sizes:
-                row, _ = evaluate_point(trial_cfg, cal, elevation, n)
+                row, _, _ = evaluate_point(trial_cfg, cal, elevation, n)
                 rows.append(row)
     return rows
 

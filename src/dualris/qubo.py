@@ -123,10 +123,6 @@ class ExactObjective:
             raise ValueError(f"expected bit vector of length {self.dim}")
         return bits_to_levels(x, self.cfg)
 
-    def _qber_rows(self, lq: np.ndarray) -> np.ndarray:
-        tq = self.h0q + (self.uq * self._phasor_q[lq]).sum(axis=-1)
-        return field_gain_qber_array(np.abs(tq), self.direct_amp, self.eps_base, self.p_dark)
-
     def totals_of(self, x: np.ndarray) -> tuple[complex, complex]:
         lq, lc = self.levels_of(x)
         tq = self.h0q + (self.uq * self._phasor_q[lq]).sum()
@@ -140,17 +136,15 @@ class ExactObjective:
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized value() over rows of a (m, dim) bit matrix."""
         lq, lc = bits_to_levels(xs, self.cfg)
+        tq = self.h0q + (self.uq * self._phasor_q[lq]).sum(axis=1)
         tc = self.h0c + (self.uc * self._phasor_c[lc]).sum(axis=1)
+        eps = field_gain_qber_array(np.abs(tq), self.direct_amp, self.eps_base, self.p_dark)
         gamma = self.snr_coeff * np.abs(tc) ** 2
-        return self.alpha * self._qber_rows(lq) - self.beta * np.log2(1.0 + gamma)
+        return self.alpha * eps - self.beta * np.log2(1.0 + gamma)
 
     def qber_of(self, x: np.ndarray) -> float:
         tq, _ = self.totals_of(x)
         return self.qber_from_total(abs(tq))
-
-    def qber_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized qber_of() over rows of a (m, dim) bit matrix."""
-        return self._qber_rows(bits_to_levels(xs, self.cfg)[0])
 
     def metrics_of(self, x: np.ndarray) -> Metrics:
         tq, tc = self.totals_of(x)
@@ -201,10 +195,6 @@ class ObjectiveWalk:
             self.levels_c[n] = new_level
         self.x[i] ^= 1
         self.value = self.obj.cost_from_totals(self.tq, self.tc)
-
-    def qber(self) -> float:
-        """QBER of the current state."""
-        return self.obj.qber_from_total(abs(self.tq))
 
 
 def eval_exact(state: ChannelState, weights: CostWeights, cal: Calibration,
@@ -293,11 +283,7 @@ def eval_quadratic(model: QuboModel, x: np.ndarray) -> float:
 
 
 class QuadraticObjective:
-    """Solver-facing wrapper for a built QuboModel with O(degree) flips.
-
-    The surrogate carries no QBER: qber_batch and QuadraticWalk.qber report
-    +inf, so no state it visits counts as security-feasible.
-    """
+    """Solver-facing wrapper for a built QuboModel with O(degree) flips."""
 
     def __init__(self, model: QuboModel):
         self.model = model
@@ -314,9 +300,6 @@ class QuadraticObjective:
             out = out + (xs[:, self.model.pair_i] * xs[:, self.model.pair_j]
                          * self.model.pair_w).sum(axis=1)
         return out
-
-    def qber_batch(self, xs: np.ndarray) -> np.ndarray:
-        return np.full(len(xs), math.inf)
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
         if self._adjacency is None:
@@ -361,9 +344,6 @@ class QuadraticWalk:
         for j, w in self.obj.adjacency()[i]:
             self._sums[j] += w * step
         self.x[i] ^= 1
-
-    def qber(self) -> float:
-        return math.inf
 
 
 def expansion_error(state: ChannelState, weights: CostWeights, cal: Calibration,

@@ -9,11 +9,10 @@ tie rule. The RNG is numpy's PCG64; the algorithm name is recorded in each
 result so runs replay across platforms.
 
 Brute force, annealing and tabu take any objective with dim, value(x),
-batch(xs) over rows, qber_batch(xs) (+inf where the objective has no QBER) and
-walk(x); a walk holds x and value and offers peek_flip(i), apply_flip(i) and
-qber(). ExactObjective and QuadraticObjective implement this interface. The
-band sweep and coordinate descent need the per-element channel structure of
-ExactObjective.
+batch(xs) over rows and walk(x); a walk holds x and value and offers
+peek_flip(i) and apply_flip(i). ExactObjective and QuadraticObjective implement
+this interface. The band sweep and coordinate descent need the per-element
+channel structure of ExactObjective.
 """
 from __future__ import annotations
 
@@ -50,6 +49,11 @@ class SolverConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (self.initial_temp is None or 0.0 < self.initial_temp < math.inf):
+            raise ValueError(
+                f"initial_temp must be none or finite and > 0, got {self.initial_temp}")
         if self.kind not in ("exact", "brute", "anneal", "tabu", "bcd"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
         if self.objective not in ("exact", "quadratic"):
@@ -68,7 +72,7 @@ class SolverResult:
     trace: list[tuple[int, float]] = field(default_factory=list)
     rng_algorithm: str = RNG_ALGORITHM
     qber: float | None = None
-    best_feasible_bits: np.ndarray | None = None
+    best_feasible_bits: np.ndarray | None = None   # the fallback, set by enforce_security
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
@@ -94,21 +98,12 @@ class _Best:
         return False
 
 
-class _FeasibleBest(_Best):
-    """Best-so-far restricted to QBER-feasible states."""
-
-    def offer_walk(self, walk) -> None:
-        if walk.qber() <= QBER_SECURITY_THRESHOLD:
-            self.offer(walk.value, walk.x)
-
-
-def _finalize(objective, best: _Best, feas: _FeasibleBest, evaluations: int,
+def _finalize(objective, bits: np.ndarray | None, evaluations: int,
               trace: list[tuple[int, float]]) -> SolverResult:
-    bits = best.bits if best.bits is not None else np.zeros(0, np.uint8)
+    bits = bits if bits is not None else np.zeros(0, np.uint8)
     return SolverResult(best_bits=bits,
                         best_value=objective.value(bits),   # re-score: no stale caching
-                        evaluations=evaluations, trace=trace,
-                        best_feasible_bits=feas.bits)
+                        evaluations=evaluations, trace=trace)
 
 
 def _enumerate_codes(dim: int, chunk: int = 1 << 15):
@@ -128,7 +123,6 @@ def brute_force(objective, dim: int) -> SolverResult:
             f"brute force refused: dim {dim} exceeds the hard cap of "
             f"{BRUTE_FORCE_MAX_BITS} bits")
     best = _Best()
-    feas = _FeasibleBest()
     evaluations = 0
     trace: list[tuple[int, float]] = []
     if dim == 0:
@@ -142,11 +136,7 @@ def brute_force(objective, dim: int) -> SolverResult:
         k = int(np.argmin(vals))      # first minimum = lexicographically smallest
         if best.offer(float(vals[k]), bits[k]):
             trace.append((evaluations, best.value))
-        ok = objective.qber_batch(bits) <= QBER_SECURITY_THRESHOLD
-        if ok.any():
-            kf = int(np.flatnonzero(ok)[np.argmin(vals[ok])])
-            feas.offer(float(vals[kf]), bits[kf])
-    return _finalize(objective, best, feas, evaluations, trace)
+    return _finalize(objective, best.bits, evaluations, trace)
 
 
 def _auto_temperature(objective, dim: int, rng: np.random.Generator) -> float:
@@ -159,7 +149,6 @@ def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
     """Metropolis single-flip annealing with geometric cooling per sweep."""
     rng = np.random.default_rng(cfg.seed)
     best = _Best()
-    feas = _FeasibleBest()
     trace: list[tuple[int, float]] = []
     evaluations = 0
     if dim == 0:
@@ -170,7 +159,6 @@ def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
         evaluations += 1
         if best.offer(walk.value, walk.x):
             trace.append((evaluations, best.value))
-        feas.offer_walk(walk)
         temp = cfg.initial_temp if cfg.initial_temp else _auto_temperature(objective, dim, rng)
         for _ in range(cfg.max_iters):
             flips = rng.integers(0, dim, size=dim)
@@ -181,11 +169,10 @@ def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
                 delta = cand - walk.value
                 if delta <= 0.0 or draw < math.exp(-delta / temp):
                     walk.apply_flip(int(i))
-                    feas.offer_walk(walk)
                     if best.offer(walk.value, walk.x):
                         trace.append((evaluations, best.value))
             temp *= cfg.cooling_rate
-    return _finalize(objective, best, feas, evaluations, trace)
+    return _finalize(objective, best.bits, evaluations, trace)
 
 
 def tabu_search(objective, dim: int, cfg: SolverConfig) -> SolverResult:
@@ -197,7 +184,6 @@ def tabu_search(objective, dim: int, cfg: SolverConfig) -> SolverResult:
     """
     rng = np.random.default_rng(cfg.seed)
     best = _Best()
-    feas = _FeasibleBest()
     trace: list[tuple[int, float]] = []
     evaluations = 0
     if dim == 0:
@@ -208,7 +194,6 @@ def tabu_search(objective, dim: int, cfg: SolverConfig) -> SolverResult:
         evaluations += 1
         if best.offer(walk.value, walk.x):
             trace.append((evaluations, best.value))
-        feas.offer_walk(walk)
         last_flip = np.full(dim, -10**9, dtype=np.int64)
         for it in range(cfg.max_iters):
             chosen = -1
@@ -227,10 +212,9 @@ def tabu_search(objective, dim: int, cfg: SolverConfig) -> SolverResult:
                 chosen = int(np.argmin(last_flip))
             walk.apply_flip(chosen)
             last_flip[chosen] = it
-            feas.offer_walk(walk)
             if best.offer(walk.value, walk.x):
                 trace.append((evaluations, best.value))
-    return _finalize(objective, best, feas, evaluations, trace)
+    return _finalize(objective, best.bits, evaluations, trace)
 
 
 def _lex_level_order(bits: int) -> list[int]:
@@ -274,7 +258,6 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     value = alpha * eps - beta * log2(1.0 + kappa * (tc.real**2 + tc.imag**2))
     evaluations += 1
     trace: list[tuple[int, float]] = [(evaluations, value)]
-    feas_levels = (list(levels_q), list(levels_c)) if eps <= QBER_SECURITY_THRESHOLD else None
 
     for _ in range(cfg.max_iters):
         changed = False
@@ -310,18 +293,9 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
                 value = pick_val
                 changed = True
                 trace.append((evaluations, value))
-                if qber(abs(tq), direct, eps_base, pd) <= QBER_SECURITY_THRESHOLD:
-                    feas_levels = (list(levels_q), list(levels_c))
         if not changed:
             break
-
-    best = _Best()
-    feas = _FeasibleBest()
-    best.offer(value, levels_to_bits(levels_q, levels_c, obj.cfg))
-    if feas_levels is not None:
-        feas.offer(value, levels_to_bits(*feas_levels, obj.cfg))
-    # descent is monotone, so the final state is also the best feasible seen
-    return _finalize(obj, best, feas, evaluations, trace)
+    return _finalize(obj, levels_to_bits(levels_q, levels_c, obj.cfg), evaluations, trace)
 
 
 def _band_levels(h0: complex, u: np.ndarray, phasor: np.ndarray) -> np.ndarray:
@@ -364,9 +338,8 @@ def band_sweep(objective: ExactObjective) -> SolverResult:
     band's |T|, so maximizing |T_Q| and |T_C| separately (_band_levels, with
     its tie rule) minimizes it. evaluations counts the band totals scored,
     2 + N (2^b_Q + 2^b_C). The chosen |T_Q| is the largest any assignment
-    reaches, so its QBER is the smallest: the result is its own feasible
-    fallback when that QBER meets the threshold, and otherwise no assignment
-    is feasible.
+    reaches, so its QBER is also the smallest: the result is feasible exactly
+    when some assignment is (enforce_security relies on this).
     """
     if not isinstance(objective, ExactObjective):
         raise TypeError("the band sweep needs the exact objective")
@@ -376,12 +349,7 @@ def band_sweep(objective: ExactObjective) -> SolverResult:
     bits = levels_to_bits(_band_levels(obj.h0q, obj.uq, obj._phasor_q),
                           _band_levels(obj.h0c, obj.uc, obj._phasor_c), obj.cfg)
     evaluations = 2 + obj.n * (len(obj._phasor_q) + len(obj._phasor_c))
-    best = _Best()
-    feas = _FeasibleBest()
-    best.offer(obj.value(bits), bits)
-    if obj.qber_of(bits) <= QBER_SECURITY_THRESHOLD:
-        feas.offer(best.value, bits)
-    return _finalize(obj, best, feas, evaluations, [(evaluations, best.value)])
+    return _finalize(obj, bits, evaluations, [(evaluations, obj.value(bits))])
 
 
 def min_qber(objective: ExactObjective) -> float:
@@ -406,16 +374,20 @@ def enforce_security(result: SolverResult, objective: ExactObjective,
                      threshold: float = QBER_SECURITY_THRESHOLD) -> SolverResult:
     """Apply the BB84 feasibility rule qber(x*) <= threshold.
 
-    Infeasible winners are replaced by the best feasible visited state when one
-    exists; otherwise the result is marked infeasible for the caller to reject.
+    An infeasible winner falls back to the band sweep's optimum, the assignment
+    with the lowest cost and QBER (see band_sweep), and keeps its evaluations
+    and trace; when the optimum fails too, no assignment is feasible and the
+    result is marked infeasible. A fallback's bits are also best_feasible_bits.
     """
     eps = objective.qber_of(result.best_bits)
+    if eps > threshold:
+        optimum = band_sweep(objective)
+        eps_opt = objective.qber_of(optimum.best_bits)
+        if eps_opt <= threshold:
+            result.best_bits = result.best_feasible_bits = optimum.best_bits
+            result.best_value = optimum.best_value
+            eps = eps_opt
     result.feasible = eps <= threshold
-    if not result.feasible and result.best_feasible_bits is not None:
-        result.best_bits = result.best_feasible_bits
-        result.best_value = objective.value(result.best_bits)
-        eps = objective.qber_of(result.best_bits)
-        result.feasible = True
     result.qber = eps
     return result
 

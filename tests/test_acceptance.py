@@ -228,7 +228,7 @@ def test_criterion_8_security_invariant(run_config, calibrated, sweep_result):
     # histogram operating points, one per attenuation level
     hist_worst = 0.0
     for att in run_config.sweep.attenuation_levels:
-        row, result = evaluate_point(run_config, calibrated["cal"], 45.0,
+        row, _, _ = evaluate_point(run_config, calibrated["cal"], 45.0,
                                      run_config.ris.n_elements, att)
         assert row.feasible and row.qber <= threshold
         hist_worst = max(hist_worst, row.qber)

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dualris.cli import (
     EXIT_OK,
     load_config,
     run_cli,
+    write_histogram_csv,
     write_sweep_csv,
 )
 from dualris.experiments import (
@@ -147,7 +150,7 @@ class TestSweep:
         cfg = RunConfig(solver=SolverConfig(kind="anneal", seed=3, max_iters=40,
                                             restarts=1, objective="quadratic"),
                         sweep=run_config.sweep)
-        row, result = evaluate_point(cfg, calibrated["cal"], 45.0, 4)
+        row, result, _ = evaluate_point(cfg, calibrated["cal"], 45.0, 4)
         assert result is not None
         assert row.feasible
 
@@ -276,6 +279,20 @@ class TestCsvOutput:
         assert not any(line.startswith("# timestamp:")
                        for line in open(path).read().splitlines())
 
+    def test_default_csv_digests(self, run_config, calibrated, sweep_result, tmp_path):
+        # the default seed-1 CSVs; a change that alters them on purpose updates
+        # these digests and records the old and new values
+        cal = calibrated["cal"]
+        sweep, hist = str(tmp_path / "sweep.csv"), str(tmp_path / "histogram.csv")
+        write_sweep_csv(sweep, run_config, cal, sweep_result["rows"], with_timestamp=False)
+        write_histogram_csv(hist, run_config, cal, phase_histogram(run_config, cal),
+                            with_timestamp=False)
+        digest = {p: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (sweep, hist)}
+        assert digest[sweep] == ("f72476dbe1702a35db6845b001579db9"
+                                 "1843bf21e840bc3b3ac39bdb3d1c914e")
+        assert digest[hist] == ("633c977bafcc228cb2a860541fea2960"
+                                "574f14b7984908bb79df393015f572dc")
+
     def test_no_partial_files_left(self, run_config, calibrated, sweep_result, tmp_path):
         write_sweep_csv(str(tmp_path / "ok.csv"), run_config, calibrated["cal"],
                         sweep_result["rows"], with_timestamp=False)
@@ -323,6 +340,32 @@ class TestCli:
         assert "att=1e-05" in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["dim.ini"]
+
+    @pytest.mark.parametrize("solver", ["kind = tabu", "kind = anneal\nobjective = quadratic"])
+    def test_short_heuristic_falls_back_to_the_optimum(self, tmp_path, capsys, solver):
+        # two moves from a random start end above 11 %, though the optimum
+        # (QBER 0.101089) is below it
+        cfg = tmp_path / "short.ini"
+        cfg.write_text(f"[solver]\n{solver}\nmax_iters = 2\nrestarts = 1\nseed = 1\n")
+        assert run_cli(["--config", str(cfg), "optimize", "--elevation", "45",
+                        "--n", "64", "--att", "0.006133"]) == EXIT_OK
+        qber = float(re.search(r"\bqber: ([0-9.]+)", capsys.readouterr().out).group(1))
+        assert qber <= 0.11
+
+    def test_link_budget_builds_its_point_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_channel_state(*args, **kwargs)
+
+        for module in ("dualris.experiments", "dualris.cli"):
+            monkeypatch.setattr(f"{module}.build_channel_state", counted)
+        assert run_cli(["calibrate"]) == EXIT_OK
+        calibrate_calls = len(calls)
+        calls.clear()
+        assert run_cli(["link-budget", "--elevation", "45", "--n", "256"]) == EXIT_OK
+        assert len(calls) == calibrate_calls + 1
 
     def test_optimize_feasible(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -374,10 +417,17 @@ class TestCli:
         ("[sweep]\nattenuation_levels = 1.0,0\n", ["histogram"]),
         ("[solver]\nrestarts = 0\n", ["sweep"]),
         ("[solver]\nmax_iters = -1\n", ["sweep"]),
+        ("seed = -1\n", ["sweep"]),            # no header: stays in [run]
+        ("[solver]\nkind = anneal\nseed = -1\n", ["sweep"]),
+        ("[solver]\ninitial_temp = 0\n", ["sweep"]),
+        ("[solver]\ninitial_temp = -5\n", ["sweep"]),
+        ("[solver]\ninitial_temp = nan\n", ["sweep"]),
+        ("[solver]\nkind = brute\n", ["sweep"]),
+        ("[solver]\nkind = brute\n", ["optimize", "--elevation", "45", "--n", "10"]),
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"
-        cfg.write_text(ini + f"[run]\noutput_dir = {tmp_path}\n")
+        cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n" + ini)
         assert run_cli(["--config", str(cfg)] + argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1

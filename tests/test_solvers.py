@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from dualris.channels import ComplexGain, OpticalParams, RfParams
 from dualris.experiments import RunConfig, build_channel_state
-from dualris.metrics import BOLTZMANN, Calibration, CostWeights
+from dualris.metrics import BOLTZMANN, Calibration, CostWeights, field_gain_qber_array
 from dualris.qubo import ExactObjective, QuadraticObjective, QuboModel
-from dualris.ris import ChannelState, RisConfig
+from dualris.ris import ChannelState, RisConfig, bits_to_levels
 from dualris.solvers import (
     SolverConfig,
     band_sweep,
@@ -46,6 +48,17 @@ def random_instance(seed, n, amp_lo=0.02, amp_hi=0.3, bits=(2, 2)):
                       h_ref_sq=1.0 / rng.uniform(50, 200),
                       rf_gain_offset_db=10 * math.log10(100 * noise / RF.tx_power_w))
     return ExactObjective(state, CostWeights(), cal, OPT, RF, cfg), cfg
+
+
+def exhaustive(obj, cfg):
+    """Every bit vector's cost and QBER, the QBER from its own band total."""
+    xs = np.array(list(itertools.product((0, 1), repeat=cfg.bits_total)),
+                  np.uint8).reshape(2 ** cfg.bits_total, cfg.bits_total)
+    lq, _ = bits_to_levels(xs, cfg)
+    phasor = np.exp(2j * np.pi * lq / 2 ** cfg.bits_quantum)
+    tq = obj.h0q + (obj.uq * phasor).sum(axis=1)
+    return obj.batch(xs), field_gain_qber_array(np.abs(tq), obj.direct_amp, obj.eps_base,
+                                                obj.p_dark)
 
 
 class TestBruteForce:
@@ -183,8 +196,9 @@ class TestBandSweep:
         exact = band_sweep(obj)
         oracle = brute_force(obj, cfg.bits_total)
         assert abs(exact.best_value - oracle.best_value) <= 1e-12 * abs(oracle.best_value)
-        # the sweep's fallback rule agrees with exhaustive feasibility
-        assert (exact.best_feasible_bits is None) == (oracle.best_feasible_bits is None)
+        # the sweep also reaches the smallest QBER of all, which the fallback needs
+        _, qbers = exhaustive(obj, cfg)
+        assert abs(min_qber(obj) - qbers.min()) <= 1e-12 * qbers.min()
 
     @pytest.mark.parametrize("n,bits", [(1, (2, 2)), (5, (1, 3)), (64, (3, 2))])
     def test_counts_band_totals(self, n, bits):
@@ -224,9 +238,11 @@ class TestBandSweep:
     def test_feasible_result_is_its_own_fallback(self):
         obj, _ = random_instance(40, 3)
         result = band_sweep(obj)
-        assert obj.qber_of(result.best_bits) <= 0.11
-        assert np.array_equal(result.best_feasible_bits, result.best_bits)
-        assert min_qber(obj) == obj.qber_of(result.best_bits)
+        bits = result.best_bits
+        assert min_qber(obj) == obj.qber_of(bits) <= 0.11
+        checked = enforce_security(result, obj)
+        assert checked.feasible is True
+        assert checked.best_bits is bits and checked.best_feasible_bits is None
 
     def test_no_fallback_proves_infeasibility(self):
         # a reference power far above the channel puts the baseline QBER near
@@ -235,10 +251,10 @@ class TestBandSweep:
         obj = ExactObjective(obj.state, CostWeights(), Calibration(
             raw_rate_scale=1.0, effective_visibility=0.98, h_ref_sq=1e6), OPT, RF, cfg)
         result = band_sweep(obj)
-        assert result.best_feasible_bits is None
         assert min_qber(obj) > 0.11
-        assert brute_force(obj, cfg.bits_total).best_feasible_bits is None
+        assert exhaustive(obj, cfg)[1].min() > 0.11
         assert enforce_security(result, obj).feasible is False
+        assert enforce_security(brute_force(obj, cfg.bits_total), obj).feasible is False
 
     def test_requires_exact_objective(self):
         with pytest.raises(TypeError):
@@ -299,32 +315,54 @@ class TestSecurity:
     def test_infeasible_without_fallback(self):
         obj, _ = random_instance(40, 2)
         result = solve(obj, 8, SolverConfig(kind="bcd", max_iters=20))
-        result.best_feasible_bits = None
         checked = enforce_security(result, obj, threshold=1e-9)
         assert checked.feasible is False
 
-    def test_fallback_to_best_feasible_visited(self):
+    def test_fallback_is_the_band_sweep_optimum(self):
+        # zero sweeps leave BCD on the all-zero start; a threshold between its
+        # QBER and the minimum rejects it but admits the optimum
         obj, _ = random_instance(40, 2)
-        result = solve(obj, 8, SolverConfig(kind="bcd", max_iters=20))
-        fallback = np.ones(8, np.uint8)
-        result.best_feasible_bits = fallback
-        threshold = obj.qber_of(result.best_bits) * 0.999  # winner just fails
-        if obj.qber_of(fallback) <= threshold:
-            checked = enforce_security(result, obj, threshold=threshold)
-            assert checked.feasible is True
-            assert np.array_equal(checked.best_bits, fallback)
+        result = solve(obj, 8, SolverConfig(kind="bcd", max_iters=0))
+        evaluations, trace = result.evaluations, list(result.trace)
+        optimum = band_sweep(obj)
+        eps_start, eps_min = obj.qber_of(result.best_bits), min_qber(obj)
+        assert eps_min < eps_start
+        checked = enforce_security(result, obj, threshold=0.5 * (eps_min + eps_start))
+        assert checked.feasible is True and checked.qber == eps_min
+        assert checked.best_bits is checked.best_feasible_bits
+        assert np.array_equal(checked.best_bits, optimum.best_bits)
+        assert checked.best_value == optimum.best_value
+        assert (checked.evaluations, checked.trace) == (evaluations, trace)
 
-
-class TestQuadraticObjective:
-    @pytest.mark.parametrize("kind", ["brute", "anneal", "tabu"])
-    def test_surrogate_never_supplies_a_feasible_fallback(self, kind):
-        # the surrogate has no QBER, so no visited state counts as feasible
-        model = QuboModel(dim=3, linear=np.array([0.5, -1.0, 0.25]),
-                          pair_i=np.array([0], np.int32), pair_j=np.array([2], np.int32),
-                          pair_w=np.array([-2.0]), offset=0.1)
-        result = solve(QuadraticObjective(model), 3,
-                       SolverConfig(kind=kind, seed=1, max_iters=10, restarts=1))
-        assert result.best_feasible_bits is None
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 12),
+           st.integers(0, 10**6), st.floats(-1.3, 0.3))
+    def test_rule_matches_exhaustive_feasibility(self, bq, bc, n_raw, seed, log_href):
+        # reference powers around the channel's put the QBER near 11 %, so some
+        # instances are infeasible and short budgets often end on infeasible states
+        n = n_raw % (12 // (bq + bc) + 1)            # dim <= 12
+        obj, cfg = random_instance(seed, n, bits=(bq, bc))
+        obj = ExactObjective(obj.state, CostWeights(),
+                             dataclasses.replace(obj.cal, h_ref_sq=10.0 ** log_href),
+                             OPT, RF, cfg)
+        values, qbers = exhaustive(obj, cfg)
+        ok = qbers <= 0.11
+        dim = cfg.bits_total
+        for result in (
+            brute_force(obj, dim),
+            simulated_annealing(obj, dim, SolverConfig(kind="anneal", seed=seed,
+                                                       max_iters=1, restarts=1)),
+            tabu_search(obj, dim, SolverConfig(kind="tabu", seed=seed,
+                                               max_iters=1, restarts=1)),
+            block_coordinate_descent(obj, SolverConfig(kind="bcd", max_iters=0)),
+        ):
+            checked = enforce_security(result, obj)
+            assert checked.feasible == ok.any()
+            if checked.feasible:
+                assert checked.qber <= 0.11
+            if checked.best_bits is checked.best_feasible_bits:
+                best = values[ok].min()
+                assert abs(checked.best_value - best) <= 1e-12 * abs(best)
 
 
 class TestOracleMiniCampaign:
