@@ -7,11 +7,15 @@ method, and prints optimum hit rates and timings against brute force. Part two
 builds the calibrated channel state at 20, 45 and 80 deg for N = 128 / 512 /
 4096 and prints each heuristic's relative gap to the exact band sweep and its
 CPU time next to the sweep's own. Part three times the QUBO layers at 45 deg
-for N = 64 / 128 / 256: build, text export and load CPU time and pair count.
+for N = 64 / 128 / 256: build, text export and load CPU time and pair count,
+then the quadratic anneal on the loaded N = 64 model (20 sweeps, 1 restart):
+its CPU time and the gap of its answer, scored exactly, to the band sweep. It
+ends with the process's peak resident set size.
 """
 import argparse
 import math
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -21,7 +25,8 @@ import numpy as np
 from dualris.channels import ComplexGain, OpticalParams, RfParams
 from dualris.experiments import RunConfig, build_channel_state, calibrate
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights
-from dualris.qubo import ExactObjective, build_qubo, export_qubo, load_qubo
+from dualris.qubo import (ExactObjective, QuadraticObjective, build_qubo, export_qubo,
+                          load_qubo)
 from dualris.ris import ChannelState, RisConfig
 from dualris.solvers import (
     SolverConfig,
@@ -83,8 +88,9 @@ def large_states(cfg: RunConfig, cal: Calibration) -> None:
 
 
 def qubo_layers(cfg: RunConfig, cal: Calibration) -> None:
-    """CPU time of the QUBO build, export and load at 45 deg."""
+    """CPU time of the QUBO build, export and load at 45 deg, and the quadratic anneal."""
     print("\nQUBO layers at 45 deg, CPU time in ms:")
+    loaded = {}
     with tempfile.TemporaryDirectory() as tmp:
         for n in (64, 128, 256):
             state, ris_cfg, _ = build_channel_state(cfg, cal, 45.0, n)
@@ -92,9 +98,21 @@ def qubo_layers(cfg: RunConfig, cal: Calibration) -> None:
             model, build_s = _timed(lambda: build_qubo(
                 state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg))
             _, export_s = _timed(lambda: export_qubo(model, path))
-            _, load_s = _timed(lambda: load_qubo(path))
+            loaded[n], load_s = _timed(lambda: load_qubo(path))
             print(f"  N={n:<4d} build {1e3 * build_s:7.1f}  export {1e3 * export_s:7.1f}"
                   f"  load {1e3 * load_s:7.1f}  pairs {model.pair_w.size}")
+    state, ris_cfg, _ = build_channel_state(cfg, cal, 45.0, 64)
+    obj = ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
+    exact = band_sweep(obj)
+    model = loaded[64]
+    result, spent = _timed(lambda: simulated_annealing(
+        QuadraticObjective(model), model.dim,
+        SolverConfig(kind="anneal", seed=1, max_iters=20, restarts=1)))
+    gap = (obj.value(result.best_bits) - exact.best_value) / abs(exact.best_value)
+    print(f"  quadratic anneal N=64 (20 sweeps, 1 restart) {1e3 * spent:7.1f}"
+          f"  gap to exact {gap:9.3e}")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0   # KiB on Linux
+    print(f"peak RSS after the QUBO part: {peak_mb:.1f} MB")
 
 
 def main() -> int:

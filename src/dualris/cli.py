@@ -1,8 +1,8 @@
 """Command line front end: config ingestion, CSV emission, subcommands.
 
-Exit codes: 0 success, 2 configuration error, 3 calibration failure,
-4 infeasible optimization. Output files are written via a temporary file and
-an atomic rename, so partial files are never left behind.
+Exit codes: 0 success, 2 configuration error or unwritable output path,
+3 calibration failure, 4 infeasible optimization. Output files are written via
+a temporary file and an atomic rename, so partial files are never left behind.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 import typing
+from collections.abc import Iterable
 from datetime import datetime, timezone
 
 from . import __version__
@@ -52,6 +53,10 @@ HISTOGRAM_COLUMNS = ("att", "quantum_bin", "classical_bin", "count")
 
 class ConfigError(ValueError):
     pass
+
+
+class OutputError(Exception):
+    """An output file could not be written; the message names its path."""
 
 
 _SECTION_TYPES = {
@@ -119,17 +124,22 @@ def load_config(path: str) -> RunConfig:
     to defaults.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())      # configparser's messages span lines
+        raise ConfigError(f"cannot parse config file {path!r}: {detail}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     kwargs = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section != "run" and section not in _SECTION_TYPES:
             raise ConfigError(f"unknown config section [{section}]")
         cls = _SECTION_TYPES.get(section, RunConfig)
         types = typing.get_type_hints(cls)
         values = {}
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in (_RUN_KEYS if cls is RunConfig else types):
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
             try:
@@ -149,18 +159,26 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks to path through a temporary file and a rename.
+
+    The temporary file is removed on any failure; an OSError is raised again
+    as an OutputError that names the path.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -190,7 +208,7 @@ def write_sweep_csv(path: str, cfg: RunConfig, cal: Calibration,
     lines.append(",".join(SWEEP_COLUMNS))
     for row in rows:
         lines.append(",".join(_fmt(getattr(row, col)) for col in SWEEP_COLUMNS))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def write_histogram_csv(path: str, cfg: RunConfig, cal: Calibration,
@@ -201,7 +219,7 @@ def write_histogram_csv(path: str, cfg: RunConfig, cal: Calibration,
         for q in range(grid.shape[0]):
             for c in range(grid.shape[1]):
                 lines.append(f"{_fmt(att)},{q},{c},{grid[q, c]}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def _calibration_lines(cal: Calibration) -> list[str]:
@@ -300,7 +318,15 @@ def run_cli(argv=None) -> int:
     except CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
+    try:
+        return _run_command(args, cfg, cal)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
+
+def _run_command(args: argparse.Namespace, cfg: RunConfig, cal: Calibration) -> int:
+    """Run the chosen subcommand on a loaded config and its calibration."""
     out_dir = cfg.output_dir
 
     if args.command == "calibrate":
@@ -308,7 +334,7 @@ def run_cli(argv=None) -> int:
             print(line)
         if args.out:
             _atomic_write(os.path.join(out_dir, args.out),
-                          "\n".join(_calibration_lines(cal)) + "\n")
+                          ["\n".join(_calibration_lines(cal)) + "\n"])
         return EXIT_OK
 
     if args.command == "link-budget":
@@ -363,7 +389,7 @@ def run_cli(argv=None) -> int:
         print(f"min_qber: {_qber_margin(eps_min)}")
         if args.trace:
             _atomic_write(os.path.join(out_dir, args.trace),
-                          "\n".join(trace_csv_lines(result)) + "\n")
+                          ["\n".join(trace_csv_lines(result)) + "\n"])
         return EXIT_OK
 
     if args.command == "qubo-export":

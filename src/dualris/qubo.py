@@ -12,7 +12,10 @@ the bits by their weights (_band_terms). The bit layout is ris.bits_to_levels.
 from __future__ import annotations
 
 import math
+import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .ris import (QUANTUM, CLASSICAL, ChannelState, PhaseConfig, RisConfig, bits
                   levels_to_bits)
 
 _TWO_PI = 2.0 * math.pi
+_BATCH_ELEMENTS = 1 << 20     # cap on one (rows, pairs) temporary of QuadraticObjective.batch
 
 
 @dataclass
@@ -288,26 +292,48 @@ class QuadraticObjective:
     def __init__(self, model: QuboModel):
         self.model = model
         self.dim = model.dim
-        self._adjacency: list[list[tuple[int, float]]] | None = None
+        self._adjacency: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def value(self, x: np.ndarray) -> float:
         return eval_quadratic(self.model, x)
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
+        """value() over the rows of a (m, dim) bit matrix.
+
+        The pair term is reduced in row blocks whose (rows, pairs)
+        temporaries hold about _BATCH_ELEMENTS entries. The column-indexed
+        temporaries are column-major, so numpy sums each row of a block of two
+        or more rows left to right but a lone row pairwise; no block of a
+        taller batch has one row, and the sums do not depend on the block size.
+        """
         xs = np.asarray(xs, dtype=float)
-        out = xs @ self.model.linear + self.model.offset
-        if self.model.pair_w.size:
-            out = out + (xs[:, self.model.pair_i] * xs[:, self.model.pair_j]
-                         * self.model.pair_w).sum(axis=1)
+        m = self.model
+        out = xs @ m.linear + m.offset
+        if m.pair_w.size:
+            quad = np.empty(len(xs))
+            rows = max(2, _BATCH_ELEMENTS // m.pair_w.size)
+            bounds = [0, *range(rows, len(xs) - 1, rows), len(xs)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                block = xs[lo:hi]
+                quad[lo:hi] = (block[:, m.pair_i] * block[:, m.pair_j]
+                               * m.pair_w).sum(axis=1)
+            out = out + quad
         return out
 
-    def adjacency(self) -> list[list[tuple[int, float]]]:
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Neighbour lists in CSR form: (indptr, neighbour, weight).
+
+        Bit i's neighbours and pair weights are neighbour[indptr[i]:indptr[i + 1]]
+        and weight[...], in the order of the pairs that name i.
+        """
         if self._adjacency is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.dim)]
-            for i, j, w in zip(self.model.pair_i, self.model.pair_j, self.model.pair_w):
-                adj[int(i)].append((int(j), float(w)))
-                adj[int(j)].append((int(i), float(w)))
-            self._adjacency = adj
+            m = self.model
+            ends = np.column_stack([m.pair_i, m.pair_j]).ravel()
+            others = np.column_stack([m.pair_j, m.pair_i]).ravel()
+            order = np.argsort(ends, kind="stable")
+            indptr = np.zeros(self.dim + 1, np.int64)
+            np.cumsum(np.bincount(ends, minlength=self.dim), out=indptr[1:])
+            self._adjacency = (indptr, others[order], np.repeat(m.pair_w, 2)[order])
         return self._adjacency
 
     def walk(self, x: np.ndarray) -> "QuadraticWalk":
@@ -341,8 +367,10 @@ class QuadraticWalk:
     def apply_flip(self, i: int) -> None:
         step = 1.0 - 2.0 * self.x[i]     # +1 for 0 -> 1, -1 for 1 -> 0
         self.value += self._delta(i)
-        for j, w in self.obj.adjacency()[i]:
-            self._sums[j] += w * step
+        indptr, neighbour, weight = self.obj.adjacency()
+        lo, hi = indptr[i], indptr[i + 1]
+        # unbuffered, in list order: a pair listed twice adds both terms
+        np.add.at(self._sums, neighbour[lo:hi], weight[lo:hi] * step)
         self.x[i] ^= 1
 
 
@@ -383,78 +411,97 @@ def expansion_error(state: ChannelState, weights: CostWeights, cal: Calibration,
 
 # --- plain-text sparse triplet export -----------------------------------------
 
-def format_qubo(model: QuboModel, comments: list[str] | None = None) -> str:
-    """The model as plain-text sparse triplets.
+_CHUNK_ROWS = 1 << 15                  # triplet lines per text chunk of format_qubo
+_TRIPLET_LINE = "%d %d %.16e\n"
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def format_qubo(model: QuboModel, comments: list[str] | None = None) -> Iterator[str]:
+    """The model as plain-text sparse triplets, yielded in text chunks.
 
     Format: '#' comment lines, a header 'qubo <dim> <n_linear> <n_quadratic>
     <offset>', then 'i i value' lines for nonzero linear terms and 'i j value'
-    (i < j) for pair terms, zero-based, 17 significant digits.
+    (i < j) for pair terms, zero-based, 17 significant digits. The first chunk
+    holds the comments and the header; each later one at most _CHUNK_ROWS
+    triplet lines.
     """
     lin_idx = np.nonzero(model.linear)[0]
-    lines = []
-    for c in comments or []:
-        lines.append(f"# {c}")
-    lines.append(f"qubo {model.dim} {len(lin_idx)} {len(model.pair_w)} "
-                 f"{model.offset:.16e}")
-    for i in lin_idx:
-        lines.append(f"{i} {i} {model.linear[i]:.16e}")
-    for i, j, w in zip(model.pair_i, model.pair_j, model.pair_w):
-        lines.append(f"{i} {j} {w:.16e}")
-    return "\n".join(lines) + "\n"
+    head = [f"# {c}\n" for c in comments or []]
+    head.append(f"qubo {model.dim} {len(lin_idx)} {len(model.pair_w)} "
+                f"{model.offset:.16e}\n")
+    yield "".join(head)
+    for i, j, w in ((lin_idx, lin_idx, model.linear[lin_idx]),
+                    (model.pair_i, model.pair_j, model.pair_w)):
+        for lo in range(0, len(w), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            yield "".join(map(_TRIPLET_LINE.__mod__, zip(
+                i[rows].tolist(), j[rows].tolist(), w[rows].tolist())))
 
 
 def export_qubo(model: QuboModel, path: str, comments: list[str] | None = None) -> None:
     """Write format_qubo(model, comments) to path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_qubo(model, comments))
+        fh.writelines(format_qubo(model, comments))
+
+
+def _read_header(fh: TextIO) -> tuple[int, int, int, float]:
+    """Skip comment and blank lines and parse the header: (dim, n_lin, n_quad, offset)."""
+    for raw in iter(fh.readline, ""):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not line.startswith("qubo"):
+            raise ValueError("triplet data before the qubo header")
+        try:
+            _, d, nl, nq, off = line.split()
+            return int(d), int(nl), int(nq), float(off)
+        except ValueError as exc:
+            raise ValueError(f"malformed qubo header {line!r}: {exc}") from None
+    raise ValueError("missing qubo header line")
+
+
+def _first(mask: np.ndarray, body: np.ndarray) -> str:
+    """The first triplet of body where mask holds, as text."""
+    i, j, v = body[int(np.argmax(mask))].tolist()
+    return f"{i} {j} {v!r}"
 
 
 def load_qubo(path: str) -> QuboModel:
-    """Read a model written by export_qubo."""
-    dim = None
-    n_lin = n_quad = 0
-    offset = 0.0
-    linear = None
-    pi: list[int] = []
-    pj: list[int] = []
-    pw: list[float] = []
-    linear_seen: set[int] = set()
+    """Read a model written by export_qubo.
+
+    The header is read line by line; the triplets after it are parsed in one
+    np.loadtxt call, in which '#' starts a comment anywhere on a line. Every
+    rule is then checked on the parsed arrays.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("qubo"):
-                if dim is not None:
-                    raise ValueError("repeated qubo header")
-                _, d, nl, nq, off = line.split()
-                dim, n_lin, n_quad, offset = int(d), int(nl), int(nq), float(off)
-                linear = np.zeros(dim)
-                continue
-            if dim is None:
-                raise ValueError("triplet data before the qubo header")
-            i_s, j_s, v_s = line.split()
-            i, j, v = int(i_s), int(j_s), float(v_s)
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"index out of range in line {line!r}")
-            if i == j:
-                if i in linear_seen:
-                    raise ValueError(f"repeated linear line {line!r}")
-                linear_seen.add(i)
-                linear[i] = v
-            else:
-                if i > j:
-                    raise ValueError("pair entries must satisfy i < j")
-                pi.append(i)
-                pj.append(j)
-                pw.append(v)
-    if dim is None:
-        raise ValueError("missing qubo header line")
-    if len(pw) != n_quad or int(np.count_nonzero(linear)) != n_lin:
+        dim, n_lin, n_quad, offset = _read_header(fh)
+        start = fh.tell()
+        try:
+            with warnings.catch_warnings():      # a file may hold no triplet at all
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(fh, dtype=_TRIPLET, comments="#", ndmin=1)
+        except ValueError as exc:
+            fh.seek(start)
+            if any(line.lstrip().startswith("qubo") for line in fh):
+                raise ValueError("repeated qubo header") from None
+            raise ValueError(f"malformed triplet line: {exc}") from None
+    i, j, v = body["i"], body["j"], body["v"]
+    bad = (i < 0) | (i >= dim) | (j < 0) | (j >= dim)
+    if bad.any():
+        raise ValueError(f"index out of range in triplet {_first(bad, body)}")
+    if (i > j).any():
+        raise ValueError(f"pair entries must satisfy i < j, got {_first(i > j, body)}")
+    on_diag, off_diag = i == j, i != j
+    lin_sorted = np.sort(i[on_diag])
+    repeat = lin_sorted[1:][np.diff(lin_sorted) == 0]
+    if repeat.size:
+        raise ValueError(f"repeated linear line for index {repeat[0]}")
+    linear = np.zeros(dim)
+    linear[i[on_diag]] = v[on_diag]
+    pair_i, pair_j = i[off_diag], j[off_diag]
+    if len(pair_i) != n_quad or int(np.count_nonzero(linear)) != n_lin:
         raise ValueError("header counts disagree with triplet data")
-    pair_i, pair_j = np.array(pi, np.int32), np.array(pj, np.int32)
-    # checked once, sorted: a per-line set would slow large loads by a third
-    if (np.diff(np.sort(pair_i.astype(np.int64) * dim + pair_j)) == 0).any():
+    if (np.diff(np.sort(pair_i * dim + pair_j)) == 0).any():
         raise ValueError("repeated pair line")
-    return QuboModel(dim=dim, linear=linear, pair_i=pair_i, pair_j=pair_j,
-                     pair_w=np.array(pw), offset=offset)
+    return QuboModel(dim=dim, linear=linear, pair_i=pair_i.astype(np.int32),
+                     pair_j=pair_j.astype(np.int32), pair_w=v[off_diag], offset=offset)

@@ -424,10 +424,20 @@ class TestCli:
         ("[solver]\ninitial_temp = nan\n", ["sweep"]),
         ("[solver]\nkind = brute\n", ["sweep"]),
         ("[solver]\nkind = brute\n", ["optimize", "--elevation", "45", "--n", "10"]),
+        # files the INI parser itself rejects; bytes are the whole file
+        ("[run]\nseed = 1\n", ["calibrate"]),
+        ("seed = 1\nseed = 2\n", ["calibrate"]),
+        (b"seed = 1\n", ["calibrate"]),
+        ("seed 1\n", ["calibrate"]),
+        (b"\xff\xfe[run]\nseed = 1\n", ["calibrate"]),
+        ("[sweep]\ntrials = 5%\n", ["calibrate"]),
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"
-        cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n" + ini)
+        if isinstance(ini, bytes):
+            cfg.write_bytes(ini)
+        else:
+            cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n" + ini)
         assert run_cli(["--config", str(cfg)] + argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
@@ -441,3 +451,31 @@ class TestCli:
                         "--out", "m.qubo"]) == EXIT_OK
         model = load_qubo(str(tmp_path / "m.qubo"))
         assert model.dim == 8
+
+    def test_qubo_export_bytes(self, tmp_path, capsys):
+        # the default seed-1 export; the file format and build are byte-stable
+        cfg = tmp_path / "q.ini"
+        cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n")
+        assert run_cli(["--config", str(cfg), "qubo-export", "--n", "20",
+                        "--out", "m.qubo"]) == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "m.qubo").read_bytes()).hexdigest()
+        assert digest == "a541cb490e996a93dcb2b3a5ce00346de5408c80a158caf95fd2d19633c25685"
+
+    @pytest.mark.parametrize("argv", [
+        ["qubo-export", "--n", "4", "--out", "."],
+        ["calibrate", "--out", "blocker/c.txt"],
+    ])
+    def test_unwritable_output_exits_config(self, tmp_path, capsys, argv):
+        # '.' names the output directory itself; 'blocker' is a plain file
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "blocker").write_text("")
+        cfg = tmp_path / "w.ini"
+        cfg.write_text(f"[run]\noutput_dir = {out_dir}\n")
+        assert run_cli(["--config", str(cfg)] + argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        path = os.path.join(str(out_dir), argv[-1])
+        assert err.startswith(f"output error: cannot write {path}:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["out", "w.ini"]
+        assert os.listdir(out_dir) == ["blocker"]

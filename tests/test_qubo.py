@@ -1,10 +1,14 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dualris import qubo
 from dualris.channels import ComplexGain, OpticalParams, RfParams
+from dualris.experiments import build_channel_state
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights
 from dualris.qubo import (
     ExactObjective,
@@ -15,10 +19,11 @@ from dualris.qubo import (
     eval_quadratic,
     expansion_error,
     export_qubo,
+    format_qubo,
     load_qubo,
 )
 from dualris.ris import ChannelState, RisConfig, bits_to_levels, decode_phases
-from dualris.solvers import brute_force
+from dualris.solvers import SolverConfig, brute_force, simulated_annealing, tabu_search
 
 OPT = OpticalParams()
 RF = RfParams()
@@ -44,6 +49,36 @@ def make_instance(seed=0, n=3, bq=2, bc=2, amp=0.25, psi_spread=2 * math.pi):
                       h_ref_sq=1.0 / rng.uniform(30, 60),
                       rf_gain_offset_db=snr_offset_db(12.6))
     return state, cal, cfg
+
+
+def random_model(rng, dim, n_pairs, values=None):
+    """A QuboModel with n_pairs distinct (i < j) pairs in random order."""
+    draw = values if values is not None else (lambda k: rng.normal(size=k))
+    i_all, j_all = np.triu_indices(dim, 1)
+    pick = rng.permutation(len(i_all))[:n_pairs]
+    return QuboModel(dim=dim, linear=draw(dim), pair_i=i_all[pick].astype(np.int32),
+                     pair_j=j_all[pick].astype(np.int32), pair_w=draw(len(pick)),
+                     offset=float(draw(1)[0]))
+
+
+def assert_same_model(a, b):
+    assert a.dim == b.dim and a.offset == b.offset
+    for name in ("linear", "pair_i", "pair_j", "pair_w"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@pytest.fixture(scope="module")
+def model_n64(run_config, calibrated, tmp_path_factory):
+    """The 45 deg, N = 64 surrogate of the default run, exported and loaded back."""
+    cal = calibrated["cal"]
+    state, ris_cfg, _ = build_channel_state(run_config, cal, 45.0, 64)
+    built = build_qubo(state, run_config.weights, cal, run_config.optical, run_config.rf,
+                       ris_cfg)
+    path = tmp_path_factory.mktemp("qubo") / "n64.qubo"
+    export_qubo(built, str(path), comments=["dualris surrogate", "elevation_deg 45",
+                                            "n_elements 64"])
+    return built, path, load_qubo(str(path))
 
 
 class TestEvalQuadratic:
@@ -275,6 +310,171 @@ class TestFileRoundTrip:
         path.write_text(f"qubo 3 1 {n_quad} 0.0\n" + body)
         with pytest.raises(ValueError, match="repeated"):
             load_qubo(str(path))
+
+
+    def test_export_bytes_pinned(self, model_n64):
+        built, path, loaded = model_n64
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "d1860db375b320efa25ac5e75562ceba45e3cb944d7b5e73e10a13e826ee6a5b"
+        assert_same_model(loaded, built)
+
+    def test_chunks_join_to_the_file(self, model_n64):
+        built, path, _ = model_n64
+        chunks = list(format_qubo(built, ["dualris surrogate", "elevation_deg 45",
+                                          "n_elements 64"]))
+        assert "".join(chunks).encode() == path.read_bytes()
+        body_lines = [c.count("\n") for c in chunks[1:]]
+        assert max(body_lines) <= qubo._CHUNK_ROWS
+        assert sum(body_lines) == np.count_nonzero(built.linear) + built.pair_w.size
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 9), st.data())
+    @example(0, None)
+    def test_random_models_round_trip(self, tmp_path_factory, dim, data):
+        # bit-exact over the whole float64 range, with comment and blank lines
+        # anywhere after the header
+        if data is None:                               # header-only file
+            model = QuboModel(dim=0, linear=np.zeros(0), pair_i=np.zeros(0, np.int32),
+                              pair_j=np.zeros(0, np.int32), pair_w=np.zeros(0),
+                              offset=-1e300)
+            extras = []
+        else:
+            finite = st.floats(allow_nan=False, allow_infinity=False)
+            n_pairs = data.draw(st.integers(0, dim * (dim - 1) // 2))
+            zero_linear = data.draw(st.booleans())
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            model = random_model(rng, dim, n_pairs, values=lambda k: np.array(
+                data.draw(st.lists(finite, min_size=k, max_size=k)), dtype=float))
+            if zero_linear:
+                model.linear[:] = 0.0
+            model.linear[model.linear == 0.0] = 0.0      # -0.0 is not written
+            extras = data.draw(st.lists(st.tuples(
+                st.integers(0, 10**6), st.sampled_from(["", "   ", "# note", "  # x y z"]))))
+        text = "".join(format_qubo(model, ["random model"]))
+        head, body = text.split("\n", 2)[:2], text.split("\n", 2)[2].splitlines()
+        for pos, extra in extras:
+            body.insert(pos % (len(body) + 1), extra)
+        path = tmp_path_factory.mktemp("rt") / "m.qubo"
+        path.write_text("\n".join(head + body) + "\n")
+        assert_same_model(load_qubo(str(path)), model)
+
+    # one file per rejection; test_repeated_lines_rejected covers the repeats
+    @pytest.mark.parametrize("text,word", [
+        ("0 0 1.0\nqubo 2 1 0 0.0\n", "before the qubo header"),
+        ("# comments only\n\n", "missing"),
+        ("qubo 2 1 0 0.0\nqubo 2 1 0 0.0\n0 0 1.0\n", "repeated qubo header"),
+        ("qubo 2 1 0 0.0\n2 2 1.0\n", "out of range"),
+        ("qubo 2 0 1 0.0\n-1 1 1.0\n", "out of range"),
+        ("qubo 3 0 1 0.0\n2 1 1.0\n", "i < j"),
+        ("qubo 3 2 0 0.0\n0 0 1.0\n", "disagree"),
+        ("qubo 3 0 2 0.0\n0 1 1.0\n", "disagree"),
+        ("qubo 3 1 0 0.0\n0 0\n", "malformed"),
+        ("qubo 3 1 0 0.0\n0 0 1.0 4\n", "malformed"),
+        ("qubo 3 1 0 0.0\n0 0 x\n", "malformed"),
+        ("qubo 3 1 0 0.0\n0 0.5 1.0\n", "malformed"),
+        ("qubo 3 1\n", "malformed"),
+    ])
+    def test_malformed_files_rejected(self, tmp_path, text, word):
+        path = tmp_path / "bad.qubo"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=word):
+            load_qubo(str(path))
+
+    def test_trailing_comment_on_a_triplet_is_ignored(self, tmp_path):
+        path = tmp_path / "note.qubo"
+        path.write_text("qubo 2 1 1 0.5\n0 0 1.5 # linear\n0 1 -2.0  # pair\n")
+        model = load_qubo(str(path))
+        assert model.linear.tolist() == [1.5, 0.0]
+        assert model.pair_w.tolist() == [-2.0]
+
+
+def _loop_adjacency(model):
+    """The neighbour lists as a per-pair loop builds them (reference)."""
+    adj = [[] for _ in range(model.dim)]
+    for i, j, w in zip(model.pair_i.tolist(), model.pair_j.tolist(), model.pair_w.tolist()):
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    return adj
+
+
+def _digest(result):
+    parts = [result.best_bits.tobytes(), float(result.best_value).hex(),
+             str(result.evaluations), repr([(e, float(v).hex()) for e, v in result.trace])]
+    return hashlib.sha256("|".join(map(str, parts)).encode()).hexdigest()
+
+
+class TestQuadraticObjective:
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 24), st.integers(1, 40), st.sampled_from([1, 7, 64, 1 << 20]),
+           st.integers(0, 2**32 - 1))
+    @example(7, 2, 1, 0)
+    @example(7, 3, 1, 0)             # a lone last row joins the block before it
+    def test_batch_equals_inline_reference(self, dim, rows, cap, seed):
+        # small caps force one to many row blocks
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, dim, int(rng.integers(0, dim * (dim - 1) // 2 + 1)))
+        xs = rng.integers(0, 2, size=(rows, dim), dtype=np.uint8)
+        with mock.patch.object(qubo, "_BATCH_ELEMENTS", cap):
+            got = QuadraticObjective(model).batch(xs)
+        xf = xs.astype(float)
+        expected = xf @ model.linear + model.offset
+        if model.pair_w.size:
+            expected = expected + (xf[:, model.pair_i] * xf[:, model.pair_j]
+                                   * model.pair_w).sum(axis=1)
+        assert np.array_equal(got, expected)
+
+    def test_batch_blocks_at_the_default_cap(self):
+        # 32 640 pairs: 100 rows take four blocks of at most 32 rows
+        rng = np.random.default_rng(5)
+        model = random_model(rng, 256, 256 * 255 // 2)
+        xs = rng.integers(0, 2, size=(100, 256), dtype=np.uint8).astype(float)
+        expected = xs @ model.linear + model.offset + (
+            xs[:, model.pair_i] * xs[:, model.pair_j] * model.pair_w).sum(axis=1)
+        assert np.array_equal(QuadraticObjective(model).batch(xs), expected)
+
+    def test_adjacency_matches_loop_reference(self, model_n64):
+        model = model_n64[2]
+        indptr, neighbour, weight = QuadraticObjective(model).adjacency()
+        for i, ref in enumerate(_loop_adjacency(model)):
+            lo, hi = indptr[i], indptr[i + 1]
+            assert list(zip(neighbour[lo:hi].tolist(), weight[lo:hi].tolist())) == ref
+
+    def test_flips_match_loop_reference_exactly(self):
+        # a hand-built model may list a pair twice; both terms reach the sums
+        rng = np.random.default_rng(3)
+        model = random_model(rng, 12, 40)
+        model.pair_i = np.concatenate([model.pair_i, model.pair_i[:5]])
+        model.pair_j = np.concatenate([model.pair_j, model.pair_j[:5]])
+        model.pair_w = np.concatenate([model.pair_w, rng.normal(size=5)])
+        adj = _loop_adjacency(model)
+        walk = QuadraticObjective(model).walk(rng.integers(0, 2, 12, dtype=np.uint8))
+        sums = walk._sums.copy()
+        for i in rng.integers(0, 12, size=300).tolist():
+            step = 1.0 - 2.0 * walk.x[i]
+            for j, w in adj[i]:
+                sums[j] += w * step
+            walk.apply_flip(i)
+            assert np.array_equal(walk._sums, sums)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_solver_results_pinned(self, model_n64, seed):
+        # anneal and tabu on the loaded N = 64 surrogate: bits, value,
+        # evaluation count and trace as pinned before the CSR walk
+        model = model_n64[2]
+        obj = QuadraticObjective(model)
+        anneal = simulated_annealing(obj, model.dim, SolverConfig(
+            kind="anneal", seed=seed, max_iters=20, restarts=1))
+        tabu = tabu_search(obj, model.dim, SolverConfig(
+            kind="tabu", seed=seed, max_iters=40, restarts=2))
+        assert (_digest(anneal), _digest(tabu)) == PINNED_SOLVES[seed]
+
+
+PINNED_SOLVES = {
+    1: ("a3fc8096301e902ff14f19037f453e1b997b2a519ce65ee38fb0c26c475f02af",
+        "ed672a01960e829e011adcd3804f1cbed14994aad01a13b2d75188b56a586700"),
+    2: ("461ebcdc5c8a175556e78eb54e816f87f8b40eabd0516c6689c69b26680bcef4",
+        "9bac76120e542c1b4053f6ffe0947991dcf461ef3d37043524b0c1f9a8717ae7"),
+}
 
 
 class TestWalkConsistency:
