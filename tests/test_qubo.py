@@ -311,7 +311,6 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError, match="repeated"):
             load_qubo(str(path))
 
-
     def test_export_bytes_pinned(self, model_n64):
         built, path, loaded = model_n64
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -351,11 +350,12 @@ class TestFileRoundTrip:
             extras = data.draw(st.lists(st.tuples(
                 st.integers(0, 10**6), st.sampled_from(["", "   ", "# note", "  # x y z"]))))
         text = "".join(format_qubo(model, ["random model"]))
-        head, body = text.split("\n", 2)[:2], text.split("\n", 2)[2].splitlines()
+        comment, header, rest = text.split("\n", 2)
+        body = rest.splitlines()
         for pos, extra in extras:
             body.insert(pos % (len(body) + 1), extra)
         path = tmp_path_factory.mktemp("rt") / "m.qubo"
-        path.write_text("\n".join(head + body) + "\n")
+        path.write_text("\n".join([comment, header] + body) + "\n")
         assert_same_model(load_qubo(str(path)), model)
 
     # one file per rejection; test_repeated_lines_rejected covers the repeats
