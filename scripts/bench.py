@@ -25,14 +25,22 @@ code that was measured, because a commit cannot hold its own hash. It holds:
     sha256 and the commit that run.py recorded, followed by
     " + uncommitted changes" when `git status` lists changes under src/ or
     perfbench/ of a checkout that has git metadata.
-The closing table prints, per workload and metric, the median of the run
-medians of each checkout and, with two checkouts, in how many rounds the
-second was faster than the first.
+Each round also runs the Tier-1 suite of every checkout once, in the same
+alternating order, as `python -m pytest -q --continue-on-collection-errors`
+with src/ on PYTHONPATH and the BLAS thread variables pinned to 1 as run.py
+pins them. The file's tier1 section holds the median, minimum, IQR/median and
+n of its wall time and child CPU time, and per run the passed and failed
+counts from pytest's summary line.
+The closing table prints, per workload and metric and for the Tier-1 wall and
+CPU time, the median of the run medians of each checkout and, with two
+checkouts, in how many rounds the second was faster than the first.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import resource
 import statistics
 import subprocess
@@ -43,6 +51,9 @@ from pathlib import Path
 WORKLOADS = ("reproduce", "solve", "qubo")
 STEP_METRICS = ("op_s", "step1_s", "step2_s", "step3_s")
 METRICS = ("setup_s",) + STEP_METRICS + ("peak_rss_mb",)
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")   # as perfbench/run.py
 
 
 def parse_args(argv):
@@ -92,6 +103,27 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"record": record, "result": result, "wall_s": wall, "cpu_s": cpu}
 
 
+def run_tier1(checkout: Path, position: int) -> dict:
+    """One Tier-1 run: wall and child CPU time and the passed and failed counts."""
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    tail = done.stdout.strip().splitlines()[-1:] or [""]
+    counts = {word: int(k) for k, word in re.findall(r"(\d+) (passed|failed)", tail[0])}
+    if not counts:
+        raise RuntimeError(f"{checkout}: no pytest summary line:\n{done.stdout[-2000:]}"
+                           f"{done.stderr[-2000:]}")
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return {"position_in_round": position, "wall_s": wall, "cpu_s": cpu,
+            "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "summary": tail[0]}
+
+
 def run_entry(run: dict, seed: int, position: int) -> dict:
     rec, res = run["record"], run["result"]
     entry = {"seed": seed, "position_in_round": position, "wall_s": run["wall_s"],
@@ -116,8 +148,8 @@ def commit_label(checkout: Path, recorded: str) -> str:
     return recorded + " + uncommitted changes" if status.stdout.strip() else recorded
 
 
-def bench_file(checkout: Path, runs: dict, args) -> dict:
-    """The BENCH_*.json content of one checkout from its runs per workload."""
+def bench_file(checkout: Path, runs: dict, tier1: list[dict], args) -> dict:
+    """The BENCH_*.json content of one checkout from its runs per workload and Tier-1."""
     first = next(iter(runs.values()))[0]["record"]
     doc = {"command": f"python3 scripts/bench.py --rounds {args.rounds} "
                       f"--seconds {args.seconds:g} --seed {args.seed} CHECKOUT...",
@@ -140,6 +172,10 @@ def bench_file(checkout: Path, runs: dict, args) -> dict:
             "failed": sum(r["result"]["failed"] for r in wl_runs),
             "attempted": sum(r["result"]["attempted"] for r in wl_runs),
             "runs": [r["entry"] for r in wl_runs]}
+    doc["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
+                    "wall_s": summary([r["wall_s"] for r in tier1]),
+                    "cpu_s": summary([r["cpu_s"] for r in tier1]),
+                    "runs": tier1}
     return doc
 
 
@@ -147,6 +183,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = [Path(c).resolve() for c in args.checkouts]
     runs = {c: {w: [] for w in WORKLOADS} for c in checkouts}
+    tier1 = {c: [] for c in checkouts}
     for r in range(args.rounds):
         seed = args.seed + r
         order = checkouts if r % 2 == 0 else checkouts[::-1]
@@ -159,10 +196,15 @@ def main(argv=None) -> int:
                       f"op_s {run['entry']['medians']['op_s']:.4g}  "
                       f"failed {run['entry']['failed']}  wall {run['wall_s']:.1f} s  "
                       f"cpu {run['cpu_s']:.1f} s", flush=True)
+        for position, checkout in enumerate(order):
+            t1 = run_tier1(checkout, position)
+            tier1[checkout].append(t1)
+            print(f"round {r} {'tier1':<9} {checkout.name:<20} {t1['summary']}  "
+                  f"wall {t1['wall_s']:.1f} s  cpu {t1['cpu_s']:.1f} s", flush=True)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    docs = {c: bench_file(c, runs[c], args) for c in checkouts}
+    docs = {c: bench_file(c, runs[c], tier1[c], args) for c in checkouts}
     for c, doc in docs.items():
         path = out_dir / f"BENCH_{doc['source_sha256'][:12]}.json"
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -171,16 +213,18 @@ def main(argv=None) -> int:
     print(f"\n{'workload':<10} {'metric':<12} " + " ".join(
         f"{doc['source_sha256'][:12]:>14}" for doc in docs.values())
           + ("  wins of 2nd" if len(docs) == 2 else ""))
-    for workload in WORKLOADS:
-        for name in METRICS:
-            per = [[e["medians"][name] for e in doc["workloads"][workload]["runs"]]
-                   for doc in docs.values()]
-            line = f"{workload:<10} {name:<12} " + " ".join(
-                f"{statistics.median(v):>14.5g}" for v in per)
-            if len(per) == 2:
-                wins = sum(b < a for a, b in zip(*per))
-                line += f"  {wins}/{len(per[0])}"
-            print(line)
+    rows = [(workload, name, [[e["medians"][name] for e in doc["workloads"][workload]["runs"]]
+                              for doc in docs.values()])
+            for workload in WORKLOADS for name in METRICS]
+    rows += [("tier1", name, [[e[name] for e in doc["tier1"]["runs"]] for doc in docs.values()])
+             for name in ("wall_s", "cpu_s")]
+    for workload, name, per in rows:
+        line = f"{workload:<10} {name:<12} " + " ".join(
+            f"{statistics.median(v):>14.5g}" for v in per)
+        if len(per) == 2:
+            wins = sum(b < a for a, b in zip(*per))
+            line += f"  {wins}/{len(per[0])}"
+        print(line)
     return 0
 
 

@@ -36,7 +36,7 @@ from .experiments import (
 )
 from .geometry import GeometryParams
 from .metrics import QBER_SECURITY_THRESHOLD, Calibration, CostWeights
-from .qubo import build_qubo, format_qubo
+from .qubo import QUBO_MAX_PAIRS, build_qubo, format_qubo, qubo_pairs
 from .ris import RisConfig
 from .solvers import BRUTE_FORCE_MAX_BITS, SolverConfig, min_qber, trace_csv_lines
 
@@ -275,14 +275,19 @@ def _bad_number(opts: dict) -> str | None:
     return None
 
 
-def _brute_force_problem(cfg: RunConfig, command: str, n: int | None) -> str | None:
-    """Why the command would brute-force more bits than the cap, or None."""
+def _size_problem(cfg: RunConfig, command: str, n: int | None) -> str | None:
+    """Why the command would exceed the brute-force bit cap or the QUBO pair cap, or None."""
     n = {"sweep": max(cfg.sweep.ris_sizes), "histogram": cfg.ris.n_elements,
-         "optimize": n, "link-budget": n}.get(command, 0)
-    bits = n * (cfg.ris.bits_quantum + cfg.ris.bits_classical)
-    if cfg.solver.kind == "brute" and bits > BRUTE_FORCE_MAX_BITS:
+         "optimize": n, "link-budget": n, "qubo-export": n}.get(command, 0)
+    bq, bc = cfg.ris.bits_quantum, cfg.ris.bits_classical
+    bits, pairs = n * (bq + bc), qubo_pairs(n, bq, bc)
+    if command != "qubo-export" and cfg.solver.kind == "brute" and bits > BRUTE_FORCE_MAX_BITS:
         return (f"solver kind 'brute' refuses N = {n}: {bits} bits exceed its cap of "
                 f"{BRUTE_FORCE_MAX_BITS}")
+    if (command == "qubo-export" or cfg.solver.objective == "quadratic") \
+            and pairs > QUBO_MAX_PAIRS:
+        return (f"the QUBO surrogate refuses N = {n}: {pairs} pairs exceed its cap of "
+                f"{QUBO_MAX_PAIRS}")
     return None
 
 
@@ -308,7 +313,7 @@ def run_cli(argv=None) -> int:
         print(f"argument error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
     problem = histogram_problem(cfg.ris) if args.command == "histogram" else None
-    problem = problem or _brute_force_problem(cfg, args.command, getattr(args, "n", None))
+    problem = problem or _size_problem(cfg, args.command, getattr(args, "n", None))
     if problem:
         print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG

@@ -31,11 +31,16 @@ from .metrics import (
     resolve_weights,
     snr,
 )
-from .ris import (QUANTUM, CLASSICAL, ChannelState, PhaseConfig, RisConfig, bits_to_levels,
-                  levels_to_bits)
+from .ris import ChannelState, PhaseConfig, RisConfig, bits_to_levels, levels_to_bits
 
 _TWO_PI = 2.0 * math.pi
 _BATCH_ELEMENTS = 1 << 20     # cap on one (rows, pairs) temporary of QuadraticObjective.batch
+QUBO_MAX_PAIRS = 1 << 23      # build_qubo's cap; N = 1024 at 2 + 2 bits has 4.2M pairs
+
+
+def qubo_pairs(n: int, bits_q: int, bits_c: int) -> int:
+    """Pair count of the surrogate before exact zeros drop: C(N b_Q, 2) + C(N b_C, 2)."""
+    return math.comb(n * bits_q, 2) + math.comb(n * bits_c, 2)
 
 
 @dataclass
@@ -54,13 +59,6 @@ class QuboModel:
     pair_w: np.ndarray
     offset: float
     n_elements: int = 0          # of a built model (perfbench's tracer reads it); 0 when loaded
-
-    def quad_matrix(self) -> np.ndarray:
-        """Dense symmetric Q (zero diagonal)."""
-        q = np.zeros((self.dim, self.dim))
-        q[self.pair_i, self.pair_j] = self.pair_w / 2.0
-        q[self.pair_j, self.pair_i] = self.pair_w / 2.0
-        return q
 
 
 @dataclass(frozen=True)
@@ -114,10 +112,18 @@ class ExactObjective:
     def qber_from_total(self, tq_abs: float) -> float:
         return field_gain_qber(tq_abs, self.direct_amp, self.eps_base, self.p_dark)
 
-    def cost_from_totals(self, tq: complex, tc: complex) -> float:
-        eps = self.qber_from_total(abs(tq))
+    def quantum_term(self, tq: complex) -> float:
+        """alpha * QBER(|T_Q|): the optical band's share of the cost."""
+        return self.alpha * field_gain_qber(abs(tq), self.direct_amp, self.eps_base, self.p_dark)
+
+    def classical_term(self, tc: complex) -> float:
+        """-beta * log2(1 + kappa |T_C|^2): the RF band's share of the cost."""
         gamma = self.snr_coeff * (tc.real * tc.real + tc.imag * tc.imag)
-        return self.alpha * eps - self.beta * math.log2(1.0 + gamma)
+        return -self.beta * math.log2(1.0 + gamma)
+
+    def cost_from_totals(self, tq: complex, tc: complex) -> float:
+        # a + (-b) is bitwise a - b, so the sum is the one cost formula
+        return self.quantum_term(tq) + self.classical_term(tc)
 
     # -- bit-vector evaluation --------------------------------------------
 
@@ -159,46 +165,65 @@ class ExactObjective:
         return ObjectiveWalk(self, x)
 
 
+def _flip_table(obj: ExactObjective) -> tuple[list[complex], list[int], list[int],
+                                               list[int], list[int]]:
+    """Flip deltas of the band totals, and per bit i its base, element, band and mask.
+
+    table[base[i] + l] = u_n (phasor[l ^ mask[i]] - phasor[l]) is what flipping
+    bit i adds to its band's total (band[i] 0 quantum, 1 classical) when its
+    element sits at level l; elem[i] indexes the element in a walk's level
+    list, quantum first. The product is taken with real ufuncs: they round like
+    the scalar complex product, and numpy's vectorized complex product may not.
+    """
+    table, base, elem, band, mask = [], [], [], [], []
+    for b, (u, phasor, bits) in enumerate(((obj.uq, obj._phasor_q, obj.bq),
+                                           (obj.uc, obj._phasor_c, obj.bc))):
+        k = len(phasor)
+        d = phasor[np.arange(k) ^ (1 << np.arange(bits))[:, None]] - phasor   # (bit, level)
+        ur, ui = u.real[:, None, None], u.imag[:, None, None]
+        delta = np.empty((obj.n, bits, k), complex)
+        delta.real, delta.imag = ur * d.real - ui * d.imag, ur * d.imag + ui * d.real
+        base += range(len(table), len(table) + delta.size, k)
+        table += delta.ravel().tolist()
+        elem += [e for e in range(b * obj.n, (b + 1) * obj.n) for _ in range(bits)]
+        band += [b] * (obj.n * bits)
+        mask += [1 << j for j in range(bits)] * obj.n
+    return table, base, elem, band, mask
+
+
 class ObjectiveWalk:
-    """Mutable evaluation state supporting O(1) single-bit flips."""
+    """Mutable evaluation state with O(1) single-bit flips.
+
+    A flip changes one band's total, so it rescores only that band's term
+    (quantum_term or classical_term) and adds the other band's cached term.
+    Levels, totals, terms and the per-walk _flip_table are Python objects.
+    """
 
     def __init__(self, obj: ExactObjective, x: np.ndarray):
         self.obj = obj
         self.x = np.array(x, dtype=np.uint8, copy=True)
-        self.levels_q, self.levels_c = obj.levels_of(self.x)
-        self.tq, self.tc = obj.totals_of(self.x)
-        self.value = obj.cost_from_totals(self.tq, self.tc)
-
-    def _flip_parts(self, i: int) -> tuple[str, int, int, complex]:
-        obj = self.obj
-        split = obj.n * obj.bq
-        if i < split:
-            n, k = divmod(i, obj.bq)
-            new_level = self.levels_q[n] ^ (1 << k)
-            delta = obj.uq[n] * (obj._phasor_q[new_level] - obj._phasor_q[self.levels_q[n]])
-            return (QUANTUM, n, new_level, delta)
-        n, k = divmod(i - split, obj.bc)
-        new_level = self.levels_c[n] ^ (1 << k)
-        delta = obj.uc[n] * (obj._phasor_c[new_level] - obj._phasor_c[self.levels_c[n]])
-        return (CLASSICAL, n, new_level, delta)
+        self._x = memoryview(self.x)          # flips x without numpy scalar overhead
+        levels_q, levels_c = obj.levels_of(self.x)
+        self._levels = levels_q.tolist() + levels_c.tolist()
+        self._totals = list(obj.totals_of(self.x))
+        self._score = (obj.quantum_term, obj.classical_term)
+        self._terms = [score(t) for score, t in zip(self._score, self._totals)]
+        self.value = self._terms[0] + self._terms[1]
+        self._table, self._base, self._elem, self._band, self._mask = _flip_table(obj)
 
     def peek_flip(self, i: int) -> float:
         """Objective value if bit i were flipped; no state change."""
-        band, _, _, delta = self._flip_parts(i)
-        if band == QUANTUM:
-            return self.obj.cost_from_totals(self.tq + delta, self.tc)
-        return self.obj.cost_from_totals(self.tq, self.tc + delta)
+        b = self._band[i]
+        t = self._totals[b] + self._table[self._base[i] + self._levels[self._elem[i]]]
+        return self._score[b](t) + self._terms[1 - b]
 
     def apply_flip(self, i: int) -> None:
-        band, n, new_level, delta = self._flip_parts(i)
-        if band == QUANTUM:
-            self.tq += delta
-            self.levels_q[n] = new_level
-        else:
-            self.tc += delta
-            self.levels_c[n] = new_level
-        self.x[i] ^= 1
-        self.value = self.obj.cost_from_totals(self.tq, self.tc)
+        b, e = self._band[i], self._elem[i]
+        self._totals[b] += self._table[self._base[i] + self._levels[e]]
+        self._terms[b] = self._score[b](self._totals[b])
+        self._levels[e] ^= self._mask[i]
+        self._x[i] ^= 1
+        self.value = self._terms[0] + self._terms[1]
 
 
 def eval_exact(state: ChannelState, weights: CostWeights, cal: Calibration,
@@ -243,7 +268,11 @@ def build_qubo(state: ChannelState, weights: CostWeights, cal: Calibration,
     The QBER map (a function of |H_Q_tot|^2) and the log-SNR map are replaced
     by first-order affine surrogates at the expansion point, so the model
     reproduces the exact objective there and stays quadratic everywhere.
+    Refuses a model of more than QUBO_MAX_PAIRS pairs before allocating it.
     """
+    pairs = qubo_pairs(cfg.n_elements, cfg.bits_quantum, cfg.bits_classical)
+    if pairs > QUBO_MAX_PAIRS:
+        raise ValueError(f"QUBO build refused: {pairs} pairs exceed the cap of {QUBO_MAX_PAIRS}")
     obj = ExactObjective(state, weights, cal, optical, rf, cfg)
     bits0 = np.zeros(cfg.bits_total, np.uint8) if expansion_point is None else expansion_point.bits
     levels0_q, levels0_c = obj.levels_of(bits0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import QBER_SECURITY_THRESHOLD, field_gain_qber
+from .metrics import QBER_SECURITY_THRESHOLD
 from .qubo import ExactObjective
 from .ris import levels_to_bits
 
@@ -155,20 +155,21 @@ def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
         return brute_force(objective, 0)
     for _ in range(cfg.restarts):
         x0 = rng.integers(0, 2, size=dim, dtype=np.uint8)
+        # the probes' batch temporaries are freed before the walk builds its table
+        temp = cfg.initial_temp if cfg.initial_temp else _auto_temperature(objective, dim, rng)
         walk = objective.walk(x0)
         evaluations += 1
         if best.offer(walk.value, walk.x):
             trace.append((evaluations, best.value))
-        temp = cfg.initial_temp if cfg.initial_temp else _auto_temperature(objective, dim, rng)
         for _ in range(cfg.max_iters):
             flips = rng.integers(0, dim, size=dim)
             accept_draws = rng.random(dim)
-            for i, draw in zip(flips, accept_draws):
-                cand = walk.peek_flip(int(i))
+            for i, draw in zip(flips.tolist(), accept_draws.tolist()):
+                cand = walk.peek_flip(i)
                 evaluations += 1
                 delta = cand - walk.value
                 if delta <= 0.0 or draw < math.exp(-delta / temp):
-                    walk.apply_flip(int(i))
+                    walk.apply_flip(i)
                     if best.offer(walk.value, walk.x):
                         trace.append((evaluations, best.value))
             temp *= cfg.cooling_rate
@@ -194,7 +195,7 @@ def tabu_search(objective, dim: int, cfg: SolverConfig) -> SolverResult:
         evaluations += 1
         if best.offer(walk.value, walk.x):
             trace.append((evaluations, best.value))
-        last_flip = np.full(dim, -10**9, dtype=np.int64)
+        last_flip = [-10**9] * dim
         for it in range(cfg.max_iters):
             chosen = -1
             chosen_val = math.inf
@@ -226,37 +227,31 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     """Element-wise exact descent over all joint per-element phase options.
 
     Requires the exact objective (needs the per-element channel structure).
-    Sweeps elements in index order from the all-zero configuration; for each
-    element all 2^b_Q * 2^b_C joint phase pairs are scored exactly (the cost
-    splits exactly into a quantum and a classical term, so the 16 joint values
-    are sums of 4 + 4 band terms) and the best is kept. Stops when a full
-    sweep makes no change or after max_iters sweeps.
+    Sweeps elements in index order from the all-zero configuration. The cost
+    is a quantum term plus a classical term, so the best of the 2^b_Q * 2^b_C
+    joint phase pairs of an element pairs the first strict argmin of its
+    2^b_Q quantum terms with that of its 2^b_C classical terms, both in
+    _lex_level_order; evaluations still counts every joint pair. Stops when
+    a full sweep makes no change or after max_iters sweeps.
     """
     if not isinstance(objective, ExactObjective):
         raise TypeError("block coordinate descent needs the exact objective")
     obj = objective
-    evaluations = 0
     if obj.dim == 0:
         return brute_force(obj, 0)
 
-    # local names: every candidate level goes through these in the inner loop
-    log2, qber = math.log2, field_gain_qber
-    alpha, beta, kappa = obj.alpha, obj.beta, obj.snr_coeff
-    direct, eps_base, pd = obj.direct_amp, obj.eps_base, obj.p_dark
-    order_q = _lex_level_order(obj.bq)
-    order_c = _lex_level_order(obj.bc)
+    qterm, cterm = obj.quantum_term, obj.classical_term
+    order_q, order_c = _lex_level_order(obj.bq), _lex_level_order(obj.bc)
+    joint = len(order_q) * len(order_c)
     # per-element candidate contributions, fixed for the whole run
-    cand_q = [list(row) for row in obj.uq[:, None] * obj._phasor_q[None, :]]
-    cand_c = [list(row) for row in obj.uc[:, None] * obj._phasor_c[None, :]]
+    cand_q = (obj.uq[:, None] * obj._phasor_q[None, :]).tolist()
+    cand_c = (obj.uc[:, None] * obj._phasor_c[None, :]).tolist()
 
-    levels_q = [0] * obj.n
-    levels_c = [0] * obj.n
+    levels_q, levels_c = [0] * obj.n, [0] * obj.n
     tq = obj.h0q + sum(row[0] for row in cand_q)
     tc = obj.h0c + sum(row[0] for row in cand_c)
-
-    eps = qber(abs(tq), direct, eps_base, pd)
-    value = alpha * eps - beta * log2(1.0 + kappa * (tc.real**2 + tc.imag**2))
-    evaluations += 1
+    value = qterm(tq) + cterm(tc)
+    evaluations = 1
     trace: list[tuple[int, float]] = [(evaluations, value)]
 
     for _ in range(cfg.max_iters):
@@ -264,32 +259,17 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
         for n in range(obj.n):
             row_q, row_c = cand_q[n], cand_c[n]
             lq_cur, lc_cur = levels_q[n], levels_c[n]
-            base_tq = tq - row_q[lq_cur]
-            base_tc = tc - row_c[lc_cur]
-            pick_val = math.inf
-            pick_q = lq_cur
-            pick_c = lc_cur
-            eps_terms = []
-            for lq in order_q:
-                t = base_tq + row_q[lq]
-                eps_terms.append((alpha * qber(abs(t), direct, eps_base, pd), lq))
-            log_terms = []
-            for lc in order_c:
-                t = base_tc + row_c[lc]
-                log_terms.append((-beta * log2(1.0 + kappa * (t.real**2 + t.imag**2)), lc))
-            for eq, lq in eps_terms:        # lexicographic candidate order
-                for ec, lc in log_terms:
-                    evaluations += 1
-                    val = eq + ec
-                    if val < pick_val:
-                        pick_val = val
-                        pick_q, pick_c = lq, lc
+            base_tq, base_tc = tq - row_q[lq_cur], tc - row_c[lc_cur]
+            eps_terms = [qterm(base_tq + row_q[lq]) for lq in order_q]
+            log_terms = [cterm(base_tc + row_c[lc]) for lc in order_c]
+            eq, ec = min(eps_terms), min(log_terms)      # min keeps the first of equals
+            pick_q, pick_c = order_q[eps_terms.index(eq)], order_c[log_terms.index(ec)]
+            pick_val = eq + ec
+            evaluations += joint
             # require a real improvement: re-summed totals carry float dust
             if value - pick_val > 1e-12 * abs(value) and (pick_q, pick_c) != (lq_cur, lc_cur):
-                tq = base_tq + row_q[pick_q]
-                tc = base_tc + row_c[pick_c]
-                levels_q[n] = pick_q
-                levels_c[n] = pick_c
+                tq, tc = base_tq + row_q[pick_q], base_tc + row_c[pick_c]
+                levels_q[n], levels_c[n] = pick_q, pick_c
                 value = pick_val
                 changed = True
                 trace.append((evaluations, value))

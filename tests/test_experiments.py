@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualris import cli
 from dualris.cli import (
     ConfigError,
     EXIT_CALIBRATION,
@@ -443,6 +444,43 @@ class TestCli:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["edge.ini"]
+
+    QUADRATIC = "[solver]\nkind = anneal\nobjective = quadratic\n"
+
+    @pytest.mark.parametrize("ini,argv", [
+        ("", ["qubo-export", "--n", "4096"]),
+        ("[ris]\nbits_classical = 4\n", ["qubo-export", "--n", "1024"]),
+        (QUADRATIC, ["optimize", "--elevation", "45", "--n", "2048"]),
+        (QUADRATIC, ["link-budget", "--elevation", "45", "--n", "2048"]),
+        (QUADRATIC + "[sweep]\nris_sizes = 0,2048\n", ["sweep"]),
+        (QUADRATIC + "[ris]\nn_elements = 2048\n", ["histogram"]),
+    ])
+    def test_qubo_pair_cap_exits_config(self, tmp_path, capsys, monkeypatch, ini, argv):
+        # refused from (N, b_Q, b_C) alone: neither calibration nor the build runs
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the pair cap must refuse before this call")
+
+        for name in ("calibrate", "build_qubo"):
+            monkeypatch.setattr(f"dualris.cli.{name}", unreachable)
+        monkeypatch.setattr("dualris.experiments.build_qubo", unreachable)
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n" + ini)
+        assert run_cli(["--config", str(cfg)] + argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the QUBO surrogate refuses")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["big.ini"]
+
+    @pytest.mark.parametrize("objective,command,n,refused", [
+        ("quadratic", "qubo-export", 1024, False),     # 4.2M pairs fit under the cap
+        ("quadratic", "optimize", 1024, False),
+        ("exact", "optimize", 4096, False),            # no QUBO is built
+        ("exact", "calibrate", 4096, False),
+        ("exact", "qubo-export", 2048, True),
+    ])
+    def test_qubo_pair_cap_boundary(self, objective, command, n, refused):
+        cfg = RunConfig(solver=SolverConfig(kind="anneal", objective=objective))
+        assert (cli._size_problem(cfg, command, n) is not None) == refused
 
     def test_qubo_export_roundtrip(self, tmp_path):
         cfg = tmp_path / "q.ini"

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dualris import qubo
 from dualris.channels import ComplexGain, OpticalParams, RfParams
-from dualris.experiments import build_channel_state
+from dualris.experiments import RunConfig, build_channel_state
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights
 from dualris.qubo import (
     ExactObjective,
@@ -23,7 +23,9 @@ from dualris.qubo import (
     load_qubo,
 )
 from dualris.ris import ChannelState, RisConfig, bits_to_levels, decode_phases
-from dualris.solvers import SolverConfig, brute_force, simulated_annealing, tabu_search
+from dualris.solvers import (SolverConfig, block_coordinate_descent, brute_force,
+                             simulated_annealing, tabu_search)
+from perfbench import workloads
 
 OPT = OpticalParams()
 RF = RfParams()
@@ -134,6 +136,8 @@ class TestBuildQubo:
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
            st.integers(0, 10**6))
     @example(3, 3, 3, 0)
+    @example(3, 3, 2, 128043)        # gaps above the old absolute bound of 1e-15
+    @example(3, 3, 1, 30900)
     def test_matches_independent_taylor_expansion(self, n, bq, bc, seed):
         # recompute the surrogate from the raw pairwise cosine Taylor formulas
         # about a random expansion point and compare on every bit vector
@@ -163,6 +167,11 @@ class TestBuildQubo:
         gamma0 = obj.snr_coeff * pc0
         dlog = obj.snr_coeff / ((1 + gamma0) * math.log(2))
         f0 = obj.alpha * obj.qber_from_total(math.sqrt(pq0)) - obj.beta * math.log2(1 + gamma0)
+        # both sides round relative to the model's terms, which cancel to the
+        # value: bound the gap by a few ulp of the largest sum of |terms|
+        magnitude = QuadraticObjective(QuboModel(
+            model.dim, np.abs(model.linear), model.pair_i, model.pair_j,
+            np.abs(model.pair_w), abs(model.offset)))
 
         for start in range(0, 1 << cfg.bits_total, 4096):
             codes = np.arange(start, min(start + 4096, 1 << cfg.bits_total))
@@ -174,7 +183,7 @@ class TestBuildQubo:
                                     (2 * math.pi / (1 << bc)) * lc)
             expected = f0 + obj.alpha * deps * (pq - pq0) - obj.beta * dlog * (pcl - pc0)
             got = QuadraticObjective(model).batch(xs)
-            assert np.abs(got - expected).max() <= 1e-15
+            assert np.abs(got - expected).max() <= 32 * np.spacing(magnitude.batch(xs).max())
 
     def test_pairs_are_the_within_band_upper_triangles(self):
         state, cal, cfg = make_instance(seed=11, n=4, bq=2, bc=3)
@@ -208,12 +217,13 @@ class TestBuildQubo:
         exact = eval_exact(state, w, cal, OPT, RF, cfg, x0)
         assert eval_quadratic(model, x0) == pytest.approx(exact, rel=1e-9)
 
-    def test_quad_matrix_symmetric_zero_diagonal(self):
-        state, cal, cfg = make_instance(seed=5, n=3)
-        model = build_qubo(state, CostWeights(), cal, OPT, RF, cfg)
-        q = model.quad_matrix()
-        assert np.array_equal(q, q.T)
-        assert not q.diagonal().any()
+    def test_pair_cap_refuses_before_allocating(self):
+        # the state is never read: the cap is checked from the RIS config alone
+        big = RisConfig(n_elements=2048, bits_quantum=2, bits_classical=2)
+        assert qubo.qubo_pairs(2048, 2, 2) == 2 * (4096 * 4095 // 2) > qubo.QUBO_MAX_PAIRS
+        with pytest.raises(ValueError, match="pairs exceed the cap"):
+            build_qubo(None, CostWeights(), None, OPT, RF, big)
+        assert qubo.qubo_pairs(1024, 2, 2) == 4192256 <= qubo.QUBO_MAX_PAIRS
 
     def test_relabeling_invariance(self):
         # permuting elements and inverse-permuting the bits leaves both
@@ -489,7 +499,7 @@ class TestWalkConsistency:
             i = int(rng.integers(cfg.bits_total))
             peek = walk.peek_flip(i)
             walk.apply_flip(i)
-            assert walk.value == pytest.approx(peek, rel=1e-12)
+            assert walk.value == peek
             assert walk.value == pytest.approx(obj.value(walk.x), rel=1e-10)
 
     def test_quadratic_walk_matches_fresh_evaluation(self):
@@ -502,5 +512,66 @@ class TestWalkConsistency:
             i = int(rng.integers(cfg.bits_total))
             peek = walk.peek_flip(i)
             walk.apply_flip(i)
-            assert walk.value == pytest.approx(peek, rel=1e-12)
+            assert walk.value == peek
             assert walk.value == pytest.approx(obj.value(walk.x), abs=1e-9)
+
+    @pytest.mark.parametrize("n,bq,bc", [(5, 2, 3), (4, 3, 1)])
+    def test_flip_table_entries_are_the_scalar_deltas(self, n, bq, bc):
+        state, cal, cfg = make_instance(seed=4, n=n, bq=bq, bc=bc)
+        self.check_flip_table(ExactObjective(state, CostWeights(), cal, OPT, RF, cfg))
+
+    def test_flip_table_entries_at_a_benchmark_state(self):
+        cfg = RunConfig(seed=workloads.STATE_SEED)
+        state, ris_cfg, _ = build_channel_state(cfg, workloads.pinned_calibration(), 45.0, 512)
+        self.check_flip_table(ExactObjective(state, cfg.weights, workloads.pinned_calibration(),
+                                             cfg.optical, cfg.rf, ris_cfg))
+
+    @staticmethod
+    def check_flip_table(obj):
+        # each entry equals the numpy scalar product u_n (phasor[new] - phasor[old])
+        table, base, elem, band, mask = qubo._flip_table(obj)
+        bands = [(obj.uq, obj._phasor_q, obj.bq), (obj.uc, obj._phasor_c, obj.bc)]
+        bits = [(b, n, k) for b, (_, _, width) in enumerate(bands)
+                for n in range(obj.n) for k in range(width)]
+        assert len(base) == len(elem) == len(band) == len(mask) == obj.dim == len(bits)
+        for i, (b, n, k) in enumerate(bits):
+            u, phasor, _ = bands[b]
+            assert (band[i], elem[i], mask[i]) == (b, b * obj.n + n, 1 << k)
+            for old in range(len(phasor)):
+                expected = u[n] * (phasor[old ^ mask[i]] - phasor[old])
+                got = table[base[i] + old]
+                assert (got.real, got.imag) == (expected.real, expected.imag)
+                assert type(got) is complex
+
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_solver_results_pinned_at_benchmark_states(self, n):
+        # bcd, anneal and tabu at 45 deg with the solve workload's budgets:
+        # bits, value, evaluation count and trace as pinned before the
+        # single-band flip kernel and the per-band coordinate step
+        cfg = RunConfig(seed=workloads.STATE_SEED)
+        state, ris_cfg, _ = build_channel_state(cfg, workloads.pinned_calibration(), 45.0, n)
+        obj = ExactObjective(state, cfg.weights, workloads.pinned_calibration(), cfg.optical,
+                             cfg.rf, ris_cfg)
+        (sweeps, restarts), (moves, tabu_restarts) = (workloads.ANNEAL_BUDGET[n],
+                                                      workloads.TABU_BUDGET[n])
+        got = {"bcd": _digest(block_coordinate_descent(obj, SolverConfig(kind="bcd")))}
+        for seed in (1, 2):
+            got[f"anneal {seed}"] = _digest(simulated_annealing(obj, obj.dim, SolverConfig(
+                kind="anneal", seed=seed, max_iters=sweeps, restarts=restarts)))
+            got[f"tabu {seed}"] = _digest(tabu_search(obj, obj.dim, SolverConfig(
+                kind="tabu", seed=seed, max_iters=moves, restarts=tabu_restarts)))
+        assert got == PINNED_BENCHMARK_SOLVES[n]
+
+
+PINNED_BENCHMARK_SOLVES = {
+    128: {"bcd": "1a4c65698b371e24d49af7996f74822df4e13ae67e7abd79916f107a572a7968",
+          "anneal 1": "319b467ee9408837baed2a58234637db189c404e1e5a60ccdb694f886b7a75a9",
+          "tabu 1": "ea463fbea751dc9fff0720d452af38537d6fcb3ad56b8d3c623aee7f15f51270",
+          "anneal 2": "a0cb42f83d03c169ff1cca97d367c9b8a29ec1e3cd27172b8bfcc690d501477b",
+          "tabu 2": "c8574693ea85ac1e034b72747d0cffdd635c880048852a40f65f2fe5259ebc10"},
+    512: {"bcd": "8d5dbf722dd9c4f38585f2e6802aec5c1878b4cfda430f3da39382058558b5e4",
+          "anneal 1": "4ca762d54cadb79af4bf6d4e0410296a658c690cbf45f8a20eaf32d07930c822",
+          "tabu 1": "a4c9741b5d3fd55882a350a5409b52d7ae41bc913135c6ffbfc5a5e77be6d94e",
+          "anneal 2": "cbdca5144718e6f9169e12a79d85cfa885d080de143f084df57872fd91b62d26",
+          "tabu 2": "7b8fceaaa052fa3580827a4ad5052cb0c32b782c7c74124f5e18958c752e7970"},
+}

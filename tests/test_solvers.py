@@ -10,7 +10,7 @@ from dualris.channels import ComplexGain, OpticalParams, RfParams
 from dualris.experiments import RunConfig, build_channel_state
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights, field_gain_qber_array
 from dualris.qubo import ExactObjective, QuadraticObjective, QuboModel
-from dualris.ris import ChannelState, RisConfig, bits_to_levels
+from dualris.ris import ChannelState, RisConfig, bits_to_levels, levels_to_bits
 from dualris.solvers import (
     SolverConfig,
     band_sweep,
@@ -184,6 +184,52 @@ class TestBcd:
         with pytest.raises(TypeError):
             block_coordinate_descent(QuadraticObjective(linear_model([1.0])),
                                      SolverConfig(kind="bcd"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from([0.3, 1.0]), st.integers(0, 2**32 - 1))
+    def test_band_split_equals_the_joint_scan(self, n, bq, bc, amp_hi, seed):
+        # amp_hi = 1.0 reaches the QBER clamp, where many quantum terms tie
+        obj, cfg = random_instance(seed, n, amp_hi=amp_hi, bits=(bq, bc))
+        result = block_coordinate_descent(obj, SolverConfig(kind="bcd", max_iters=50))
+        bits, evaluations, trace = joint_scan_bcd(obj, 50)
+        assert np.array_equal(result.best_bits, bits)
+        assert (result.evaluations, result.trace) == (evaluations, trace)
+        assert result.best_value == obj.value(bits)
+
+
+def joint_scan_bcd(obj, max_iters):
+    """Coordinate descent that scores all 2^b_Q * 2^b_C level pairs of each element
+    and keeps the first strict minimum in lexicographic bit order."""
+    def lex(bits):
+        return sorted(range(1 << bits), key=lambda l: [(l >> k) & 1 for k in range(bits)])
+
+    cand_q = (obj.uq[:, None] * obj._phasor_q[None, :]).tolist()
+    cand_c = (obj.uc[:, None] * obj._phasor_c[None, :]).tolist()
+    lq, lc = [0] * obj.n, [0] * obj.n
+    tq = obj.h0q + sum(row[0] for row in cand_q)
+    tc = obj.h0c + sum(row[0] for row in cand_c)
+    value = obj.cost_from_totals(tq, tc)
+    evaluations, trace = 1, [(1, value)]
+    for _ in range(max_iters):
+        changed = False
+        for n in range(obj.n):
+            base_q, base_c = tq - cand_q[n][lq[n]], tc - cand_c[n][lc[n]]
+            best = (math.inf, lq[n], lc[n])
+            for a in lex(obj.bq):
+                for b in lex(obj.bc):
+                    evaluations += 1
+                    val = obj.cost_from_totals(base_q + cand_q[n][a], base_c + cand_c[n][b])
+                    if val < best[0]:
+                        best = (val, a, b)
+            val, a, b = best
+            if value - val > 1e-12 * abs(value) and (a, b) != (lq[n], lc[n]):
+                tq, tc = base_q + cand_q[n][a], base_c + cand_c[n][b]
+                lq[n], lc[n], value, changed = a, b, val, True
+                trace.append((evaluations, value))
+        if not changed:
+            break
+    return levels_to_bits(lq, lc, obj.cfg), evaluations, trace
 
 
 class TestBandSweep:
