@@ -31,9 +31,18 @@ with src/ on PYTHONPATH and the BLAS thread variables pinned to 1 as run.py
 pins them. The file's tier1 section holds the median, minimum, IQR/median and
 n of its wall time and child CPU time, and per run the passed and failed
 counts from pytest's summary line.
-The closing table prints, per workload and metric and for the Tier-1 wall and
-CPU time, the median of the run medians of each checkout and, with two
-checkouts, in how many rounds the second was faster than the first.
+Each round also starts every CLI command of CLI_COMMANDS from a cold process
+CLI_RUNS times per checkout, in the same alternating order, as
+`python -m dualris.cli ...` with the checkout's src/ on PYTHONPATH, the BLAS
+thread variables pinned to 1 and a fresh temporary directory as the working
+directory, which the commands write their files into. The file's cli section
+holds, per command, the median, minimum, IQR/median and n of the wall time
+and of the child CPU time over all of its starts, and each start's round,
+position, wall and CPU time.
+The closing table prints, per workload and metric, for the Tier-1 wall and
+CPU time and for each CLI command's wall and CPU time, the median of the
+per-round medians of each checkout and, with two checkouts, in how many
+rounds the second was faster than the first.
 """
 from __future__ import annotations
 
@@ -45,6 +54,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,6 +64,10 @@ METRICS = ("setup_s",) + STEP_METRICS + ("peak_rss_mb",)
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")   # as perfbench/run.py
+CLI_COMMANDS = ("calibrate", "link-budget --elevation 45 --n 512",
+                "optimize --elevation 45 --n 512", "sweep", "histogram",
+                "qubo-export --n 128")
+CLI_RUNS = 3                     # cold starts per command, checkout and round
 
 
 def parse_args(argv):
@@ -84,44 +98,58 @@ def summary(samples: list[float]) -> dict:
             "n": len(samples)}
 
 
+def timed_child(argv: list[str], cwd: Path, src: Path):
+    """Run argv with src on PYTHONPATH and the BLAS threads pinned.
+
+    Returns the finished process, its wall time and its CPU time.
+    """
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    t0 = time.perf_counter()
+    done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return done, wall, cpu
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One run.py invocation: its run record plus wall and child CPU time."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    t0 = time.perf_counter()
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    wall = time.perf_counter() - t0
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done, wall, cpu = timed_child(cmd, checkout, Path("src"))   # run.py pins the same
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
     path = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     record = json.loads(path.read_text())
-    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     return {"record": record, "result": result, "wall_s": wall, "cpu_s": cpu}
 
 
 def run_tier1(checkout: Path, position: int) -> dict:
     """One Tier-1 run: wall and child CPU time and the passed and failed counts."""
-    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    t0 = time.perf_counter()
-    done = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
-                          capture_output=True, text=True)
-    wall = time.perf_counter() - t0
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done, wall, cpu = timed_child([sys.executable, *TIER1], checkout, Path("src"))
     tail = done.stdout.strip().splitlines()[-1:] or [""]
     counts = {word: int(k) for k, word in re.findall(r"(\d+) (passed|failed)", tail[0])}
     if not counts:
         raise RuntimeError(f"{checkout}: no pytest summary line:\n{done.stdout[-2000:]}"
                            f"{done.stderr[-2000:]}")
-    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     return {"position_in_round": position, "wall_s": wall, "cpu_s": cpu,
             "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
             "summary": tail[0]}
+
+
+def run_cli(checkout: Path, command: str, round_: int, position: int) -> dict:
+    """One cold start of `python -m dualris.cli command` in a fresh directory."""
+    argv = [sys.executable, "-m", "dualris.cli", *command.split()]
+    with tempfile.TemporaryDirectory(prefix="bench-cli-") as tmp:
+        done, wall, cpu = timed_child(argv, Path(tmp), checkout / "src")
+    if done.returncode != 0:
+        raise RuntimeError(f"{checkout}: dualris {command} exited {done.returncode}:\n"
+                           f"{done.stderr[-2000:]}")
+    return {"round": round_, "position_in_round": position, "wall_s": wall, "cpu_s": cpu}
 
 
 def run_entry(run: dict, seed: int, position: int) -> dict:
@@ -148,8 +176,8 @@ def commit_label(checkout: Path, recorded: str) -> str:
     return recorded + " + uncommitted changes" if status.stdout.strip() else recorded
 
 
-def bench_file(checkout: Path, runs: dict, tier1: list[dict], args) -> dict:
-    """The BENCH_*.json content of one checkout from its runs per workload and Tier-1."""
+def bench_file(checkout: Path, runs: dict, tier1: list[dict], cli: dict, args) -> dict:
+    """The BENCH_*.json content of one checkout from its workload, Tier-1 and CLI runs."""
     first = next(iter(runs.values()))[0]["record"]
     doc = {"command": f"python3 scripts/bench.py --rounds {args.rounds} "
                       f"--seconds {args.seconds:g} --seed {args.seed} CHECKOUT...",
@@ -176,7 +204,19 @@ def bench_file(checkout: Path, runs: dict, tier1: list[dict], args) -> dict:
                     "wall_s": summary([r["wall_s"] for r in tier1]),
                     "cpu_s": summary([r["cpu_s"] for r in tier1]),
                     "runs": tier1}
+    doc["cli"] = {"command": "PYTHONPATH=CHECKOUT/src python -m dualris.cli COMMAND",
+                  "runs_per_round": CLI_RUNS,
+                  "commands": {command: {"wall_s": summary([e["wall_s"] for e in starts]),
+                                         "cpu_s": summary([e["cpu_s"] for e in starts]),
+                                         "runs": starts}
+                               for command, starts in cli.items()}}
     return doc
+
+
+def round_medians(entries: list[dict], name: str, rounds: int) -> list[float]:
+    """Per round, the median of the entries' values of name."""
+    return [statistics.median(e[name] for e in entries if e["round"] == r)
+            for r in range(rounds)]
 
 
 def main(argv=None) -> int:
@@ -184,6 +224,7 @@ def main(argv=None) -> int:
     checkouts = [Path(c).resolve() for c in args.checkouts]
     runs = {c: {w: [] for w in WORKLOADS} for c in checkouts}
     tier1 = {c: [] for c in checkouts}
+    cli = {c: {command: [] for command in CLI_COMMANDS} for c in checkouts}
     for r in range(args.rounds):
         seed = args.seed + r
         order = checkouts if r % 2 == 0 else checkouts[::-1]
@@ -201,16 +242,22 @@ def main(argv=None) -> int:
             tier1[checkout].append(t1)
             print(f"round {r} {'tier1':<9} {checkout.name:<20} {t1['summary']}  "
                   f"wall {t1['wall_s']:.1f} s  cpu {t1['cpu_s']:.1f} s", flush=True)
+        for command in CLI_COMMANDS:
+            for position, checkout in enumerate(order):
+                starts = [run_cli(checkout, command, r, position) for _ in range(CLI_RUNS)]
+                cli[checkout][command] += starts
+                print(f"round {r} {'cli':<9} {checkout.name:<20} {command}  wall "
+                      f"{statistics.median(e['wall_s'] for e in starts):.3f} s", flush=True)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    docs = {c: bench_file(c, runs[c], tier1[c], args) for c in checkouts}
+    docs = {c: bench_file(c, runs[c], tier1[c], cli[c], args) for c in checkouts}
     for c, doc in docs.items():
         path = out_dir / f"BENCH_{doc['source_sha256'][:12]}.json"
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path} ({c.name})")
 
-    print(f"\n{'workload':<10} {'metric':<12} " + " ".join(
+    print(f"\n{'workload':<12} {'metric':<12} " + " ".join(
         f"{doc['source_sha256'][:12]:>14}" for doc in docs.values())
           + ("  wins of 2nd" if len(docs) == 2 else ""))
     rows = [(workload, name, [[e["medians"][name] for e in doc["workloads"][workload]["runs"]]
@@ -218,8 +265,12 @@ def main(argv=None) -> int:
             for workload in WORKLOADS for name in METRICS]
     rows += [("tier1", name, [[e[name] for e in doc["tier1"]["runs"]] for doc in docs.values()])
              for name in ("wall_s", "cpu_s")]
+    rows += [(command.split()[0], name,
+              [round_medians(doc["cli"]["commands"][command]["runs"], name, args.rounds)
+               for doc in docs.values()])
+             for command in CLI_COMMANDS for name in ("wall_s", "cpu_s")]
     for workload, name, per in rows:
-        line = f"{workload:<10} {name:<12} " + " ".join(
+        line = f"{workload:<12} {name:<12} " + " ".join(
             f"{statistics.median(v):>14.5g}" for v in per)
         if len(per) == 2:
             wins = sum(b < a for a, b in zip(*per))

@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .channels import ComplexGain, OpticalParams, RfParams
 from .geometry import GeometryParams, LinkGeometry, link_geometry
 from .metrics import Calibration, CostWeights, Metrics
-from .ris import ChannelState, PhaseConfig, RisConfig
+from .ris import ChannelState, RisConfig
 from .qubo import ExactObjective, QuboModel, build_qubo, eval_quadratic
 from .solvers import SolverConfig, SolverResult
 from .experiments import (
@@ -29,7 +29,6 @@ __all__ = [
     "LinkGeometry",
     "Metrics",
     "OpticalParams",
-    "PhaseConfig",
     "QuboModel",
     "RfParams",
     "RisConfig",

@@ -50,8 +50,11 @@ class OpticalParams:
     ec_inefficiency: float = 1.1
 
     def __post_init__(self) -> None:
-        if self.wavelength_m <= 0:
-            raise ValueError("wavelength_m must be positive")
+        for name in ("wavelength_m", "beam_divergence_rad", "rx_aperture_m"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.jitter_rad < 0:
+            raise ValueError("jitter_rad must be non-negative")
         if not 0.0 <= self.dark_count_prob <= 1e-3:
             raise ValueError("dark_count_prob must be in [0, 1e-3]")
         if self.ec_inefficiency < 1.0:
@@ -90,15 +93,11 @@ class RfParams:
 
 def optical_tx_gain(params: OpticalParams) -> float:
     """Laser directivity gain 4*pi / theta_div^2."""
-    if params.beam_divergence_rad <= 0:
-        raise ValueError("beam divergence must be positive")
     return 4.0 * math.pi / params.beam_divergence_rad**2
 
 
 def optical_rx_gain(params: OpticalParams) -> float:
     """Receiver telescope gain pi * D_r^2 / lambda^2."""
-    if params.rx_aperture_m <= 0:
-        raise ValueError("rx aperture must be positive")
     return math.pi * params.rx_aperture_m**2 / params.wavelength_m**2
 
 
@@ -159,9 +158,5 @@ def rf_direct_gain(params: RfParams, geom: LinkGeometry) -> ComplexGain:
 
 def mean_pointing_gain(params: OpticalParams) -> float:
     """Deterministic mean pointing loss 1 / (1 + 2 sigma_j^2 / theta_div^2)."""
-    if params.jitter_rad < 0:
-        raise ValueError("jitter must be non-negative")
-    if params.beam_divergence_rad <= 0:
-        raise ValueError("beam divergence must be positive")
     ratio = params.jitter_rad / params.beam_divergence_rad
     return 1.0 / (1.0 + 2.0 * ratio * ratio)

@@ -33,12 +33,14 @@ from .experiments import (
     phase_histogram,
     solve_point,
     sweep_elevation,
+    sweep_problem,
 )
 from .geometry import GeometryParams
 from .metrics import QBER_SECURITY_THRESHOLD, Calibration, CostWeights
 from .qubo import QUBO_MAX_PAIRS, build_qubo, format_qubo, qubo_pairs
 from .ris import RisConfig
-from .solvers import BRUTE_FORCE_MAX_BITS, SolverConfig, min_qber, trace_csv_lines
+from .solvers import (BRUTE_FORCE_MAX_BITS, RNG_ALGORITHM, SolverConfig, min_qber,
+                      trace_csv_lines)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -193,7 +195,7 @@ def _metadata_lines(cfg: RunConfig, cal: Calibration, with_timestamp: bool) -> l
     lines = [
         f"# dualris {__version__}",
         f"# seed: {cfg.seed}",
-        "# rng: numpy-pcg64",
+        f"# rng: {RNG_ALGORITHM}",
         "# calibration: " + " ".join(
             f"{name}={getattr(cal, name):.17g}" for name in _CALIBRATION_FIELDS),
     ]
@@ -312,7 +314,10 @@ def run_cli(argv=None) -> int:
     if problem:
         print(f"argument error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    problem = histogram_problem(cfg.ris) if args.command == "histogram" else None
+    if args.command == "histogram":
+        problem = histogram_problem(cfg.ris)
+    elif args.command == "sweep":
+        problem = sweep_problem(cfg.sweep)
     problem = problem or _size_problem(cfg, args.command, getattr(args, "n", None))
     if problem:
         print(f"config error: {problem}", file=sys.stderr)

@@ -370,6 +370,14 @@ def delta_metrics(rows: list[SweepRow]) -> list[DeltaRow]:
     return out
 
 
+def sweep_problem(spec: SweepSpec) -> str | None:
+    """Why delta_metrics cannot pair the sweep's rows with baselines, or None."""
+    if spec.ris_sizes[0] != 0:
+        return (f"the sweep needs ris_sizes to start with 0 for its baseline rows, "
+                f"got {','.join(map(str, spec.ris_sizes))}")
+    return None
+
+
 def histogram_problem(ris: RisConfig) -> str | None:
     """Why phase_histogram cannot run on this RIS, or None when it can."""
     if ris.n_elements < 1:

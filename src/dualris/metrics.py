@@ -38,7 +38,11 @@ class Metrics:
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Weights for the scalar cost F = alpha*qber - beta*log2(1 + snr)."""
+    """Weights for the scalar cost F = alpha*qber - beta*log2(1 + snr).
+
+    With beta = 0 the mode derives both weights (resolve_weights), so alpha
+    may differ from 1 only beside an explicit beta > 0.
+    """
 
     alpha: float = 1.0
     beta: float = 0.0             # 0 means "derive from mode"
@@ -50,8 +54,15 @@ class CostWeights:
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("weights must be non-negative")
+        if self.beta == 0 and self.alpha != 1:
+            raise ValueError(f"alpha = {self.alpha:g} needs an explicit beta > 0; "
+                             "with beta = 0 the mode sets both weights")
         if not 0.0 < self.qber_threshold <= 0.11:
             raise ValueError("qber_threshold must lie in (0, 0.11]")
+        if self.snr_target <= 0:
+            raise ValueError("snr_target must be positive")
+        if self.beta_o < 0:
+            raise ValueError("beta_o must be non-negative")
         if self.mode not in ("static", "swing"):
             raise ValueError(f"unknown weight mode {self.mode!r}")
 
@@ -88,8 +99,6 @@ def snr(rf: RfParams, h_tot_amplitude: float, gain_offset_db: float = 0.0) -> fl
     Antenna gains are already folded into H exactly once, so no further G_t G_r
     factor is applied here; the calibrated offset absorbs the absolute scale.
     """
-    if rf.sys_temp_k <= 0 or rf.bandwidth_hz <= 0:
-        raise ValueError("temperature and bandwidth must be positive")
     noise_w = BOLTZMANN * rf.sys_temp_k * rf.bandwidth_hz
     return rf.tx_power_w * h_tot_amplitude**2 * 10.0 ** (gain_offset_db / 10.0) / noise_w
 
@@ -132,8 +141,6 @@ def skr(raw_rate: float, eps: float, f_ec: float) -> float:
 
 def static_weights(cw: CostWeights) -> tuple[float, float]:
     """Range-normalized weights: alpha = 1, beta = eps*/log2(1 + snr*)."""
-    if cw.snr_target <= 0:
-        raise ValueError("snr_target must be positive")
     return (1.0, cw.qber_threshold / math.log2(1.0 + cw.snr_target))
 
 
@@ -220,13 +227,18 @@ def calibrated_raw_rate(total_amp: float, cal: Calibration) -> float:
 
 
 def link_metrics(direct_q_amp: float, total_q_amp: float, total_c_amp: float,
-                 optical: OpticalParams, rf: RfParams, weights: CostWeights,
-                 cal: Calibration) -> Metrics:
-    """All receiver metrics for one (calibrated) channel realization."""
+                 optical: OpticalParams, rf: RfParams,
+                 weights: CostWeights | tuple[float, float], cal: Calibration) -> Metrics:
+    """All receiver metrics for one (calibrated) channel realization.
+
+    weights is an (alpha, beta) pair already resolved, or CostWeights to
+    resolve at this realization's SNR.
+    """
     gamma = snr(rf, total_c_amp, cal.rf_gain_offset_db)
     eps = calibrated_qber(direct_q_amp, total_q_amp, cal, optical.dark_count_prob)
     raw = calibrated_raw_rate(total_q_amp, cal)
-    w = resolve_weights(weights, current_snr=gamma if gamma > 0 else None)
+    w = weights if isinstance(weights, tuple) else resolve_weights(
+        weights, current_snr=gamma if gamma > 0 else None)
     return Metrics(
         snr_linear=gamma,
         ber=ber_qpsk(gamma),

@@ -19,7 +19,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .channels import OpticalParams, RfParams
+from .channels import TWO_PI, OpticalParams, RfParams
 from .metrics import (
     Calibration,
     CostWeights,
@@ -31,10 +31,10 @@ from .metrics import (
     resolve_weights,
     snr,
 )
-from .ris import ChannelState, PhaseConfig, RisConfig, bits_to_levels, levels_to_bits
+from .ris import ChannelState, RisConfig, bits_to_levels, levels_to_bits
 
-_TWO_PI = 2.0 * math.pi
 _BATCH_ELEMENTS = 1 << 20     # cap on one (rows, pairs) temporary of QuadraticObjective.batch
+_EXACT_BATCH_ELEMENTS = 1 << 15   # cap on one (rows, N) temporary of ExactObjective.batch
 QUBO_MAX_PAIRS = 1 << 23      # build_qubo's cap; N = 1024 at 2 + 2 bits has 4.2M pairs
 
 
@@ -59,14 +59,6 @@ class QuboModel:
     pair_w: np.ndarray
     offset: float
     n_elements: int = 0          # of a built model (perfbench's tracer reads it); 0 when loaded
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Measured deviation of the quadratic surrogate from the exact objective."""
-
-    max_abs_deviation: float     # max relative |quadratic - exact| over samples
-    samples: int
 
 
 class ExactObjective:
@@ -104,8 +96,8 @@ class ExactObjective:
         self.alpha, self.beta = resolve_weights(
             weights, current_snr=baseline_snr if baseline_snr > 0 else None)
         # unit phasors per quantized level, shared by all evaluation paths
-        self._phasor_q = np.exp(1j * _TWO_PI * np.arange(1 << self.bq) / (1 << self.bq))
-        self._phasor_c = np.exp(1j * _TWO_PI * np.arange(1 << self.bc) / (1 << self.bc))
+        self._phasor_q = np.exp(1j * TWO_PI * np.arange(1 << self.bq) / (1 << self.bq))
+        self._phasor_c = np.exp(1j * TWO_PI * np.arange(1 << self.bc) / (1 << self.bc))
 
     # -- scalar pieces ---------------------------------------------------
 
@@ -144,10 +136,18 @@ class ExactObjective:
         return self.cost_from_totals(tq, tc)
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized value() over rows of a (m, dim) bit matrix."""
-        lq, lc = bits_to_levels(xs, self.cfg)
-        tq = self.h0q + (self.uq * self._phasor_q[lq]).sum(axis=1)
-        tc = self.h0c + (self.uc * self._phasor_c[lc]).sum(axis=1)
+        """Vectorized value() over rows of a (m, dim) bit matrix.
+
+        The band totals are summed in row blocks whose (rows, N) temporaries
+        hold about _EXACT_BATCH_ELEMENTS entries. Each row's sum runs along a
+        contiguous axis, so it does not depend on the block size.
+        """
+        tq, tc = np.empty(len(xs), complex), np.empty(len(xs), complex)
+        rows = max(1, _EXACT_BATCH_ELEMENTS // max(self.n, 1))
+        for lo in range(0, len(xs), rows):
+            lq, lc = bits_to_levels(xs[lo:lo + rows], self.cfg)
+            tq[lo:lo + rows] = self.h0q + (self.uq * self._phasor_q[lq]).sum(axis=1)
+            tc[lo:lo + rows] = self.h0c + (self.uc * self._phasor_c[lc]).sum(axis=1)
         eps = field_gain_qber_array(np.abs(tq), self.direct_amp, self.eps_base, self.p_dark)
         gamma = self.snr_coeff * np.abs(tc) ** 2
         return self.alpha * eps - self.beta * np.log2(1.0 + gamma)
@@ -159,7 +159,7 @@ class ExactObjective:
     def metrics_of(self, x: np.ndarray) -> Metrics:
         tq, tc = self.totals_of(x)
         return link_metrics(self.direct_amp, abs(tq), abs(tc), self.optical, self.rf,
-                            CostWeights(alpha=self.alpha, beta=self.beta), self.cal)
+                            (self.alpha, self.beta), self.cal)
 
     def walk(self, x: np.ndarray) -> "ObjectiveWalk":
         return ObjectiveWalk(self, x)
@@ -226,13 +226,6 @@ class ObjectiveWalk:
         self.value = self._terms[0] + self._terms[1]
 
 
-def eval_exact(state: ChannelState, weights: CostWeights, cal: Calibration,
-               optical: OpticalParams, rf: RfParams, cfg: RisConfig,
-               x: np.ndarray) -> float:
-    """Ground-truth cost of a bit vector (no Taylor or log linearization)."""
-    return ExactObjective(state, weights, cal, optical, rf, cfg).value(x)
-
-
 def _band_terms(mult: float, t0: complex, u: np.ndarray, levels0: np.ndarray,
                 bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """mult * (P(y) - P0) of one band as (linear, pair_i, pair_j, pair_w, offset).
@@ -249,8 +242,8 @@ def _band_terms(mult: float, t0: complex, u: np.ndarray, levels0: np.ndarray,
     m = mult * (np.outer(u.real, u.real) + np.outer(u.imag, u.imag)
                 - np.diag(beat.real))
     g = -2.0 * mult * beat.imag
-    v = (_TWO_PI / (1 << bits)) * (1 << np.arange(bits))
-    c = (_TWO_PI / (1 << bits)) * levels0
+    v = (TWO_PI / (1 << bits)) * (1 << np.arange(bits))
+    c = (TWO_PI / (1 << bits)) * levels0
     q = np.kron(m, np.outer(v, v))                     # coefficient of x_i x_j
     linear = q.diagonal() + np.kron(g - 2.0 * (m @ c), v)
     pair_i, pair_j = np.triu_indices(len(q), 1)
@@ -262,20 +255,25 @@ def _band_terms(mult: float, t0: complex, u: np.ndarray, levels0: np.ndarray,
 
 def build_qubo(state: ChannelState, weights: CostWeights, cal: Calibration,
                optical: OpticalParams, rf: RfParams, cfg: RisConfig,
-               expansion_point: PhaseConfig | None = None) -> QuboModel:
+               expansion_point: np.ndarray | None = None) -> QuboModel:
     """Assemble the quadratic surrogate of the exact cost about an expansion point.
 
-    The QBER map (a function of |H_Q_tot|^2) and the log-SNR map are replaced
-    by first-order affine surrogates at the expansion point, so the model
-    reproduces the exact objective there and stays quadratic everywhere.
-    Refuses a model of more than QUBO_MAX_PAIRS pairs before allocating it.
+    The expansion point is a bit vector (None: all zero). The QBER map (a
+    function of |H_Q_tot|^2) and the log-SNR map are replaced by first-order
+    affine surrogates there, so the model reproduces the exact objective at
+    that point and stays quadratic everywhere. Raises ValueError on an
+    expansion point of the wrong length or with a value other than 0/1, and
+    refuses a model of more than QUBO_MAX_PAIRS pairs before allocating it.
     """
     pairs = qubo_pairs(cfg.n_elements, cfg.bits_quantum, cfg.bits_classical)
     if pairs > QUBO_MAX_PAIRS:
         raise ValueError(f"QUBO build refused: {pairs} pairs exceed the cap of {QUBO_MAX_PAIRS}")
     obj = ExactObjective(state, weights, cal, optical, rf, cfg)
-    bits0 = np.zeros(cfg.bits_total, np.uint8) if expansion_point is None else expansion_point.bits
-    levels0_q, levels0_c = obj.levels_of(bits0)
+    bits0 = np.zeros(cfg.bits_total, np.uint8) if expansion_point is None \
+        else np.asarray(expansion_point, dtype=np.uint8)
+    if bits0.size and bits0.max() > 1:
+        raise ValueError("expansion point bits must be 0/1")
+    levels0_q, levels0_c = obj.levels_of(bits0)         # raises on a wrong length
 
     # cascades rotated to the expansion phases, and the band totals there
     uq0 = obj.uq * obj._phasor_q[levels0_q]
@@ -406,9 +404,9 @@ class QuadraticWalk:
 def expansion_error(state: ChannelState, weights: CostWeights, cal: Calibration,
                     optical: OpticalParams, rf: RfParams, cfg: RisConfig,
                     samples: int, rng_seed: int,
-                    expansion_point: PhaseConfig | None = None,
-                    max_step: int | None = None) -> ExpansionReport:
-    """Max relative deviation of the quadratic surrogate over sampled bit vectors.
+                    expansion_point: np.ndarray | None = None,
+                    max_step: int | None = None) -> float:
+    """Max relative |quadratic - exact| of the surrogate over sampled bit vectors.
 
     With max_step=None the samples cover the full bit hypercube, which at
     coarse quantization exercises phase deviations up to almost a full turn.
@@ -425,7 +423,7 @@ def expansion_error(state: ChannelState, weights: CostWeights, cal: Calibration,
         xs = rng.integers(0, 2, size=(samples, cfg.bits_total), dtype=np.uint8)
     else:
         lev_q0, lev_c0 = ((0, 0) if expansion_point is None
-                          else obj.levels_of(expansion_point.bits))
+                          else obj.levels_of(expansion_point))
         n = cfg.n_elements
         dq = rng.integers(-max_step, max_step + 1, size=(samples, n))
         dc = rng.integers(-max_step, max_step + 1, size=(samples, n))
@@ -435,7 +433,7 @@ def expansion_error(state: ChannelState, weights: CostWeights, cal: Calibration,
     exact = obj.batch(xs)
     quad = QuadraticObjective(model).batch(xs)
     dev = np.abs(quad - exact) / (np.abs(exact) + 1e-300)
-    return ExpansionReport(max_abs_deviation=float(dev.max()), samples=samples)
+    return float(dev.max())
 
 
 # --- plain-text sparse triplet export -----------------------------------------

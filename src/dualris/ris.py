@@ -1,4 +1,4 @@
-"""Dual-band RIS model: phase decoding and per-element cascade gains.
+"""Dual-band RIS model: the phase bit layout and per-element cascade gains.
 
 The two bands are controlled independently: each element carries b_Q bits for
 the optical phase and b_C bits for the RF phase, and changing one band's bits
@@ -54,15 +54,6 @@ class RisConfig:
 
 
 @dataclass(frozen=True)
-class PhaseConfig:
-    """Binary phase assignment plus the decoded quantized phases per band."""
-
-    bits: np.ndarray                     # uint8 vector, length N*(b_Q+b_C)
-    phases_quantum: np.ndarray           # radians, length N
-    phases_classical: np.ndarray         # radians, length N
-
-
-@dataclass(frozen=True)
 class ChannelState:
     """Direct gains plus per-element RIS cascade gains for both bands."""
 
@@ -84,7 +75,8 @@ def bits_to_levels(bits: np.ndarray, cfg: RisConfig) -> tuple[np.ndarray, np.nda
     """Per-element (quantum, classical) phase levels of a bit vector or of each row.
 
     The one bit layout of the package: all quantum bits first (element-major,
-    bit k minor), then all classical bits; level_n = sum_k 2^k x_{n,k}.
+    bit k minor), then all classical bits; level_n = sum_k 2^k x_{n,k}, and
+    the element's phase in a band of b bits is 2 pi level_n / 2^b.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     lead, n = bits.shape[:-1], cfg.n_elements
@@ -102,31 +94,6 @@ def levels_to_bits(levels_q: np.ndarray, levels_c: np.ndarray, cfg: RisConfig) -
     return np.concatenate([q_bits.reshape(*lead, n * cfg.bits_quantum),
                            c_bits.reshape(*lead, n * cfg.bits_classical)],
                           axis=-1).astype(np.uint8)
-
-
-def decode_phases(bits: np.ndarray, cfg: RisConfig) -> PhaseConfig:
-    """Decode the flat bit vector into per-element quantized phases.
-
-    theta_n = (2 pi / 2^b) * level_n, with levels from bits_to_levels.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 1 or bits.size != cfg.bits_total:
-        raise ValueError(f"expected {cfg.bits_total} bits, got shape {bits.shape}")
-    if bits.size and bits.max() > 1:
-        raise ValueError("bits must be 0/1")
-    lq, lc = bits_to_levels(bits, cfg)
-    return PhaseConfig(bits=bits,
-                       phases_quantum=(TWO_PI / (1 << cfg.bits_quantum)) * lq,
-                       phases_classical=(TWO_PI / (1 << cfg.bits_classical)) * lc)
-
-
-def encode_phases(phases_quantum: np.ndarray, phases_classical: np.ndarray,
-                  cfg: RisConfig) -> PhaseConfig:
-    """Inverse of decode_phases for phases already on the quantized grid."""
-    bq, bc = cfg.bits_quantum, cfg.bits_classical
-    lev_q = np.rint(np.asarray(phases_quantum) * (1 << bq) / TWO_PI).astype(int) % (1 << bq)
-    lev_c = np.rint(np.asarray(phases_classical) * (1 << bc) / TWO_PI).astype(int) % (1 << bc)
-    return decode_phases(levels_to_bits(lev_q, lev_c, cfg), cfg)
 
 
 def element_phase_offsets(cfg: RisConfig, band: str, seed: int) -> np.ndarray:

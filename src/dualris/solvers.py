@@ -5,8 +5,8 @@ Every solver is bit-reproducible given (seed, config, objective), and the
 returned best value is re-scored from scratch so no incremental cache can go
 stale. The heuristics and brute force resolve ties toward the
 lexicographically smallest bit vector; the band sweep has its own documented
-tie rule. The RNG is numpy's PCG64; the algorithm name is recorded in each
-result so runs replay across platforms.
+tie rule. The RNG is numpy's PCG64; the CSV metadata records its name,
+RNG_ALGORITHM, so runs replay across platforms.
 
 Brute force, annealing and tabu take any objective with dim, value(x),
 batch(xs) over rows and walk(x); a walk holds x and value and offers
@@ -70,7 +70,6 @@ class SolverResult:
     evaluations: int
     feasible: bool | None = None       # set by enforce_security
     trace: list[tuple[int, float]] = field(default_factory=list)
-    rng_algorithm: str = RNG_ALGORITHM
     qber: float | None = None
     best_feasible_bits: np.ndarray | None = None   # the fallback, set by enforce_security
 

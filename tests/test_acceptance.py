@@ -22,7 +22,7 @@ from dualris.experiments import (
 )
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights
 from dualris.qubo import ExactObjective, build_qubo, eval_quadratic, expansion_error
-from dualris.ris import ChannelState, RisConfig, decode_phases
+from dualris.ris import ChannelState, RisConfig, levels_to_bits
 from dualris.solvers import (
     SolverConfig,
     block_coordinate_descent,
@@ -30,6 +30,7 @@ from dualris.solvers import (
     simulated_annealing,
     tabu_search,
 )
+from perfbench.oracle import campaign_instance
 
 OPT = OpticalParams()
 RF = RfParams()
@@ -117,29 +118,14 @@ def test_criterion_5_orderings_and_cost_monotonicity(run_config, sweep_result):
           f"elevations; cost monotone for every N")
 
 
-def _campaign_instance(seed: int, n: int):
-    rng = np.random.default_rng(seed)
-    cfg = RisConfig(n_elements=n, bits_quantum=2, bits_classical=2)
-    state = ChannelState(
-        ComplexGain(1.0, rng.uniform(0, 2 * np.pi)),
-        ComplexGain(1.0, rng.uniform(0, 2 * np.pi)),
-        rng.uniform(0.02, 0.3, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)),
-        rng.uniform(0.02, 0.3, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
-    noise = BOLTZMANN * RF.sys_temp_k * RF.bandwidth_hz
-    cal = Calibration(raw_rate_scale=1000.0, effective_visibility=0.98,
-                      h_ref_sq=1.0 / rng.uniform(50, 200),
-                      rf_gain_offset_db=10 * math.log10(100 * noise / RF.tx_power_w))
-    return ExactObjective(state, CostWeights(), cal, OPT, RF, cfg), cfg
-
-
 def test_criterion_6_solver_oracle_campaign():
     import time
     t0 = time.time()
     instances = 200
     hits = {"anneal": 0, "tabu": 0, "bcd": 0}
     for i in range(instances):
-        obj, cfg = _campaign_instance(1000 + i, 1 + i % 4)
-        dim = cfg.bits_total
+        obj = campaign_instance(1000 + i, 1 + i % 4)
+        dim = obj.dim
         oracle = brute_force(obj, dim)
         tol = 1e-9 * abs(oracle.best_value) + 1e-12
         results = {
@@ -191,19 +177,16 @@ def test_criterion_7_qubo_fidelity():
     state, cal, cfg = _regime_state(0.15, math.pi, seed=3)
     rng = np.random.default_rng(5)
     x0 = rng.integers(0, 2, cfg.bits_total, dtype=np.uint8)
-    model = build_qubo(state, w, cal, OPT, RF, cfg,
-                       expansion_point=decode_phases(x0, cfg))
-    from dualris.qubo import eval_exact
-    exact0 = eval_exact(state, w, cal, OPT, RF, cfg, x0)
+    model = build_qubo(state, w, cal, OPT, RF, cfg, expansion_point=x0)
+    exact0 = ExactObjective(state, w, cal, OPT, RF, cfg).value(x0)
     quad0 = eval_quadratic(model, x0)
     rel = abs(quad0 - exact0) / abs(exact0)
     # (b) small-angle regime: static offsets within +-10 deg (pairwise 20 deg),
     # per-element amplitude 1e-3 of the direct path, 11.25-degree quantization
     # steps sampled one level around the expansion point
-    from dualris.ris import encode_phases
     state_s, cal_s, cfg_s = _regime_state(1e-3, math.radians(10.0), seed=1, bits=5)
-    mid = 2 * math.pi * (16 / 32) * np.ones(3)
-    centre = encode_phases(mid, mid, cfg_s)
+    mid = np.full(3, 16)                  # level 16 of 32: a half turn
+    centre = levels_to_bits(mid, mid, cfg_s)
     small = expansion_error(state_s, w, cal_s, OPT, RF, cfg_s,
                             samples=1000, rng_seed=7,
                             expansion_point=centre, max_step=1)
@@ -213,11 +196,11 @@ def test_criterion_7_qubo_fidelity():
     wide = expansion_error(state_w, w, cal_w, OPT, RF, cfg_w,
                            samples=1000, rng_seed=7)
     print(f"\ncriterion 7: expansion-point relative gap {rel:.2e} (<=1e-9); "
-          f"small-angle max deviation {small.max_abs_deviation * 100:.4f}% (<=2%); "
-          f"90deg-step regime measured {wide.max_abs_deviation * 100:.1f}% (reported only)")
+          f"small-angle max deviation {small * 100:.4f}% (<=2%); "
+          f"90deg-step regime measured {wide * 100:.1f}% (reported only)")
     assert rel <= 1e-9
-    assert small.max_abs_deviation <= 0.02
-    assert math.isfinite(wide.max_abs_deviation)
+    assert small <= 0.02
+    assert math.isfinite(wide)
 
 
 def test_criterion_8_security_invariant(run_config, calibrated, sweep_result):

@@ -60,8 +60,8 @@ class TestAntennaGains:
         assert optical_rx_gain(p) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_divergence_rejected(self):
-        with pytest.raises(ValueError):
-            optical_tx_gain(OpticalParams(beam_divergence_rad=0.0))
+        with pytest.raises(ValueError, match="beam_divergence_rad"):
+            OpticalParams(beam_divergence_rad=0.0)
 
 
 class TestOpticalDirect:
@@ -190,5 +190,9 @@ def test_param_validation():
         OpticalParams(dark_count_prob=0.01)
     with pytest.raises(ValueError):
         OpticalParams(ec_inefficiency=0.9)
+    with pytest.raises(ValueError, match="rx_aperture_m"):
+        OpticalParams(rx_aperture_m=-1.0)
+    with pytest.raises(ValueError, match="jitter_rad"):
+        OpticalParams(jitter_rad=-1e-6)
     with pytest.raises(ValueError):
         RfParams(carrier_ghz=5.0)

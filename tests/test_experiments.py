@@ -30,7 +30,7 @@ from dualris.experiments import (
     solve_point,
     sweep_elevation,
 )
-from dualris.metrics import Calibration
+from dualris.metrics import Calibration, CostWeights
 from dualris.qubo import load_qubo
 from dualris.ris import RisConfig
 from dualris.solvers import SolverConfig
@@ -146,6 +146,13 @@ class TestSweep:
         assert rows[1] != rows[3]
         deltas = delta_metrics(rows)
         assert all(d.dqber_pp > 0 for d in deltas if d.n_elements > 0)
+
+    def test_swing_cost_uses_the_resolved_weights(self, calibrated):
+        # swing weights with beta_o = 0 resolve to (1 / qber_threshold, 0) on every row
+        cfg = RunConfig(weights=CostWeights(mode="swing", beta_o=0.0))
+        for n in (0, 128):
+            row, _, _ = evaluate_point(cfg, calibrated["cal"], 45.0, n)
+            assert abs(row.cost - row.qber / cfg.weights.qber_threshold) <= 1e-12
 
     def test_point_with_quadratic_proposals_rescores_exactly(self, run_config, calibrated):
         cfg = RunConfig(solver=SolverConfig(kind="anneal", seed=3, max_iters=40,
@@ -432,6 +439,16 @@ class TestCli:
         ("seed 1\n", ["calibrate"]),
         (b"\xff\xfe[run]\nseed = 1\n", ["calibrate"]),
         ("[sweep]\ntrials = 5%\n", ["calibrate"]),
+        # values the physics would only reject deep inside calibration
+        ("[optical]\nbeam_divergence_rad = 0\n", ["calibrate"]),
+        ("[optical]\nrx_aperture_m = -1\n", ["calibrate"]),
+        ("[optical]\njitter_rad = -1e-6\n", ["calibrate"]),
+        ("[weights]\nsnr_target = -5\n", ["link-budget", "--elevation", "45", "--n", "8"]),
+        ("[weights]\nmode = swing\nbeta_o = -0.01\n", ["link-budget", "--elevation", "45", "--n", "8"]),
+        ("[weights]\nalpha = 7\n", ["link-budget", "--elevation", "45", "--n", "8"]),
+        # the sweep pairs each elevation's rows with its leading N = 0 row
+        ("[sweep]\nris_sizes = 128,0\n", ["sweep"]),
+        ("[sweep]\nris_sizes = 128\n", ["sweep"]),
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"

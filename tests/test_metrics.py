@@ -146,6 +146,16 @@ class TestWeights:
         alpha, beta = resolve_weights(CostWeights(alpha=2.0, beta=0.5))
         assert (alpha, beta) == (2.0, 0.5)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"snr_target": -5.0}, "snr_target"),
+        ({"snr_target": 0.0}, "snr_target"),
+        ({"mode": "swing", "beta_o": -0.01}, "beta_o"),
+        ({"alpha": 7.0}, "alpha"),              # beta = 0: the mode sets alpha
+    ])
+    def test_invalid_weights_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            CostWeights(**kwargs)
+
 
 class TestCost:
     def test_balanced_at_thresholds(self):

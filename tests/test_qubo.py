@@ -15,14 +15,13 @@ from dualris.qubo import (
     QuadraticObjective,
     QuboModel,
     build_qubo,
-    eval_exact,
     eval_quadratic,
     expansion_error,
     export_qubo,
     format_qubo,
     load_qubo,
 )
-from dualris.ris import ChannelState, RisConfig, bits_to_levels, decode_phases
+from dualris.ris import ChannelState, RisConfig, bits_to_levels
 from dualris.solvers import (SolverConfig, block_coordinate_descent, brute_force,
                              simulated_annealing, tabu_search)
 from perfbench import workloads
@@ -117,8 +116,8 @@ class TestBuildQubo:
         model = build_qubo(state0, CostWeights(), cal, OPT, RF, cfg0)
         assert model.dim == 0
         assert model.pair_w.size == 0
-        baseline = eval_exact(state0, CostWeights(), cal, OPT, RF, cfg0,
-                              np.zeros(0, np.uint8))
+        baseline = ExactObjective(state0, CostWeights(), cal, OPT, RF, cfg0).value(
+            np.zeros(0, np.uint8))
         assert model.offset == pytest.approx(baseline, rel=1e-12)
 
     def test_zero_cascades_have_no_phase_influence(self):
@@ -128,8 +127,8 @@ class TestBuildQubo:
         model = build_qubo(silent, CostWeights(), cal, OPT, RF, cfg)
         assert not model.pair_w.size
         assert not model.linear.any()
-        baseline = eval_exact(silent, CostWeights(), cal, OPT, RF, cfg,
-                              np.zeros(cfg.bits_total, np.uint8))
+        baseline = ExactObjective(silent, CostWeights(), cal, OPT, RF, cfg).value(
+            np.zeros(cfg.bits_total, np.uint8))
         assert model.offset == pytest.approx(baseline, rel=1e-12)
 
     @settings(deadline=None, max_examples=30)
@@ -145,8 +144,9 @@ class TestBuildQubo:
         w = CostWeights()
         obj = ExactObjective(state, w, cal, OPT, RF, cfg)
         x0 = np.random.default_rng(seed).integers(0, 2, cfg.bits_total, dtype=np.uint8)
-        point = decode_phases(x0, cfg)
-        model = build_qubo(state, w, cal, OPT, RF, cfg, expansion_point=point)
+        model = build_qubo(state, w, cal, OPT, RF, cfg, expansion_point=x0)
+        lq0, lc0 = bits_to_levels(x0, cfg)
+        phases0_q, phases0_c = (2 * math.pi / (1 << bq)) * lq0, (2 * math.pi / (1 << bc)) * lc0
 
         def taylor_band_power(h0, u, phases0, phases):
             # sum over (a, b) of A_a A_b cos(psi_a - psi_b + d_a - d_b), each
@@ -160,8 +160,8 @@ class TestBuildQubo:
             return (np.outer(np.abs(z), np.abs(z)) * terms).sum(axis=(1, 2))
 
         h0q, h0c = state.direct_quantum.as_complex, state.direct_classical.as_complex
-        tq0 = h0q + (state.cascade_quantum * np.exp(1j * point.phases_quantum)).sum()
-        tc0 = h0c + (state.cascade_classical * np.exp(1j * point.phases_classical)).sum()
+        tq0 = h0q + (state.cascade_quantum * np.exp(1j * phases0_q)).sum()
+        tc0 = h0c + (state.cascade_classical * np.exp(1j * phases0_c)).sum()
         pq0, pc0 = abs(tq0) ** 2, abs(tc0) ** 2
         deps = -0.5 * (obj.eps_base - obj.p_dark) * obj.direct_amp * pq0 ** -1.5
         gamma0 = obj.snr_coeff * pc0
@@ -177,9 +177,9 @@ class TestBuildQubo:
             codes = np.arange(start, min(start + 4096, 1 << cfg.bits_total))
             xs = ((codes[:, None] >> np.arange(cfg.bits_total)) & 1).astype(np.uint8)
             lq, lc = bits_to_levels(xs, cfg)
-            pq = taylor_band_power(h0q, state.cascade_quantum, point.phases_quantum,
+            pq = taylor_band_power(h0q, state.cascade_quantum, phases0_q,
                                    (2 * math.pi / (1 << bq)) * lq)
-            pcl = taylor_band_power(h0c, state.cascade_classical, point.phases_classical,
+            pcl = taylor_band_power(h0c, state.cascade_classical, phases0_c,
                                     (2 * math.pi / (1 << bc)) * lc)
             expected = f0 + obj.alpha * deps * (pq - pq0) - obj.beta * dlog * (pcl - pc0)
             got = QuadraticObjective(model).batch(xs)
@@ -212,10 +212,19 @@ class TestBuildQubo:
         w = CostWeights()
         rng = np.random.default_rng(seed)
         x0 = rng.integers(0, 2, cfg.bits_total, dtype=np.uint8)
-        point = decode_phases(x0, cfg)
-        model = build_qubo(state, w, cal, OPT, RF, cfg, expansion_point=point)
-        exact = eval_exact(state, w, cal, OPT, RF, cfg, x0)
+        model = build_qubo(state, w, cal, OPT, RF, cfg, expansion_point=x0)
+        exact = ExactObjective(state, w, cal, OPT, RF, cfg).value(x0)
         assert eval_quadratic(model, x0) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("point", [np.zeros(15, np.uint8), np.full(16, 2),
+                                       np.full(16, -1)])
+    def test_expansion_point_must_be_a_bit_vector(self, point):
+        state, cal, cfg = make_instance(n=4)
+        with pytest.raises(ValueError):
+            build_qubo(state, CostWeights(), cal, OPT, RF, cfg, expansion_point=point)
+        with pytest.raises(ValueError):
+            expansion_error(state, CostWeights(), cal, OPT, RF, cfg, 8, 1,
+                            expansion_point=point, max_step=1)
 
     def test_pair_cap_refuses_before_allocating(self):
         # the state is never read: the cap is checked from the RIS config alone
@@ -240,8 +249,8 @@ class TestBuildQubo:
             xq = x[:cfg.n_elements * cfg.bits_quantum].reshape(cfg.n_elements, -1)
             xc = x[cfg.n_elements * cfg.bits_quantum:].reshape(cfg.n_elements, -1)
             x_p = np.concatenate([xq[perm].ravel(), xc[perm].ravel()])
-            assert eval_exact(state_p, w, cal, OPT, RF, cfg, x_p) == pytest.approx(
-                eval_exact(state, w, cal, OPT, RF, cfg, x), rel=1e-12)
+            assert ExactObjective(state_p, w, cal, OPT, RF, cfg).value(x_p) == pytest.approx(
+                ExactObjective(state, w, cal, OPT, RF, cfg).value(x), rel=1e-12)
             model = build_qubo(state, w, cal, OPT, RF, cfg)
             model_p = build_qubo(state_p, w, cal, OPT, RF, cfg)
             assert eval_quadratic(model_p, x_p) == pytest.approx(
@@ -253,10 +262,9 @@ class TestExpansionError:
         state, cal, cfg = make_instance(n=2)
         silent = ChannelState(state.direct_quantum, state.direct_classical,
                               np.zeros(2, complex), np.zeros(2, complex))
-        report = expansion_error(silent, CostWeights(), cal, OPT, RF, cfg,
-                                 samples=64, rng_seed=1)
-        assert report.max_abs_deviation == pytest.approx(0.0, abs=1e-12)
-        assert report.samples == 64
+        deviation = expansion_error(silent, CostWeights(), cal, OPT, RF, cfg,
+                                    samples=64, rng_seed=1)
+        assert deviation == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_per_seed(self):
         state, cal, cfg = make_instance(seed=2, n=3)
@@ -267,14 +275,14 @@ class TestExpansionError:
     def test_sampled_deviation_bounds_eval_gap(self):
         state, cal, cfg = make_instance(seed=4, n=3)
         w = CostWeights()
-        report = expansion_error(state, w, cal, OPT, RF, cfg, 1000, 11)
+        deviation = expansion_error(state, w, cal, OPT, RF, cfg, 1000, 11)
         model = build_qubo(state, w, cal, OPT, RF, cfg)
         obj = ExactObjective(state, w, cal, OPT, RF, cfg)
         rng = np.random.default_rng(11)
         xs = rng.integers(0, 2, size=(1000, cfg.bits_total), dtype=np.uint8)
         dev = np.abs(QuadraticObjective(model).batch(xs) - obj.batch(xs)) / (
             np.abs(obj.batch(xs)) + 1e-300)
-        assert dev.max() == pytest.approx(report.max_abs_deviation, rel=1e-12)
+        assert dev.max() == pytest.approx(deviation, rel=1e-12)
 
 
 class TestFileRoundTrip:

@@ -13,9 +13,7 @@ from dualris.ris import (
     RisConfig,
     bits_to_levels,
     cascade_gains,
-    decode_phases,
     element_phase_offsets,
-    encode_phases,
     levels_to_bits,
 )
 
@@ -25,38 +23,43 @@ GEOM = link_geometry(math.radians(45.0), GeometryParams())
 class TestDecode:
     def test_all_zero_bits(self):
         cfg = RisConfig(n_elements=1, bits_quantum=2, bits_classical=2)
-        pc = decode_phases(np.zeros(4, np.uint8), cfg)
-        assert pc.phases_quantum[0] == 0.0
-        assert pc.phases_classical[0] == 0.0
+        lq, lc = bits_to_levels(np.zeros(4, np.uint8), cfg)
+        assert lq.tolist() == lc.tolist() == [0]
 
     def test_lsb_gives_quarter_turn(self):
-        # 2-bit encoding: theta = (2 pi / 4) * sum_k 2^k x_k
+        # 2-bit encoding: level = sum_k 2^k x_k, a quarter turn per level
         cfg = RisConfig(n_elements=1, bits_quantum=2, bits_classical=2)
-        pc = decode_phases(np.array([1, 0, 0, 0], np.uint8), cfg)
-        assert pc.phases_quantum[0] == pytest.approx(math.pi / 2)
+        lq, _ = bits_to_levels(np.array([1, 0, 0, 0], np.uint8), cfg)
+        assert lq.tolist() == [1]
 
     def test_both_bits(self):
         cfg = RisConfig(n_elements=1, bits_quantum=2, bits_classical=2)
-        pc = decode_phases(np.array([1, 1, 0, 0], np.uint8), cfg)
-        assert pc.phases_quantum[0] == pytest.approx(3 * math.pi / 2)
+        lq, _ = bits_to_levels(np.array([1, 1, 0, 0], np.uint8), cfg)
+        assert lq.tolist() == [3]
 
     def test_classical_block_layout(self):
         cfg = RisConfig(n_elements=2, bits_quantum=2, bits_classical=2)
         bits = np.zeros(8, np.uint8)
         bits[4] = 1          # first classical bit of element 0
-        pc = decode_phases(bits, cfg)
-        assert pc.phases_quantum.tolist() == [0.0, 0.0]
-        assert pc.phases_classical[0] == pytest.approx(math.pi / 2)
-        assert pc.phases_classical[1] == 0.0
+        lq, lc = bits_to_levels(bits, cfg)
+        assert lq.tolist() == [0, 0]
+        assert lc.tolist() == [1, 0]
 
     def test_total_dimension(self):
         cfg = RisConfig(n_elements=100, bits_quantum=2, bits_classical=2)
         assert cfg.bits_total == 400
 
     def test_length_mismatch(self):
+        from dualris.metrics import Calibration, CostWeights
+        from dualris.qubo import ExactObjective
+
         cfg = RisConfig(n_elements=2, bits_quantum=2, bits_classical=2)
+        state = ChannelState(ComplexGain(1.0, 0.0), ComplexGain(1.0, 0.0),
+                             np.ones(2, complex), np.ones(2, complex))
+        cal = Calibration(raw_rate_scale=1.0, effective_visibility=0.98, h_ref_sq=1.0)
+        obj = ExactObjective(state, CostWeights(), cal, OpticalParams(), RfParams(), cfg)
         with pytest.raises(ValueError):
-            decode_phases(np.zeros(7, np.uint8), cfg)
+            obj.levels_of(np.zeros(7, np.uint8))
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=3),
            st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10**9))
@@ -64,11 +67,10 @@ class TestDecode:
         cfg = RisConfig(n_elements=n, bits_quantum=bq, bits_classical=bc)
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, cfg.bits_total, dtype=np.uint8)
-        pc = decode_phases(bits, cfg)
-        again = encode_phases(pc.phases_quantum, pc.phases_classical, cfg)
-        assert np.array_equal(again.bits, bits)
-        levels = 2 * math.pi * np.arange(1 << bq) / (1 << bq)
-        assert all(any(abs(p - l) < 1e-12 for l in levels) for p in pc.phases_quantum)
+        lq, lc = bits_to_levels(bits, cfg)
+        assert np.array_equal(levels_to_bits(lq, lc, cfg), bits)
+        assert 0 <= lq.min() and lq.max() < 1 << bq
+        assert 0 <= lc.min() and lc.max() < 1 << bc
 
     @pytest.mark.parametrize("n,bq,bc", [(0, 1, 2), (1, 2, 2), (5, 3, 1), (7, 2, 3)])
     def test_level_layout_batches_match_decode_and_encode(self, n, bq, bc):
@@ -79,11 +81,9 @@ class TestDecode:
         assert lq.shape == lc.shape == (6, n)
         assert np.array_equal(levels_to_bits(lq, lc, cfg), rows)
         for row, q, c in zip(rows, lq, lc):
-            pc = decode_phases(row, cfg)
-            assert np.array_equal(pc.phases_quantum, 2 * math.pi / (1 << bq) * q)
-            assert np.array_equal(pc.phases_classical, 2 * math.pi / (1 << bc) * c)
-            assert np.array_equal(encode_phases(pc.phases_quantum, pc.phases_classical,
-                                                cfg).bits, levels_to_bits(q, c, cfg))
+            row_q, row_c = bits_to_levels(row, cfg)
+            assert np.array_equal(row_q, q) and np.array_equal(row_c, c)
+            assert np.array_equal(levels_to_bits(q, c, cfg), row)
 
 
 class TestCascades:
