@@ -570,6 +570,30 @@ class TestWalkConsistency:
                 kind="tabu", seed=seed, max_iters=moves, restarts=tabu_restarts)))
         assert got == PINNED_BENCHMARK_SOLVES[n]
 
+    @pytest.mark.parametrize("n", workloads.SOLVE_SIZES)
+    @pytest.mark.parametrize("elevation", workloads.SOLVE_ELEVATIONS)
+    def test_bcd_results_pinned_at_every_benchmark_state(self, elevation, n):
+        # bits, value, evaluation count and trace at the solve workload's 9
+        # states, as pinned before coordinate descent screened its late sweeps
+        cfg = RunConfig(seed=workloads.STATE_SEED)
+        cal = workloads.pinned_calibration()
+        state, ris_cfg, _ = build_channel_state(cfg, cal, elevation, n)
+        obj = ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
+        result = block_coordinate_descent(obj, SolverConfig(kind="bcd"))
+        assert _digest(result) == PINNED_BCD[elevation, n]
+
+
+PINNED_BCD = {
+    (20.0, 128): "226cee9a467c365fe83dc38bff36640c0e4b66ba997d579246f3f4d3e95b6235",
+    (20.0, 512): "acd045aa88845f6114aad0b66babfd8e9749484f0cd5bf9df79a51fce61770a7",
+    (20.0, 4096): "fe869f7798cac634d63a06a65ab6a00cd191ea5d9177f6e0f40d65ea1abbf9f4",
+    (45.0, 128): "1a4c65698b371e24d49af7996f74822df4e13ae67e7abd79916f107a572a7968",
+    (45.0, 512): "8d5dbf722dd9c4f38585f2e6802aec5c1878b4cfda430f3da39382058558b5e4",
+    (45.0, 4096): "81e1c39869411d4fc2a2370a67f969ae02af8a4cf3b1093e302858893300f483",
+    (80.0, 128): "e13e8e6584d1e0f625e08e31127b25c949980265027f6c4b7baa492c2d227915",
+    (80.0, 512): "68a10ebc88c6279dc41f97bd62fb0d4c4c43355905447e6e17d352fdd7e2c601",
+    (80.0, 4096): "8176fcdce5622355871e839bf2cfe8e16bc7940b84176cfbb9209c4d3a40f129",
+}
 
 PINNED_BENCHMARK_SOLVES = {
     128: {"bcd": "1a4c65698b371e24d49af7996f74822df4e13ae67e7abd79916f107a572a7968",
