@@ -78,7 +78,10 @@ _MAX_RANGE_ITEMS = 100_000           # a range spec is checked before its list i
 def _parse_scalar(raw: str, typ) -> object:
     raw = raw.strip()
     if typ is float:
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"{raw!r} is not a finite number")
+        return value
     if typ is int:
         return int(raw)
     return raw
@@ -103,7 +106,7 @@ def _parse_sequence(raw: str, item_type) -> tuple:
         values = [start + i * step for i in range(int(round(span)) + 1)
                   if start + i * step <= stop + 1e-9]
     else:
-        values = [float(p) for p in raw.split(",") if p.strip()]
+        values = [_parse_scalar(p, float) for p in raw.split(",") if p.strip()]
     return tuple(_sequence_item(v, item_type) for v in values)
 
 

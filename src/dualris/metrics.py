@@ -207,10 +207,10 @@ def field_gain_qber_array(total_amp: np.ndarray, direct_amp: float, eps_base: fl
                           p_dark: float) -> np.ndarray:
     """Elementwise field_gain_qber over an array of total amplitudes."""
     eps_hi = 0.5 + p_dark
-    # the floor only keeps the discarded dead-channel branch finite
-    eps = np.where(total_amp > 0.0,
-                   (eps_base - p_dark) / np.maximum(total_amp / direct_amp, 1e-300) + p_dark,
-                   eps_hi)
+    # the floor only keeps the discarded dead-channel branch finite; NaN takes
+    # the formula branch and stays NaN, as in field_gain_qber
+    eps = np.where(total_amp <= 0.0, eps_hi,
+                   (eps_base - p_dark) / np.maximum(total_amp / direct_amp, 1e-300) + p_dark)
     return np.clip(eps, 0.0, eps_hi)
 
 

@@ -148,9 +148,18 @@ class ExactObjective:
             lq, lc = bits_to_levels(xs[lo:lo + rows], self.cfg)
             tq[lo:lo + rows] = self.h0q + (self.uq * self._phasor_q[lq]).sum(axis=1)
             tc[lo:lo + rows] = self.h0c + (self.uc * self._phasor_c[lc]).sum(axis=1)
+        eps_terms, log_terms = self.terms(tq, tc)
+        return eps_terms + log_terms          # a + (-b) is bitwise a - b
+
+    def terms(self, tq: np.ndarray, tc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """quantum_term and classical_term over arrays of band totals.
+
+        numpy's abs and log2 may round differently from the scalar terms' hypot
+        and math.log2, by a few ulps.
+        """
         eps = field_gain_qber_array(np.abs(tq), self.direct_amp, self.eps_base, self.p_dark)
         gamma = self.snr_coeff * np.abs(tc) ** 2
-        return self.alpha * eps - self.beta * np.log2(1.0 + gamma)
+        return self.alpha * eps, -self.beta * np.log2(1.0 + gamma)
 
     def qber_of(self, x: np.ndarray) -> float:
         tq, _ = self.totals_of(x)

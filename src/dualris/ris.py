@@ -47,6 +47,8 @@ class RisConfig:
         # zero gain means a transparent surface, useful for baselines
         if self.element_gain < 0:
             raise ValueError("element_gain must be non-negative")
+        if not self.ris_to_ground_km > 0:
+            raise ValueError("ris_to_ground_km must be positive")
 
     @property
     def bits_total(self) -> int:

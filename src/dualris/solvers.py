@@ -222,6 +222,27 @@ def _lex_level_order(bits: int) -> list[int]:
     return sorted(range(1 << bits), key=lambda l: tuple((l >> k) & 1 for k in range(bits)))
 
 
+SCREEN_BLOCK = 256       # elements the screen scores per numpy pass
+SCREEN_TOL = 2.0 ** -48  # 32 units of roundoff, relative to the terms
+
+
+def _unclearable(obj: ExactObjective, cand_q: np.ndarray, cand_c: np.ndarray,
+                 cur_q: np.ndarray, cur_c: np.ndarray, tq: complex, tc: complex,
+                 value: float, scale: float) -> np.ndarray:
+    """Mask of the block's elements that the screen cannot clear.
+
+    cand_q, cand_c hold the block's candidate contributions as (K, B) arrays
+    and cur_q, cur_c its current ones; see block_coordinate_descent.
+    """
+    with np.errstate(all="ignore"):     # a non-finite result is never cleared
+        # complex add and subtract act per component, as in the scalar visit
+        eps_terms, log_terms = obj.terms((tq - cur_q) + cand_q, (tc - cur_c) + cand_c)
+        mq, mc = eps_terms.min(axis=0), log_terms.min(axis=0)
+        slack = SCREEN_TOL * (np.abs(mq) + np.abs(mc) + (abs(value) + scale))
+        # a clearing test, negated: NaN compares false, so it is never cleared
+        return ~(value - (mq + mc) + slack <= 1e-12 * abs(value))
+
+
 def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> SolverResult:
     """Element-wise exact descent over all joint per-element phase options.
 
@@ -232,6 +253,29 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     2^b_Q quantum terms with that of its 2^b_C classical terms, both in
     _lex_level_order; evaluations still counts every joint pair. Stops when
     a full sweep makes no change or after max_iters sweeps.
+
+    Screening. A visit changes element n only if value - (eq + ec) >
+    1e-12 |value|, where eq and ec are its smallest quantum and classical
+    terms at the current totals. From the second sweep on (the first, from all
+    zeros, changes most elements), the next SCREEN_BLOCK elements are scored
+    at once in numpy (ExactObjective.terms) as mq, mc, and the screen clears
+    element n when value - (mq + mc) + SCREEN_TOL (|mq| + |mc| + |value| +
+    alpha p_dark + beta) <= 1e-12 |value|. A cleared element is skipped but
+    still adds its joint pairs to evaluations; the others get the scalar visit
+    in order. An accepted change moves the totals, so screening restarts at
+    the next element. Skipping never changes a result:
+    - the candidate totals (t - cur_n) + u_n phasor[l] come from the same
+      values through complex add and subtract, which act per component, so
+      they equal the scalar visit's bit for bit;
+    - the terms then differ only in numpy's abs and log2 against hypot and
+      math.log2, each within a few ulps. A quantum term moves by a few ulps of
+      alpha (QBER + p_dark): its parts are non-negative, or cancel against
+      p_dark at most. A classical term moves by a few ulps of itself plus, as
+      1 + gamma rounds, up to about 15 units of roundoff of beta;
+    - SCREEN_TOL = 2^-48 is 32 units of roundoff (2^-53). It covers both
+      terms' errors, the sums and the final subtraction, so a cleared element
+      is always one whose scalar visit would be rejected. NaN, from an
+      infinite or overflowing weight, is never cleared.
     """
     if not isinstance(objective, ExactObjective):
         raise TypeError("block coordinate descent needs the exact objective")
@@ -242,9 +286,14 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     qterm, cterm = obj.quantum_term, obj.classical_term
     order_q, order_c = _lex_level_order(obj.bq), _lex_level_order(obj.bc)
     joint = len(order_q) * len(order_c)
-    # per-element candidate contributions, fixed for the whole run
-    cand_q = (obj.uq[:, None] * obj._phasor_q[None, :]).tolist()
-    cand_c = (obj.uc[:, None] * obj._phasor_c[None, :]).tolist()
+    # per-element candidate contributions, fixed for the whole run; the
+    # screen reads them level-major and the contributions in use per element
+    cand_q_arr = obj.uq[:, None] * obj._phasor_q[None, :]
+    cand_c_arr = obj.uc[:, None] * obj._phasor_c[None, :]
+    cand_q, cand_c = cand_q_arr.tolist(), cand_c_arr.tolist()
+    screen_q, screen_c = cand_q_arr.T.copy(), cand_c_arr.T.copy()
+    cur_q, cur_c = cand_q_arr[:, 0].copy(), cand_c_arr[:, 0].copy()
+    scale = obj.alpha * obj.p_dark + obj.beta     # absolute rounding scale of the terms
 
     levels_q, levels_c = [0] * obj.n, [0] * obj.n
     tq = obj.h0q + sum(row[0] for row in cand_q)
@@ -253,25 +302,42 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     evaluations = 1
     trace: list[tuple[int, float]] = [(evaluations, value)]
 
-    for _ in range(cfg.max_iters):
+    for sweep in range(cfg.max_iters):
         changed = False
-        for n in range(obj.n):
-            row_q, row_c = cand_q[n], cand_c[n]
-            lq_cur, lc_cur = levels_q[n], levels_c[n]
-            base_tq, base_tc = tq - row_q[lq_cur], tc - row_c[lc_cur]
-            eps_terms = [qterm(base_tq + row_q[lq]) for lq in order_q]
-            log_terms = [cterm(base_tc + row_c[lc]) for lc in order_c]
-            eq, ec = min(eps_terms), min(log_terms)      # min keeps the first of equals
-            pick_q, pick_c = order_q[eps_terms.index(eq)], order_c[log_terms.index(ec)]
-            pick_val = eq + ec
-            evaluations += joint
-            # require a real improvement: re-summed totals carry float dust
-            if value - pick_val > 1e-12 * abs(value) and (pick_q, pick_c) != (lq_cur, lc_cur):
-                tq, tc = base_tq + row_q[pick_q], base_tc + row_c[pick_c]
-                levels_q[n], levels_c[n] = pick_q, pick_c
-                value = pick_val
-                changed = True
-                trace.append((evaluations, value))
+        n = 0                       # elements before n are visited or skipped
+        while n < obj.n:
+            if sweep:
+                hi = min(n + SCREEN_BLOCK, obj.n)
+                todo = (n + np.flatnonzero(_unclearable(
+                    obj, screen_q[:, n:hi], screen_c[:, n:hi], cur_q[n:hi], cur_c[n:hi],
+                    tq, tc, value, scale))).tolist()
+            else:
+                hi, todo = obj.n, range(n, obj.n)
+            for m in todo:
+                evaluations += joint * (m - n)          # the skipped elements
+                n = m + 1
+                row_q, row_c = cand_q[m], cand_c[m]
+                lq_cur, lc_cur = levels_q[m], levels_c[m]
+                base_tq, base_tc = tq - row_q[lq_cur], tc - row_c[lc_cur]
+                eps_terms = [qterm(base_tq + row_q[lq]) for lq in order_q]
+                log_terms = [cterm(base_tc + row_c[lc]) for lc in order_c]
+                eq, ec = min(eps_terms), min(log_terms)      # min keeps the first of equals
+                pick_q, pick_c = order_q[eps_terms.index(eq)], order_c[log_terms.index(ec)]
+                pick_val = eq + ec
+                evaluations += joint
+                # require a real improvement: re-summed totals carry float dust
+                if value - pick_val > 1e-12 * abs(value) and (pick_q, pick_c) != (lq_cur, lc_cur):
+                    tq, tc = base_tq + row_q[pick_q], base_tc + row_c[pick_c]
+                    levels_q[m], levels_c[m] = pick_q, pick_c
+                    cur_q[m], cur_c[m] = row_q[pick_q], row_c[pick_c]
+                    value = pick_val
+                    changed = True
+                    trace.append((evaluations, value))
+                    if sweep:
+                        break               # the totals moved: screen again from m + 1
+            else:
+                evaluations += joint * (hi - n)
+                n = hi
         if not changed:
             break
     return _finalize(obj, levels_to_bits(levels_q, levels_c, obj.cfg), evaluations, trace)

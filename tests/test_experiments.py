@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import os
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -307,6 +309,16 @@ class TestCsvOutput:
         assert sorted(os.listdir(tmp_path)) == ["ok.csv"]
 
 
+def _float_keys() -> list[tuple[str, str]]:
+    """(section, key) of every config field that holds floats."""
+    keys = []
+    for section, cls in cli._SECTION_TYPES.items():
+        hints = typing.get_type_hints(cls)
+        keys += [(section, f.name) for f in dataclasses.fields(cls)
+                 if float in (hints[f.name], *typing.get_args(hints[f.name]))]
+    return keys
+
+
 class TestCli:
     def test_link_budget_runs(self, capsys):
         assert run_cli(["link-budget", "--elevation", "90", "--n", "0"]) == EXIT_OK
@@ -449,6 +461,9 @@ class TestCli:
         # the sweep pairs each elevation's rows with its leading N = 0 row
         ("[sweep]\nris_sizes = 128,0\n", ["sweep"]),
         ("[sweep]\nris_sizes = 128\n", ["sweep"]),
+        # 0 divided by zero in the cascade; -1 ran as +1 through its square
+        ("[ris]\nris_to_ground_km = 0\n", ["link-budget", "--elevation", "45", "--n", "8"]),
+        ("[ris]\nris_to_ground_km = -1\n", ["link-budget", "--elevation", "45", "--n", "8"]),
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"
@@ -461,6 +476,15 @@ class TestCli:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["edge.ini"]
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key", _float_keys())
+    def test_non_finite_float_exits_config(self, tmp_path, capsys, section, key, raw):
+        # before the rule, some of these ran on and printed cost nan or -inf,
+        # or fell back to the default weights without a word
+        self.test_boundary_config_exits_config(
+            tmp_path, capsys, f"[{section}]\n{key} = {raw}\n",
+            ["link-budget", "--elevation", "45", "--n", "8"])
 
     QUADRATIC = "[solver]\nkind = anneal\nobjective = quadratic\n"
 

@@ -211,3 +211,8 @@ class TestCalibratedPipeline:
         array = field_gain_qber_array(amps, 0.05, base, 1e-5)
         assert scalar[0] == scalar[1] == 0.5 + 1e-5
         assert array.tolist() == scalar
+
+    def test_nan_amplitude_stays_nan_in_both_maps(self):
+        base = calibrated_baseline_qber(0.05, self.CAL, 1e-5)
+        assert math.isnan(field_gain_qber(math.nan, 0.05, base, 1e-5))
+        assert np.isnan(field_gain_qber_array(np.array([math.nan]), 0.05, base, 1e-5)).all()

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from dualris.experiments import RunConfig, build_channel_state
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights, field_gain_qber_array
 from dualris.qubo import ExactObjective, QuadraticObjective, QuboModel
 from dualris.ris import ChannelState, RisConfig, bits_to_levels, levels_to_bits
+from dualris import solvers
 from dualris.solvers import (
+    SCREEN_BLOCK,
     SolverConfig,
     band_sweep,
     block_coordinate_descent,
@@ -190,11 +193,84 @@ class TestBcd:
     def test_band_split_equals_the_joint_scan(self, n, bq, bc, amp_hi, seed):
         # amp_hi = 1.0 reaches the QBER clamp, where many quantum terms tie
         obj, cfg = random_instance(seed, n, amp_hi=amp_hi, bits=(bq, bc))
+        self.check_joint_scan(obj)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(SCREEN_BLOCK + 1, 600), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from([0.3, 1.0]), st.integers(0, 2**32 - 1))
+    def test_screened_sweeps_equal_the_joint_scan(self, n, bq, bc, amp_hi, seed):
+        # more than one screen block, and late sweeps that the screen thins out
+        obj, cfg = random_instance(seed, n, amp_hi=amp_hi, bits=(bq, bc))
+        self.check_joint_scan(obj)
+
+    @pytest.mark.parametrize("n,amp_hi,seed", [(300, 0.3, 5), (600, 0.3, 6), (600, 1.0, 7)])
+    def test_screened_cases_equal_the_joint_scan(self, n, amp_hi, seed):
+        obj, _ = random_instance(seed, n, amp_hi=amp_hi)
+        result = self.check_joint_scan(obj)
+        assert result.evaluations > 2 * 16 * n       # the screen ran in late sweeps
+
+    def test_cancelling_terms_equal_the_joint_scan(self):
+        # beta makes the two terms cancel where the descent ends, so |value|
+        # falls far below the screen's slack and it clears nothing
+        obj, cfg = random_instance(11, 400)
+        probe = ExactObjective(obj.state, CostWeights(alpha=1.0, beta=1.0), obj.cal, OPT,
+                               RF, cfg)
+        tq, tc = probe.totals_of(block_coordinate_descent(
+            probe, SolverConfig(kind="bcd", max_iters=50)).best_bits)
+        beta = probe.quantum_term(tq) / -probe.classical_term(tc)
+        obj = ExactObjective(obj.state, CostWeights(alpha=1.0, beta=beta), obj.cal, OPT, RF, cfg)
+        result = self.check_joint_scan(obj)
+        assert abs(result.best_value) < 1e-9 * obj.quantum_term(tq)
+
+    def test_infinite_weight_equals_the_joint_scan(self):
+        # the value is -inf from the start, so no visit changes anything
+        obj, cfg = random_instance(3, 300)
+        obj = ExactObjective(obj.state, CostWeights(alpha=1.0, beta=math.inf), obj.cal, OPT,
+                             RF, cfg)
+        result = self.check_joint_scan(obj)
+        assert result.trace == [(1, -math.inf)]
+
+    def test_overflowing_weight_is_never_screened_out(self):
+        # beta times the start's log term is just finite, so the first change
+        # overflows the value to -inf and the second sweep's screen meets NaN.
+        # The band split and the joint scan pick different levels once a term
+        # is infinite, so the reference is the descent with every visit made.
+        obj, cfg = random_instance(3, 300)
+        _, tc = obj.totals_of(np.zeros(cfg.bits_total, np.uint8))
+        beta = 1.7e308 / math.log2(1.0 + obj.snr_coeff * abs(tc) ** 2)
+        obj = ExactObjective(obj.state, CostWeights(alpha=1.0, beta=beta), obj.cal, OPT, RF, cfg)
+        scfg = SolverConfig(kind="bcd", max_iters=50)
+        screened = block_coordinate_descent(obj, scfg)
+        with mock.patch.object(solvers, "_unclearable",
+                               lambda obj, cand_q, *rest: np.ones(cand_q.shape[1], bool)):
+            every = block_coordinate_descent(obj, scfg)
+        assert screened.trace[-1][1] == -math.inf and len(screened.trace) == 2
+        assert screened.evaluations == every.evaluations == 1 + 2 * 16 * 300
+        assert np.array_equal(screened.best_bits, every.best_bits)
+        assert screened.trace == every.trace
+
+    @pytest.mark.parametrize("nan_in", ["value", "quantum total", "classical total"])
+    def test_screen_never_clears_nan(self, nan_in):
+        obj, _ = random_instance(4, 8)
+        cand_q = (obj.uq[:, None] * obj._phasor_q[None, :]).T.copy()
+        cand_c = (obj.uc[:, None] * obj._phasor_c[None, :]).T.copy()
+        tq, tc = obj.totals_of(np.zeros(obj.dim, np.uint8))
+        value = obj.cost_from_totals(tq, tc)
+        tq, tc, value = (complex(math.nan, tq.imag) if nan_in == "quantum total" else tq,
+                         complex(tc.real, math.nan) if nan_in == "classical total" else tc,
+                         math.nan if nan_in == "value" else value)
+        keep = solvers._unclearable(obj, cand_q, cand_c, cand_q[0], cand_c[0], tq, tc,
+                                    value, obj.alpha * obj.p_dark + obj.beta)
+        assert keep.all()
+
+    @staticmethod
+    def check_joint_scan(obj):
         result = block_coordinate_descent(obj, SolverConfig(kind="bcd", max_iters=50))
         bits, evaluations, trace = joint_scan_bcd(obj, 50)
         assert np.array_equal(result.best_bits, bits)
         assert (result.evaluations, result.trace) == (evaluations, trace)
-        assert result.best_value == obj.value(bits)
+        assert result.best_value == obj.value(bits) or math.isnan(result.best_value)
+        return result
 
 
 def joint_scan_bcd(obj, max_iters):
@@ -202,6 +278,8 @@ def joint_scan_bcd(obj, max_iters):
     and keeps the first strict minimum in lexicographic bit order."""
     def lex(bits):
         return sorted(range(1 << bits), key=lambda l: [(l >> k) & 1 for k in range(bits)])
+
+    order_q, order_c = lex(obj.bq), lex(obj.bc)
 
     cand_q = (obj.uq[:, None] * obj._phasor_q[None, :]).tolist()
     cand_c = (obj.uc[:, None] * obj._phasor_c[None, :]).tolist()
@@ -215,8 +293,8 @@ def joint_scan_bcd(obj, max_iters):
         for n in range(obj.n):
             base_q, base_c = tq - cand_q[n][lq[n]], tc - cand_c[n][lc[n]]
             best = (math.inf, lq[n], lc[n])
-            for a in lex(obj.bq):
-                for b in lex(obj.bc):
+            for a in order_q:
+                for b in order_c:
                     evaluations += 1
                     val = obj.cost_from_totals(base_q + cand_q[n][a], base_c + cand_c[n][b])
                     if val < best[0]:
