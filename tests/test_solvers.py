@@ -219,8 +219,18 @@ class TestBcd:
             probe, SolverConfig(kind="bcd", max_iters=50)).best_bits)
         beta = probe.quantum_term(tq) / -probe.classical_term(tc)
         obj = ExactObjective(obj.state, CostWeights(alpha=1.0, beta=beta), obj.cal, OPT, RF, cfg)
-        result = self.check_joint_scan(obj)
+        kept_all = []
+
+        def spy(*args):
+            keep = unclearable(*args)
+            kept_all.append(keep.all())
+            return keep
+
+        unclearable = solvers._unclearable
+        with mock.patch.object(solvers, "_unclearable", spy):
+            result = self.check_joint_scan(obj)
         assert abs(result.best_value) < 1e-9 * obj.quantum_term(tq)
+        assert kept_all and all(kept_all)
 
     def test_infinite_weight_equals_the_joint_scan(self):
         # the value is -inf from the start, so no visit changes anything
@@ -269,7 +279,7 @@ class TestBcd:
         bits, evaluations, trace = joint_scan_bcd(obj, 50)
         assert np.array_equal(result.best_bits, bits)
         assert (result.evaluations, result.trace) == (evaluations, trace)
-        assert result.best_value == obj.value(bits) or math.isnan(result.best_value)
+        assert result.best_value == obj.value(bits)
         return result
 
 
