@@ -25,6 +25,7 @@ from dualris.ris import ChannelState, RisConfig, bits_to_levels
 from dualris.solvers import (SolverConfig, block_coordinate_descent, brute_force,
                              simulated_annealing, tabu_search)
 from perfbench import workloads
+from perfbench.oracle import campaign_instance
 
 OPT = OpticalParams()
 RF = RfParams()
@@ -582,6 +583,35 @@ class TestWalkConsistency:
         result = block_coordinate_descent(obj, SolverConfig(kind="bcd"))
         assert _digest(result) == PINNED_BCD[elevation, n]
 
+    @pytest.mark.parametrize("n", workloads.SOLVE_SIZES)
+    @pytest.mark.parametrize("elevation", workloads.SOLVE_ELEVATIONS)
+    def test_heuristic_results_pinned_at_every_benchmark_state(self, elevation, n):
+        # anneal and tabu with the solve workload's budgets, seeds 1 and 2, as
+        # pinned before the screened tabu neighbourhood and the peek reuse
+        cfg = RunConfig(seed=workloads.STATE_SEED)
+        cal = workloads.pinned_calibration()
+        state, ris_cfg, _ = build_channel_state(cfg, cal, elevation, n)
+        obj = ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
+        (sweeps, restarts), (moves, tabu_restarts) = (workloads.ANNEAL_BUDGET[n],
+                                                      workloads.TABU_BUDGET[n])
+        got = []
+        for seed in (1, 2):
+            got.append(_digest(simulated_annealing(obj, obj.dim, SolverConfig(
+                kind="anneal", seed=seed, max_iters=sweeps, restarts=restarts))))
+            got.append(_digest(tabu_search(obj, obj.dim, SolverConfig(
+                kind="tabu", seed=seed, max_iters=moves, restarts=tabu_restarts))))
+        assert tuple(got) == PINNED_HEURISTICS[elevation, n]
+
+    def test_tabu_results_pinned_with_the_campaign_budget(self):
+        # criterion 6's tabu budget on its first 20 instances (dim 4 to 16):
+        # aspiration fires on 14 of them and the all-tabu fallback on 10
+        got = []
+        for i in range(len(PINNED_CAMPAIGN_TABU)):
+            obj = campaign_instance(1000 + i, 1 + i % 4)
+            got.append(_digest(tabu_search(obj, obj.dim, SolverConfig(
+                kind="tabu", seed=i, max_iters=150, tabu_tenure=8, restarts=5))))
+        assert got == PINNED_CAMPAIGN_TABU
+
 
 PINNED_BCD = {
     (20.0, 128): "226cee9a467c365fe83dc38bff36640c0e4b66ba997d579246f3f4d3e95b6235",
@@ -607,3 +637,74 @@ PINNED_BENCHMARK_SOLVES = {
           "anneal 2": "cbdca5144718e6f9169e12a79d85cfa885d080de143f084df57872fd91b62d26",
           "tabu 2": "7b8fceaaa052fa3580827a4ad5052cb0c32b782c7c74124f5e18958c752e7970"},
 }
+
+PINNED_HEURISTICS = {
+    (20.0, 128): (
+        "805924afffe2f4ee222887a08180c3e8d6f367d11f2ac5f3ae1573698ec04fcb",
+        "8bc9341fb9ec5fde13960731105319cba3549fc23a9dec40ea47750e84190d9f",
+        "1ff720688d6889755f91d2beeb89edf458d78be869f4abe7f5e2d1cf4e71b59e",
+        "3ef33ff56ea04cd3bbc5c78713a818bfbefb1f5b190cc17fda02743c57b50f23"),
+    (20.0, 512): (
+        "16d70e63c0abd60ae21e4e48f5479160d24d4e2b62cbd1cd7125d9f9eb64fa98",
+        "8f6ac362b89e74c5a184ffb1f14b2c2ac700b861c5ce52674af9d330b19a5d2e",
+        "f8943cbce34776a20550d8d96f8af38aca22681d19d3b7d0385f6e4a4a4ca6b7",
+        "15cc5ca6e91c8437911c066f6ef5adc60662c49dead681148dc138656ef1274d"),
+    (20.0, 4096): (
+        "8bd329d102a66903c570514fbeb30e86e9b316a4f105d206de4bce05424315a1",
+        "58cc3f0880c7ee184aedec67c51e8e47c197adbf45818de41c8082502263124e",
+        "3bc3144ac173bd22f82c2cd17c76177058a469a23f2677aaf8949dadff4d88d7",
+        "e0b6b3b4e2b5d508b78e0f834ad77113134bcef82943fbed740c5e3f6c24901a"),
+    (45.0, 128): (
+        "319b467ee9408837baed2a58234637db189c404e1e5a60ccdb694f886b7a75a9",
+        "ea463fbea751dc9fff0720d452af38537d6fcb3ad56b8d3c623aee7f15f51270",
+        "a0cb42f83d03c169ff1cca97d367c9b8a29ec1e3cd27172b8bfcc690d501477b",
+        "c8574693ea85ac1e034b72747d0cffdd635c880048852a40f65f2fe5259ebc10"),
+    (45.0, 512): (
+        "4ca762d54cadb79af4bf6d4e0410296a658c690cbf45f8a20eaf32d07930c822",
+        "a4c9741b5d3fd55882a350a5409b52d7ae41bc913135c6ffbfc5a5e77be6d94e",
+        "cbdca5144718e6f9169e12a79d85cfa885d080de143f084df57872fd91b62d26",
+        "7b8fceaaa052fa3580827a4ad5052cb0c32b782c7c74124f5e18958c752e7970"),
+    (45.0, 4096): (
+        "64d57fe36f85fce7d999050e797167b5cfdeb192c5e639506afee579626d8427",
+        "cd278155dbc1aa23d9eb7c4a553b08be9ac095a5308a460d261e1c06b39064cc",
+        "ec81f23210084fcd1ffb06eefcc7f8c3ac229da84cb610488c9b28fbfd4d4c8f",
+        "5ba04240f53d32cb8494353ba0e0f8b59ba716ce9533e365b19498550698cf82"),
+    (80.0, 128): (
+        "d0696f34aedc9196795669484981f09a56ddec29fcd923abcfca0e5caf91f01b",
+        "f90c1a48438ffa375b0d924eed713dad949c0c204dc7cf6808064c2923b5128b",
+        "cdc9a300c0716105b6916ccaf720a6d6a24e68435939eec258f6c4cf4e18c0b9",
+        "29b2b3ce778af63c00b0b080bf9fbd1ebfa8fe1186ab1522f1e7bce48cf72de9"),
+    (80.0, 512): (
+        "4208f2d0e383546490d37301af981b12d26acd5630d19a4c3bf6ba7b1eb87869",
+        "b6ea9b41aa38e4229ddea72fc6d1ba9c2399a2a24fe88ae658ddd9134626a331",
+        "8514697c819fd1a176e86eb5f5b620ca389ea83434e4d95ab5d5fe464dea952a",
+        "13492996e0c7e6ba74118b1bd2aa106594545b20fdf5b1c9aaf4ce0de1367c44"),
+    (80.0, 4096): (
+        "664f0b01779707b2c767f9dd15c2d854d439ea70519e676222cfccafffce045b",
+        "a4ed8e2424c16c448077fa0c27edbee33af226939ce0dec3dbdf8e9cd657a776",
+        "a64f0a8c10f58188be8cbc69a84d011d4e7c741a1b6cfcf1f2e796522a555ceb",
+        "fab0859157748986f976c27a4ce0697819756d36c790376c6fdc4657a10e89d6"),
+}
+
+PINNED_CAMPAIGN_TABU = [
+    "07210405a45a032c051bc106589060c8d476df54fff911ef58dc92b4c59ed336",
+    "4f851f96f2dce4248236b4637b786a2aad409ae2e94e811a1cc1bcd9ca986739",
+    "39409339e5dee948ad2db06b587651c711b0df8ea34b315caef84e6cae39937c",
+    "4b492528f9bd5db0f83f5f45ec8b2875a98e20c2840bc0eda156cef336dd8001",
+    "d71a9fbaa3e0937a357f754a7066bbad1433546c2920923be1d0c2cf3d6792ec",
+    "fe433ad0991a3cf39c7081445824a0c8593afd39f1dbbd5f29e54a1a6129a70a",
+    "9573f15e02ba03f0fc0a6ddaf94723ccec4d41eba50bc1bddbf4166a0586ab8a",
+    "4bf5b8f400ed5e1f97e0315999ad8c815ffe234de68a37252df010ebf92491cd",
+    "f1df2ac1d2ea5041335518ead976510cf72bd503c0153c039220373bf2c76222",
+    "48c78320404bd40cc6bf6ea451cf90fbbf841fa5fa572663e98d73ae1fd4e314",
+    "340fbf7375c5c063fdf4102c706882e388a2d2e60e0822cd472ff528b3e86531",
+    "34fc694935770496f6c64e217df0e3ebcd1b018b5460d9e13e74872e0aba72d9",
+    "c63a9424b91e7c08f161b993ba02421fa67174df4cd8eaaccec1254aebb81859",
+    "c0a3e76cdfaf3c780fb47a418bbe91d28d10125c39fc19d9f9972b261c9a87f2",
+    "f1d7956a9c9fde1fd8dbb4349de6bbdf2dfdea417b616ecfa26db63ade6bb6e7",
+    "6b1e44dabdfbcfa6de8d54a6c53d62ba6331e8f98c9d1afc8b2a7d92cb65c6d5",
+    "93e31461a2b9f5fd4d5fe586c2d75fc081ec95feeb19cf0f4dd28fc6a7743053",
+    "c0b9b67701bec37205de3b8ce8f01af272f8df41cf43e2ae31e0a84772299217",
+    "cdf06673aa61617beba3422114fd023afc7951a6833f548b5cfee8d44fb764f9",
+    "12a09732916b98366c08a0a5e167eef77e11e54e81880405786610f8f4c5184d",
+]
