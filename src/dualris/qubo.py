@@ -36,6 +36,9 @@ from .ris import ChannelState, RisConfig, bits_to_levels, levels_to_bits
 _BATCH_ELEMENTS = 1 << 20     # cap on one (rows, pairs) temporary of QuadraticObjective.batch
 _EXACT_BATCH_ELEMENTS = 1 << 15   # cap on one (rows, N) temporary of ExactObjective.batch
 QUBO_MAX_PAIRS = 1 << 23      # build_qubo's cap; N = 1024 at 2 + 2 bits has 4.2M pairs
+# 32 units of roundoff (2^-53): the error bound of an array term against its
+# scalar term, relative to the terms and the weights (see ObjectiveWalk.peek_all)
+SCREEN_TOL = 2.0 ** -48
 
 
 def qubo_pairs(n: int, bits_q: int, bits_c: int) -> int:
@@ -138,16 +141,21 @@ class ExactObjective:
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized value() over rows of a (m, dim) bit matrix.
 
-        The band totals are summed in row blocks whose (rows, N) temporaries
-        hold about _EXACT_BATCH_ELEMENTS entries. Each row's sum runs along a
+        The band totals are summed in row blocks of about _EXACT_BATCH_ELEMENTS
+        entries, all in one reused (rows, N) buffer. Each row's sum runs along a
         contiguous axis, so it does not depend on the block size.
         """
         tq, tc = np.empty(len(xs), complex), np.empty(len(xs), complex)
         rows = max(1, _EXACT_BATCH_ELEMENTS // max(self.n, 1))
+        buffer = np.empty((min(rows, len(xs)), self.n), complex)
         for lo in range(0, len(xs), rows):
-            lq, lc = bits_to_levels(xs[lo:lo + rows], self.cfg)
-            tq[lo:lo + rows] = self.h0q + (self.uq * self._phasor_q[lq]).sum(axis=1)
-            tc[lo:lo + rows] = self.h0c + (self.uc * self._phasor_c[lc]).sum(axis=1)
+            levels = bits_to_levels(xs[lo:lo + rows], self.cfg)
+            for out, h0, u, phasor, lev in zip((tq, tc), (self.h0q, self.h0c), (self.uq, self.uc),
+                                               (self._phasor_q, self._phasor_c), levels):
+                block = buffer[:len(lev)]
+                np.take(phasor, lev, out=block, mode="clip")   # "raise" would buffer out
+                np.multiply(u, block, out=block)
+                out[lo:lo + rows] = h0 + block.sum(axis=1)
         eps_terms, log_terms = self.terms(tq, tc)
         return eps_terms + log_terms          # a + (-b) is bitwise a - b
 
@@ -174,8 +182,8 @@ class ExactObjective:
         return ObjectiveWalk(self, x)
 
 
-def _flip_table(obj: ExactObjective) -> tuple[list[complex], list[int], list[int],
-                                               list[int], list[int]]:
+def _flip_table(obj: ExactObjective) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                               np.ndarray, np.ndarray]:
     """Flip deltas of the band totals, and per bit i its base, element, band and mask.
 
     table[base[i] + l] = u_n (phasor[l ^ mask[i]] - phasor[l]) is what flipping
@@ -184,20 +192,22 @@ def _flip_table(obj: ExactObjective) -> tuple[list[complex], list[int], list[int
     list, quantum first. The product is taken with real ufuncs: they round like
     the scalar complex product, and numpy's vectorized complex product may not.
     """
-    table, base, elem, band, mask = [], [], [], [], []
-    for b, (u, phasor, bits) in enumerate(((obj.uq, obj._phasor_q, obj.bq),
-                                           (obj.uc, obj._phasor_c, obj.bc))):
+    bands = ((obj.uq, obj._phasor_q, obj.bq), (obj.uc, obj._phasor_c, obj.bc))
+    table = np.empty(sum(obj.n * bits << bits for _, _, bits in bands), complex)
+    base, elem, band, mask = [], [], [], []
+    start = 0
+    for b, (u, phasor, bits) in enumerate(bands):
         k = len(phasor)
         d = phasor[np.arange(k) ^ (1 << np.arange(bits))[:, None]] - phasor   # (bit, level)
         ur, ui = u.real[:, None, None], u.imag[:, None, None]
-        delta = np.empty((obj.n, bits, k), complex)
+        delta = table[start:start + obj.n * bits * k].reshape(obj.n, bits, k)
         delta.real, delta.imag = ur * d.real - ui * d.imag, ur * d.imag + ui * d.real
-        base += range(len(table), len(table) + delta.size, k)
-        table += delta.ravel().tolist()
-        elem += [e for e in range(b * obj.n, (b + 1) * obj.n) for _ in range(bits)]
-        band += [b] * (obj.n * bits)
-        mask += [1 << j for j in range(bits)] * obj.n
-    return table, base, elem, band, mask
+        base.append(np.arange(start, start + delta.size, k))
+        elem.append(np.repeat(np.arange(b * obj.n, (b + 1) * obj.n), bits))
+        band.append(np.full(obj.n * bits, b))
+        mask.append(np.tile(1 << np.arange(bits), obj.n))
+        start += delta.size
+    return table, *map(np.concatenate, (base, elem, band, mask))
 
 
 class ObjectiveWalk:
@@ -205,32 +215,71 @@ class ObjectiveWalk:
 
     A flip changes one band's total, so it rescores only that band's term
     (quantum_term or classical_term) and adds the other band's cached term.
-    Levels, totals, terms and the per-walk _flip_table are Python objects.
+    The scalar flips work on Python objects: levels, totals, terms, the
+    per-bit lists of _flip_table and its entries, which ndarray.item returns
+    as Python complex. peek_all reads the levels and the table as arrays.
+    apply_flip(i) right after peek_flip(i) reuses the peek's total and term,
+    the same floats it would compute; every apply drops the peek.
     """
 
     def __init__(self, obj: ExactObjective, x: np.ndarray):
         self.obj = obj
         self.x = np.array(x, dtype=np.uint8, copy=True)
         self._x = memoryview(self.x)          # flips x without numpy scalar overhead
-        levels_q, levels_c = obj.levels_of(self.x)
-        self._levels = levels_q.tolist() + levels_c.tolist()
+        self._level_array = np.concatenate(obj.levels_of(self.x))
+        self._level_view = memoryview(self._level_array)
+        self._levels = self._level_array.tolist()
         self._totals = list(obj.totals_of(self.x))
         self._score = (obj.quantum_term, obj.classical_term)
         self._terms = [score(t) for score, t in zip(self._score, self._totals)]
         self.value = self._terms[0] + self._terms[1]
-        self._table, self._base, self._elem, self._band, self._mask = _flip_table(obj)
+        self._table, self._base_array, self._elem_array, band, mask = _flip_table(obj)
+        self._entry = self._table.item
+        self._base, self._elem = self._base_array.tolist(), self._elem_array.tolist()
+        self._band, self._mask = band.tolist(), mask.tolist()
+        self._peek: tuple[int, complex, float] | None = None    # (bit, total, term)
 
     def peek_flip(self, i: int) -> float:
-        """Objective value if bit i were flipped; no state change."""
+        """Objective value if bit i were flipped; kept for apply_flip, x is unchanged."""
         b = self._band[i]
-        t = self._totals[b] + self._table[self._base[i] + self._levels[self._elem[i]]]
-        return self._score[b](t) + self._terms[1 - b]
+        t = self._totals[b] + self._entry(self._base[i] + self._levels[self._elem[i]])
+        term = self._score[b](t)
+        self._peek = (i, t, term)
+        return term + self._terms[1 - b]
+
+    def peek_all(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every peek_flip(i) as an array score, and a bound on each score's error.
+
+        The candidate totals come from the same values through complex add,
+        which acts per component, so they equal peek_flip's bit for bit. The
+        terms (ExactObjective.terms) differ from the scalar ones only in
+        numpy's abs and log2, by a few ulps of alpha (QBER + p_dark) for a
+        quantum term and of the term itself plus about 15 units of roundoff
+        of beta for a classical one (see block_coordinate_descent). So
+        |score - peek_flip(i)| <= SCREEN_TOL (|new term| + |other band's
+        term| + alpha p_dark + beta), which also covers the sum. Near overflow
+        the bound is 32 ulps of the largest float, so score - bound or score +
+        bound overflows wherever peek_flip does; an infinite or NaN term makes
+        the bound infinite or NaN.
+        """
+        obj, nq = self.obj, self.obj.n * self.obj.bq
+        t = self._table[self._base_array + self._level_array[self._elem_array]]
+        with np.errstate(all="ignore"):
+            new = np.concatenate(obj.terms(self._totals[0] + t[:nq], self._totals[1] + t[nq:]))
+            other = np.repeat((self._terms[1], self._terms[0]), (nq, obj.dim - nq))
+            scale = obj.alpha * obj.p_dark + obj.beta
+            return new + other, SCREEN_TOL * (np.abs(new) + np.abs(other) + scale)
 
     def apply_flip(self, i: int) -> None:
         b, e = self._band[i], self._elem[i]
-        self._totals[b] += self._table[self._base[i] + self._levels[e]]
-        self._terms[b] = self._score[b](self._totals[b])
+        peek, self._peek = self._peek, None
+        if peek is not None and peek[0] == i:
+            _, self._totals[b], self._terms[b] = peek
+        else:
+            self._totals[b] += self._entry(self._base[i] + self._levels[e])
+            self._terms[b] = self._score[b](self._totals[b])
         self._levels[e] ^= self._mask[i]
+        self._level_view[e] = self._levels[e]
         self._x[i] ^= 1
         self.value = self._terms[0] + self._terms[1]
 
@@ -399,6 +448,11 @@ class QuadraticWalk:
 
     def peek_flip(self, i: int) -> float:
         return self.value + self._delta(i)
+
+    def peek_all(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every peek_flip(i) as an array, in _delta's arithmetic, so each is exact."""
+        scores = self.value + (1.0 - 2.0 * self.x) * (self.obj.model.linear + self._sums)
+        return scores, np.zeros(self.obj.dim)
 
     def apply_flip(self, i: int) -> None:
         step = 1.0 - 2.0 * self.x[i]     # +1 for 0 -> 1, -1 for 1 -> 0

@@ -27,6 +27,8 @@ from .geometry import LinkGeometry
 QUANTUM = "quantum"
 CLASSICAL = "classical"
 _BAND_CODE = {QUANTUM: 0, CLASSICAL: 1}
+# each band keeps 2^bits phase levels per element in tables; the paper uses 2
+MAX_BITS_PER_BAND = 8
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,9 @@ class RisConfig:
     def __post_init__(self) -> None:
         if self.n_elements < 0:
             raise ValueError("n_elements must be non-negative")
-        if self.bits_quantum < 1 or self.bits_classical < 1:
-            raise ValueError("phase resolutions need at least 1 bit")
+        if not (1 <= self.bits_quantum <= MAX_BITS_PER_BAND
+                and 1 <= self.bits_classical <= MAX_BITS_PER_BAND):
+            raise ValueError(f"phase resolutions need 1 to {MAX_BITS_PER_BAND} bits per band")
         # zero gain means a transparent surface, useful for baselines
         if self.element_gain < 0:
             raise ValueError("element_gain must be non-negative")
@@ -77,15 +80,22 @@ def bits_to_levels(bits: np.ndarray, cfg: RisConfig) -> tuple[np.ndarray, np.nda
     """Per-element (quantum, classical) phase levels of a bit vector or of each row.
 
     The one bit layout of the package: all quantum bits first (element-major,
-    bit k minor), then all classical bits; level_n = sum_k 2^k x_{n,k}, and
-    the element's phase in a band of b bits is 2 pi level_n / 2^b.
+    bit k minor), then all classical bits; level_n = sum_k 2^k x_{n,k} over
+    0/1 bits, and the element's phase in a band of b bits is 2 pi level_n / 2^b.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     lead, n = bits.shape[:-1], cfg.n_elements
     bq, bc = cfg.bits_quantum, cfg.bits_classical
-    q_block = bits[..., : n * bq].reshape(*lead, n, bq)
-    c_block = bits[..., n * bq:].reshape(*lead, n, bc)
-    return q_block @ (1 << np.arange(bq)), c_block @ (1 << np.arange(bc))
+    return (_combine_bits(bits[..., : n * bq].reshape(*lead, n, bq)),
+            _combine_bits(bits[..., n * bq:].reshape(*lead, n, bc)))
+
+
+def _combine_bits(block: np.ndarray) -> np.ndarray:
+    """sum_k 2^k block[..., k] of 0/1 bits, by shift-or (an integer matmul is slower)."""
+    levels = block[..., 0].astype(np.int64)
+    for k in range(1, block.shape[-1]):
+        levels |= block[..., k].astype(np.int64) << k
+    return levels
 
 
 def levels_to_bits(levels_q: np.ndarray, levels_c: np.ndarray, cfg: RisConfig) -> np.ndarray:

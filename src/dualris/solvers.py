@@ -10,9 +10,17 @@ RNG_ALGORITHM, so runs replay across platforms.
 
 Brute force, annealing and tabu take any objective with dim, value(x),
 batch(xs) over rows and walk(x); a walk holds x and value and offers
-peek_flip(i) and apply_flip(i). ExactObjective and QuadraticObjective implement
-this interface. The band sweep and coordinate descent need the per-element
-channel structure of ExactObjective.
+peek_flip(i), apply_flip(i) and peek_all(), which returns an array score for
+every flip and a bound on each score's distance from peek_flip's.
+ExactObjective and QuadraticObjective implement this interface. The band
+sweep and coordinate descent need the per-element channel structure of
+ExactObjective.
+
+Tabu screens each move with peek_all: it skips the flips that are surely tabu
+without aspiration and those whose lower bound exceeds the upper bound of a
+surely eligible flip, neither of which the scalar rule could choose, and runs
+that rule on the rest in index order. The chosen move is therefore always the
+unscreened one, and evaluations still counts every flip of every move.
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import QBER_SECURITY_THRESHOLD
-from .qubo import ExactObjective
+from .qubo import SCREEN_TOL, ExactObjective
 from .ris import levels_to_bits
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -175,12 +183,42 @@ def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
     return _finalize(objective, best.bits, evaluations, trace)
 
 
+def _tabu_screen(scores: np.ndarray, err: np.ndarray, is_tabu: np.ndarray,
+                 best_value: float) -> np.ndarray:
+    """Mask of the moves whose scalar scores tabu_search must still take.
+
+    scores and err come from a walk's peek_all: each move's scalar score lies
+    in [scores - err, scores + err]. A move is surely eligible when it is not
+    tabu or its upper bound is below best_value (aspiration surely applies),
+    and may be eligible when it is not tabu or its lower bound is below
+    best_value. A move is kept when it may be eligible and its lower bound is
+    at most the smallest upper bound among the surely eligible moves. Every
+    comparison is written so that NaN keeps the move, or turns the cap off.
+    """
+    with np.errstate(invalid="ignore"):         # inf - inf: a NaN bound
+        lo, hi = scores - err, scores + err
+        surely = ~is_tabu | (hi < best_value)
+        maybe = ~is_tabu | ~(lo >= best_value)
+        cap = hi.min(where=surely, initial=math.inf)
+        return maybe & ~(lo > cap)
+
+
 def tabu_search(objective, dim: int, cfg: SolverConfig) -> SolverResult:
     """Steepest single-flip descent with a recency tabu list and aspiration.
 
     Runs cfg.restarts independent starts of cfg.max_iters moves each; a move
     is tabu for cfg.tabu_tenure iterations after its variable was last flipped
-    unless it improves on the best state ever seen (aspiration).
+    unless it improves on the best state ever seen (aspiration). Each move
+    takes the first eligible flip of smallest value, or the least recently
+    flipped bit when none is eligible, and adds dim to evaluations.
+
+    Screening. Each move first scores every flip at once with the walk's
+    peek_all, which bounds each array score's distance from peek_flip's, and
+    skips the flips that _tabu_screen excludes: those surely tabu without
+    aspiration, which the scalar rule would skip, and those whose lower bound
+    exceeds the upper bound of a surely eligible flip, which cannot be the
+    smallest. The scalar rule then runs, unchanged and in index order, on the
+    flips left, so the chosen flip, the fallback and the trace never change.
     """
     rng = np.random.default_rng(cfg.seed)
     best = _Best()
@@ -194,13 +232,15 @@ def tabu_search(objective, dim: int, cfg: SolverConfig) -> SolverResult:
         evaluations += 1
         if best.offer(walk.value, walk.x):
             trace.append((evaluations, best.value))
-        last_flip = [-10**9] * dim
+        last_flip = np.full(dim, -10**9)
         for it in range(cfg.max_iters):
             chosen = -1
             chosen_val = math.inf
-            for i in range(dim):
+            scores, err = walk.peek_all()
+            evaluations += dim
+            keep = _tabu_screen(scores, err, (it - last_flip) <= cfg.tabu_tenure, best.value)
+            for i in np.flatnonzero(keep).tolist():
                 cand = walk.peek_flip(i)
-                evaluations += 1
                 tabu = (it - last_flip[i]) <= cfg.tabu_tenure
                 if tabu and not cand < best.value:   # aspiration: allow if new best
                     continue
@@ -223,7 +263,6 @@ def _lex_level_order(bits: int) -> list[int]:
 
 
 SCREEN_BLOCK = 256       # elements the screen scores per numpy pass
-SCREEN_TOL = 2.0 ** -48  # 32 units of roundoff, relative to the terms
 
 
 def _unclearable(obj: ExactObjective, cand_q: np.ndarray, cand_c: np.ndarray,

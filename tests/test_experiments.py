@@ -464,6 +464,10 @@ class TestCli:
         # 0 divided by zero in the cascade; -1 ran as +1 through its square
         ("[ris]\nris_to_ground_km = 0\n", ["link-budget", "--elevation", "45", "--n", "8"]),
         ("[ris]\nris_to_ground_km = -1\n", ["link-budget", "--elevation", "45", "--n", "8"]),
+        # tables of 2^bits levels per element: 30 ran out of memory, 62 was too big
+        ("[ris]\nbits_quantum = 30\n", ["link-budget", "--elevation", "45", "--n", "8"]),
+        ("[ris]\nbits_quantum = 62\n", ["link-budget", "--elevation", "45", "--n", "8"]),
+        ("[ris]\nbits_classical = 30\n", ["link-budget", "--elevation", "45", "--n", "8"]),
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"

@@ -524,6 +524,65 @@ class TestWalkConsistency:
             assert walk.value == peek
             assert walk.value == pytest.approx(obj.value(walk.x), abs=1e-9)
 
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 10**6), st.booleans(),
+           st.lists(st.tuples(st.sampled_from(["peek", "apply peeked", "apply other"]),
+                              st.integers(0, 10**6)), max_size=60))
+    def test_interleaved_peeks_never_go_stale(self, seed, quadratic, calls):
+        # a walk driven through peeks and applies in any order holds what a
+        # twin makes of the same applies without peeks, and its levels are
+        # those of a walk rebuilt from x
+        state, cal, cfg = make_instance(seed=seed % 17, n=4, bq=2, bc=3)
+        obj = (QuadraticObjective(build_qubo(state, CostWeights(), cal, OPT, RF, cfg))
+               if quadratic else ExactObjective(state, CostWeights(), cal, OPT, RF, cfg))
+        x0 = np.random.default_rng(seed).integers(0, 2, obj.dim, dtype=np.uint8)
+        walk, twin = obj.walk(x0), obj.walk(x0)
+        peeked = 0
+        for call, k in calls:
+            i = k % obj.dim
+            if call == "peek":
+                peeked = i
+                walk.peek_flip(i)
+                continue
+            i = peeked if call == "apply peeked" else i
+            walk.apply_flip(i)
+            twin.apply_flip(i)
+            assert walk.value == twin.value
+            assert np.array_equal(walk.x, twin.x)
+        rebuilt = obj.walk(walk.x)
+        assert walk.value == pytest.approx(rebuilt.value, rel=1e-10, abs=1e-12)
+        if not quadratic:
+            assert (walk._totals, walk._terms) == (twin._totals, twin._terms)
+            assert walk._levels == rebuilt._levels
+            assert np.array_equal(walk._level_array, rebuilt._level_array)
+        scores, err = walk.peek_all()
+        for i in range(obj.dim):
+            assert abs(walk.peek_flip(i) - scores[i]) <= err[i]
+
+    def test_peek_all_bounds_every_peek_at_a_benchmark_state(self):
+        cfg = RunConfig(seed=workloads.STATE_SEED)
+        state, ris_cfg, _ = build_channel_state(cfg, workloads.pinned_calibration(), 45.0, 512)
+        obj = ExactObjective(state, cfg.weights, workloads.pinned_calibration(), cfg.optical,
+                             cfg.rf, ris_cfg)
+        rng = np.random.default_rng(4)
+        walk = obj.walk(rng.integers(0, 2, obj.dim, dtype=np.uint8))
+        for i in rng.integers(0, obj.dim, size=50).tolist():
+            walk.apply_flip(i)
+        scores, err = walk.peek_all()
+        peeks = np.array([walk.peek_flip(i) for i in range(obj.dim)])
+        assert (np.abs(peeks - scores) <= err).all()
+        assert (err < 1e-13 * np.abs(scores)).all()          # a bound tight enough to screen
+
+    def test_quadratic_peek_all_is_exact(self, model_n64):
+        model = model_n64[2]
+        walk = QuadraticObjective(model).walk(
+            np.random.default_rng(6).integers(0, 2, model.dim, dtype=np.uint8))
+        for i in range(0, model.dim, 7):
+            walk.apply_flip(i)
+        scores, err = walk.peek_all()
+        assert scores.tolist() == [walk.peek_flip(i) for i in range(model.dim)]
+        assert not err.any()
+
     @pytest.mark.parametrize("n,bq,bc", [(5, 2, 3), (4, 3, 1)])
     def test_flip_table_entries_are_the_scalar_deltas(self, n, bq, bc):
         state, cal, cfg = make_instance(seed=4, n=n, bq=bq, bc=bc)
@@ -537,8 +596,10 @@ class TestWalkConsistency:
 
     @staticmethod
     def check_flip_table(obj):
-        # each entry equals the numpy scalar product u_n (phasor[new] - phasor[old])
+        # each entry equals the numpy scalar product u_n (phasor[new] - phasor[old]),
+        # and a walk's scalar flips read it as a Python complex
         table, base, elem, band, mask = qubo._flip_table(obj)
+        entry = obj.walk(np.zeros(obj.dim, np.uint8))._entry
         bands = [(obj.uq, obj._phasor_q, obj.bq), (obj.uc, obj._phasor_c, obj.bc)]
         bits = [(b, n, k) for b, (_, _, width) in enumerate(bands)
                 for n in range(obj.n) for k in range(width)]
@@ -548,9 +609,9 @@ class TestWalkConsistency:
             assert (band[i], elem[i], mask[i]) == (b, b * obj.n + n, 1 << k)
             for old in range(len(phasor)):
                 expected = u[n] * (phasor[old ^ mask[i]] - phasor[old])
-                got = table[base[i] + old]
+                got = entry(base[i] + old)
                 assert (got.real, got.imag) == (expected.real, expected.imag)
-                assert type(got) is complex
+                assert type(got) is complex and got == table[base[i] + old]
 
     @pytest.mark.parametrize("n", [128, 512])
     def test_solver_results_pinned_at_benchmark_states(self, n):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dualris.channels import ComplexGain, OpticalParams, RfParams
 from dualris.geometry import GeometryParams, link_geometry
@@ -84,6 +84,30 @@ class TestDecode:
             row_q, row_c = bits_to_levels(row, cfg)
             assert np.array_equal(row_q, q) and np.array_equal(row_c, c)
             assert np.array_equal(levels_to_bits(q, c, cfg), row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 4), max_size=2), st.integers(0, 9), st.integers(1, 8),
+           st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_decode_equals_the_matmul_reference(self, lead, n, bq, bc, seed):
+        # the shift-or decode against sum_k 2^k x_k as an integer matmul
+        cfg = RisConfig(n_elements=n, bits_quantum=bq, bits_classical=bc)
+        bits = np.random.default_rng(seed).integers(0, 2, size=(*lead, cfg.bits_total),
+                                                    dtype=np.uint8)
+        lq, lc = bits_to_levels(bits, cfg)
+        ref_q = bits[..., : n * bq].reshape(*lead, n, bq) @ (1 << np.arange(bq))
+        ref_c = bits[..., n * bq:].reshape(*lead, n, bc) @ (1 << np.arange(bc))
+        for got, ref in ((lq, ref_q), (lc, ref_c)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("field", ["bits_quantum", "bits_classical"])
+    @pytest.mark.parametrize("bits,ok", [(0, False), (1, True), (8, True), (9, False),
+                                         (30, False), (62, False)])
+    def test_bits_per_band_are_capped(self, field, bits, ok):
+        if ok:
+            assert getattr(RisConfig(**{field: bits}), field) == bits
+        else:
+            with pytest.raises(ValueError, match="1 to 8 bits"):
+                RisConfig(**{field: bits})
 
 
 class TestCascades:

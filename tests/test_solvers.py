@@ -5,12 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dualris.channels import ComplexGain, OpticalParams, RfParams
 from dualris.experiments import RunConfig, build_channel_state
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights, field_gain_qber_array
-from dualris.qubo import ExactObjective, QuadraticObjective, QuboModel
+from dualris.qubo import ExactObjective, QuadraticObjective, QuboModel, build_qubo
 from dualris.ris import ChannelState, RisConfig, bits_to_levels, levels_to_bits
 from dualris import solvers
 from dualris.solvers import (
@@ -167,6 +167,130 @@ class TestTabu:
                                                     max_iters=6, restarts=1))
         assert result.best_bits.tolist() == [0, 1, 0, 1, 0, 1]
         assert result.best_value == pytest.approx(c[c < 0].sum())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.integers(1, 4), st.integers(5, 600)), st.integers(1, 3),
+           st.integers(1, 3), st.sampled_from(["exact", "quadratic"]),
+           st.sampled_from([None, math.inf, 2.34e307]), st.integers(0, 2**32 - 1), st.data())
+    def test_screened_moves_equal_the_plain_loop(self, n, bq, bc, objective, beta, seed, data):
+        # tenure up to dim with more moves than dim runs the all-tabu fallback;
+        # beta = inf makes every value -inf or NaN, and 2.34e307 overflows some.
+        # Their surrogates can be NaN throughout, where no solver finds a best
+        assume(objective == "exact" or beta is None)
+        if objective == "quadratic":
+            n = min(n, 40)                   # the surrogate's pairs grow as N^2
+        obj = tabu_instance(seed, n, (bq, bc), beta, objective == "quadratic")
+        tenure = data.draw(st.integers(1, obj.dim), label="tenure")
+        moves = data.draw(st.integers(1, 3 * obj.dim if obj.dim <= 16 else 12), label="moves")
+        restarts = data.draw(st.integers(1, 2), label="restarts")
+        self.check_plain_loop(obj, SolverConfig(kind="tabu", seed=seed, max_iters=moves,
+                                                tabu_tenure=tenure, restarts=restarts))
+
+    @pytest.mark.parametrize("n,bits,beta,quadratic,moves,tenure", [
+        (2, (1, 1), None, False, 30, 4),      # the all-tabu fallback
+        (3, (2, 1), None, True, 30, 9),
+        (4, (2, 2), None, False, 60, 8),      # aspiration
+        (30, (2, 2), None, False, 60, 8),
+        (300, (2, 2), None, False, 10, 8),
+        (300, (2, 2), math.inf, False, 5, 8),
+        (300, (2, 2), 2.34e307, False, 10, 3),
+        (40, (2, 2), 2.34e307, True, 10, 3),
+    ])
+    def test_screened_cases_equal_the_plain_loop(self, n, bits, beta, quadratic, moves, tenure):
+        obj = tabu_instance(3, n, bits, beta, quadratic)
+        self.check_plain_loop(obj, SolverConfig(kind="tabu", seed=5, max_iters=moves,
+                                                tabu_tenure=tenure, restarts=2))
+
+    @pytest.mark.parametrize("how", ["walk", "arrays"])
+    def test_screen_never_excludes_nan(self, how):
+        if how == "walk":
+            # infinite weights of both signs: every score is inf - inf
+            obj, cfg = random_instance(4, 8)
+            obj = ExactObjective(obj.state, CostWeights(alpha=math.inf, beta=math.inf), obj.cal,
+                                 OPT, RF, cfg)
+            scores, err = obj.walk(np.zeros(obj.dim, np.uint8)).peek_all()
+            assert np.isnan(scores).all()
+        else:
+            scores = np.array([1.0, math.nan, 2.0, math.nan, -1.0, math.nan])
+            err = np.array([0.0, 0.0, math.inf, math.nan, 0.0, 1.0])
+        for best in (-math.inf, -1.0, 0.0, math.inf):
+            for is_tabu in (np.zeros(len(scores), bool), np.ones(len(scores), bool),
+                            np.arange(len(scores)) % 2 == 0):
+                keep = solvers._tabu_screen(scores, err, is_tabu, best)
+                assert keep[np.isnan(scores)].all()
+
+    def test_screen_scores_one_flip_per_move_at_a_benchmark_state(self):
+        # 45 deg, N = 512: 4096 flips per move, of which the scalar rule sees one
+        cfg = RunConfig(seed=workloads.STATE_SEED)
+        state, ris_cfg, _ = build_channel_state(cfg, workloads.pinned_calibration(), 45.0, 512)
+        obj = ExactObjective(state, cfg.weights, workloads.pinned_calibration(), cfg.optical,
+                             cfg.rf, ris_cfg)
+        peeks = []
+        walk = obj.walk
+
+        def counting_walk(x):
+            w = walk(x)
+            peek = w.peek_flip
+            w.peek_flip = lambda i: peeks.append(i) or peek(i)
+            return w
+
+        with mock.patch.object(obj, "walk", counting_walk):
+            result = tabu_search(obj, obj.dim, SolverConfig(kind="tabu", seed=1, max_iters=8,
+                                                            restarts=1))
+        assert len(peeks) == 8 and result.evaluations == 1 + 8 * obj.dim
+
+    @staticmethod
+    def check_plain_loop(obj, scfg):
+        got, ref = tabu_search(obj, obj.dim, scfg), plain_tabu(obj, obj.dim, scfg)
+        assert np.array_equal(got.best_bits, ref.best_bits)
+        assert float(got.best_value).hex() == float(ref.best_value).hex()
+        assert got.evaluations == ref.evaluations
+        assert [(e, float(v).hex()) for e, v in got.trace] == \
+            [(e, float(v).hex()) for e, v in ref.trace]
+
+
+def tabu_instance(seed, n, bits, beta, quadratic):
+    """random_instance, with beta overriding the weights, or its QUBO surrogate."""
+    obj, cfg = random_instance(seed, n, bits=bits)
+    weights = CostWeights() if beta is None else CostWeights(alpha=1.0, beta=beta)
+    if quadratic:
+        with np.errstate(all="ignore"):
+            return QuadraticObjective(build_qubo(obj.state, weights, obj.cal, OPT, RF, cfg))
+    return ExactObjective(obj.state, weights, obj.cal, OPT, RF, cfg)
+
+
+def plain_tabu(objective, dim, cfg):
+    """tabu_search without the screen: every move peeks at every flip in index order."""
+    rng = np.random.default_rng(cfg.seed)
+    best = solvers._Best()
+    trace = []
+    evaluations = 0
+    for _ in range(cfg.restarts):
+        x0 = rng.integers(0, 2, size=dim, dtype=np.uint8)
+        walk = objective.walk(x0)
+        evaluations += 1
+        if best.offer(walk.value, walk.x):
+            trace.append((evaluations, best.value))
+        last_flip = [-10**9] * dim
+        for it in range(cfg.max_iters):
+            chosen = -1
+            chosen_val = math.inf
+            for i in range(dim):
+                cand = walk.peek_flip(i)
+                evaluations += 1
+                tabu = (it - last_flip[i]) <= cfg.tabu_tenure
+                if tabu and not cand < best.value:
+                    continue
+                if cand < chosen_val:
+                    chosen_val = cand
+                    chosen = i
+            if chosen < 0:
+                chosen = int(np.argmin(last_flip))
+            walk.apply_flip(chosen)
+            last_flip[chosen] = it
+            if best.offer(walk.value, walk.x):
+                trace.append((evaluations, best.value))
+    return solvers._finalize(objective, best.bits, evaluations, trace)
 
 
 class TestBcd:
