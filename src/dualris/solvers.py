@@ -16,11 +16,12 @@ ExactObjective and QuadraticObjective implement this interface. The band
 sweep and coordinate descent need the per-element channel structure of
 ExactObjective.
 
-Tabu screens each move with peek_all: it skips the flips that are surely tabu
-without aspiration and those whose lower bound exceeds the upper bound of a
-surely eligible flip, neither of which the scalar rule could choose, and runs
-that rule on the rest in index order. The chosen move is therefore always the
-unscreened one, and evaluations still counts every flip of every move.
+From TABU_SCREEN_MIN_DIM bits on, tabu screens each move with peek_all: it
+skips the flips that are surely tabu without aspiration and those whose lower
+bound exceeds the upper bound of a surely eligible flip, neither of which the
+scalar rule could choose, and runs that rule on the rest in index order. The
+chosen move is therefore always the unscreened one, and evaluations still
+counts every flip of every move.
 """
 from __future__ import annotations
 
@@ -35,6 +36,8 @@ from .ris import levels_to_bits
 
 RNG_ALGORITHM = "numpy-pcg64"
 BRUTE_FORCE_MAX_BITS = 24
+# below this many bits, tabu's numpy screen costs more than scoring every flip
+TABU_SCREEN_MIN_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -212,13 +215,15 @@ def tabu_search(objective, dim: int, cfg: SolverConfig) -> SolverResult:
     takes the first eligible flip of smallest value, or the least recently
     flipped bit when none is eligible, and adds dim to evaluations.
 
-    Screening. Each move first scores every flip at once with the walk's
-    peek_all, which bounds each array score's distance from peek_flip's, and
-    skips the flips that _tabu_screen excludes: those surely tabu without
-    aspiration, which the scalar rule would skip, and those whose lower bound
-    exceeds the upper bound of a surely eligible flip, which cannot be the
-    smallest. The scalar rule then runs, unchanged and in index order, on the
-    flips left, so the chosen flip, the fallback and the trace never change.
+    Screening. From TABU_SCREEN_MIN_DIM bits on, each move first scores every
+    flip at once with the walk's peek_all, which bounds each array score's
+    distance from peek_flip's, and skips the flips that _tabu_screen
+    excludes: those surely tabu without aspiration, which the scalar rule
+    would skip, and those whose lower bound exceeds the upper bound of a
+    surely eligible flip, which cannot be the smallest. The scalar rule then
+    runs, unchanged and in index order, on the flips left, so the chosen
+    flip, the fallback and the trace never change. Below that size the
+    screen's fixed cost of some 40 numpy calls exceeds scoring every flip.
     """
     rng = np.random.default_rng(cfg.seed)
     best = _Best()
@@ -233,15 +238,20 @@ def tabu_search(objective, dim: int, cfg: SolverConfig) -> SolverResult:
         if best.offer(walk.value, walk.x):
             trace.append((evaluations, best.value))
         last_flip = np.full(dim, -10**9)
+        recent = memoryview(last_flip)        # reads Python ints, without numpy scalars
         for it in range(cfg.max_iters):
             chosen = -1
             chosen_val = math.inf
-            scores, err = walk.peek_all()
             evaluations += dim
-            keep = _tabu_screen(scores, err, (it - last_flip) <= cfg.tabu_tenure, best.value)
-            for i in np.flatnonzero(keep).tolist():
+            if dim < TABU_SCREEN_MIN_DIM:
+                candidates = range(dim)
+            else:
+                scores, err = walk.peek_all()
+                candidates = np.flatnonzero(_tabu_screen(
+                    scores, err, (it - last_flip) <= cfg.tabu_tenure, best.value)).tolist()
+            for i in candidates:
                 cand = walk.peek_flip(i)
-                tabu = (it - last_flip[i]) <= cfg.tabu_tenure
+                tabu = (it - recent[i]) <= cfg.tabu_tenure
                 if tabu and not cand < best.value:   # aspiration: allow if new best
                     continue
                 if cand < chosen_val:                # lowest index wins ties

@@ -583,6 +583,24 @@ class TestWalkConsistency:
         assert scores.tolist() == [walk.peek_flip(i) for i in range(model.dim)]
         assert not err.any()
 
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 40), st.integers(1, 3), st.integers(1, 3), st.integers(0, 50),
+           st.sampled_from([1, 7, 64, 1 << 15]), st.integers(0, 2**32 - 1))
+    def test_exact_batch_equals_inline_reference(self, n, bq, bc, rows, cap, seed):
+        # one reused block buffer, in one to many row blocks, against fresh
+        # temporaries per band; coordinate descent's screen and the annealing
+        # temperature read these values
+        state, cal, cfg = make_instance(seed=seed % 17, n=n, bq=bq, bc=bc)
+        obj = ExactObjective(state, CostWeights(), cal, OPT, RF, cfg)
+        xs = np.random.default_rng(seed).integers(0, 2, size=(rows, obj.dim), dtype=np.uint8)
+        with mock.patch.object(qubo, "_EXACT_BATCH_ELEMENTS", cap):
+            got = obj.batch(xs)
+        lq, lc = bits_to_levels(xs, cfg)
+        tq = obj.h0q + (obj.uq * obj._phasor_q[lq]).sum(axis=1)
+        tc = obj.h0c + (obj.uc * obj._phasor_c[lc]).sum(axis=1)
+        eps_terms, log_terms = obj.terms(tq, tc)
+        assert got.tobytes() == (eps_terms + log_terms).tobytes()
+
     @pytest.mark.parametrize("n,bq,bc", [(5, 2, 3), (4, 3, 1)])
     def test_flip_table_entries_are_the_scalar_deltas(self, n, bq, bc):
         state, cal, cfg = make_instance(seed=4, n=n, bq=bq, bc=bc)

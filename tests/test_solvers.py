@@ -191,6 +191,8 @@ class TestTabu:
         (3, (2, 1), None, True, 30, 9),
         (4, (2, 2), None, False, 60, 8),      # aspiration
         (30, (2, 2), None, False, 60, 8),
+        (16, (2, 2), None, False, 150, 64),   # the fallback at the screen's smallest dim
+        (16, (2, 2), None, True, 150, 64),
         (300, (2, 2), None, False, 10, 8),
         (300, (2, 2), math.inf, False, 5, 8),
         (300, (2, 2), 2.34e307, False, 10, 3),
@@ -241,12 +243,16 @@ class TestTabu:
 
     @staticmethod
     def check_plain_loop(obj, scfg):
-        got, ref = tabu_search(obj, obj.dim, scfg), plain_tabu(obj, obj.dim, scfg)
-        assert np.array_equal(got.best_bits, ref.best_bits)
-        assert float(got.best_value).hex() == float(ref.best_value).hex()
-        assert got.evaluations == ref.evaluations
-        assert [(e, float(v).hex()) for e, v in got.trace] == \
-            [(e, float(v).hex()) for e, v in ref.trace]
+        # as it runs, and with the screen in front of every move at any dim
+        ref = plain_tabu(obj, obj.dim, scfg)
+        for min_dim in (solvers.TABU_SCREEN_MIN_DIM, 1):
+            with mock.patch.object(solvers, "TABU_SCREEN_MIN_DIM", min_dim):
+                got = tabu_search(obj, obj.dim, scfg)
+            assert np.array_equal(got.best_bits, ref.best_bits)
+            assert float(got.best_value).hex() == float(ref.best_value).hex()
+            assert got.evaluations == ref.evaluations
+            assert [(e, float(v).hex()) for e, v in got.trace] == \
+                [(e, float(v).hex()) for e, v in ref.trace]
 
 
 def tabu_instance(seed, n, bits, beta, quadratic):
