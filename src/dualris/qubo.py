@@ -182,32 +182,45 @@ class ExactObjective:
         return ObjectiveWalk(self, x)
 
 
-def _flip_table(obj: ExactObjective) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                               np.ndarray, np.ndarray]:
+def _flip_deltas(u: np.ndarray, phasor: np.ndarray, bits: int,
+                 levels: np.ndarray | None = None) -> np.ndarray:
+    """u_n (phasor[l ^ 2^j] - phasor[l]): what flipping bit j of element n adds.
+
+    For every level l as an (n, bit, level) array, or at levels[n] as (n, bit).
+    The product is taken with real ufuncs: they round like the scalar complex
+    product, and numpy's vectorized complex product may not. Each entry is one
+    elementwise computation, so both shapes give the same values.
+    """
+    k = len(phasor)
+    d = phasor[np.arange(k) ^ (1 << np.arange(bits))[:, None]] - phasor   # (bit, level)
+    if levels is None:
+        u = u[:, None, None]
+    else:
+        d, u = d[:, levels].T, u[:, None]
+    delta = np.empty(np.broadcast_shapes(u.shape, d.shape), complex)
+    delta.real, delta.imag = u.real * d.real - u.imag * d.imag, u.real * d.imag + u.imag * d.real
+    return delta
+
+
+def _flip_table(obj: ExactObjective) -> tuple[list[complex], list[int], list[int],
+                                               list[int], list[int]]:
     """Flip deltas of the band totals, and per bit i its base, element, band and mask.
 
-    table[base[i] + l] = u_n (phasor[l ^ mask[i]] - phasor[l]) is what flipping
-    bit i adds to its band's total (band[i] 0 quantum, 1 classical) when its
-    element sits at level l; elem[i] indexes the element in a walk's level
-    list, quantum first. The product is taken with real ufuncs: they round like
-    the scalar complex product, and numpy's vectorized complex product may not.
+    table[base[i] + l] = u_n (phasor[l ^ mask[i]] - phasor[l]) (_flip_deltas) is
+    what flipping bit i adds to its band's total (band[i] 0 quantum, 1
+    classical) when its element sits at level l; elem[i] indexes the element
+    in a walk's level list, quantum first.
     """
-    bands = ((obj.uq, obj._phasor_q, obj.bq), (obj.uc, obj._phasor_c, obj.bc))
-    table = np.empty(sum(obj.n * bits << bits for _, _, bits in bands), complex)
-    base, elem, band, mask = [], [], [], []
-    start = 0
-    for b, (u, phasor, bits) in enumerate(bands):
-        k = len(phasor)
-        d = phasor[np.arange(k) ^ (1 << np.arange(bits))[:, None]] - phasor   # (bit, level)
-        ur, ui = u.real[:, None, None], u.imag[:, None, None]
-        delta = table[start:start + obj.n * bits * k].reshape(obj.n, bits, k)
-        delta.real, delta.imag = ur * d.real - ui * d.imag, ur * d.imag + ui * d.real
-        base.append(np.arange(start, start + delta.size, k))
-        elem.append(np.repeat(np.arange(b * obj.n, (b + 1) * obj.n), bits))
-        band.append(np.full(obj.n * bits, b))
-        mask.append(np.tile(1 << np.arange(bits), obj.n))
-        start += delta.size
-    return table, *map(np.concatenate, (base, elem, band, mask))
+    table, base, elem, band, mask = [], [], [], [], []
+    for b, (u, phasor, bits) in enumerate(((obj.uq, obj._phasor_q, obj.bq),
+                                           (obj.uc, obj._phasor_c, obj.bc))):
+        delta = _flip_deltas(u, phasor, bits)
+        base += range(len(table), len(table) + delta.size, len(phasor))
+        table += delta.ravel().tolist()
+        elem += [e for e in range(b * obj.n, (b + 1) * obj.n) for _ in range(bits)]
+        band += [b] * (obj.n * bits)
+        mask += [1 << j for j in range(bits)] * obj.n
+    return table, base, elem, band, mask
 
 
 class ObjectiveWalk:
@@ -215,9 +228,8 @@ class ObjectiveWalk:
 
     A flip changes one band's total, so it rescores only that band's term
     (quantum_term or classical_term) and adds the other band's cached term.
-    The scalar flips work on Python objects: levels, totals, terms, the
-    per-bit lists of _flip_table and its entries, which ndarray.item returns
-    as Python complex. peek_all reads the levels and the table as arrays.
+    Levels, totals, terms and the per-walk _flip_table are Python objects;
+    peek_all computes its flip deltas from the levels in numpy instead.
     apply_flip(i) right after peek_flip(i) reuses the peek's total and term,
     the same floats it would compute; every apply drops the peek.
     """
@@ -226,60 +238,57 @@ class ObjectiveWalk:
         self.obj = obj
         self.x = np.array(x, dtype=np.uint8, copy=True)
         self._x = memoryview(self.x)          # flips x without numpy scalar overhead
-        self._level_array = np.concatenate(obj.levels_of(self.x))
-        self._level_view = memoryview(self._level_array)
-        self._levels = self._level_array.tolist()
+        levels_q, levels_c = obj.levels_of(self.x)
+        self._levels = levels_q.tolist() + levels_c.tolist()
         self._totals = list(obj.totals_of(self.x))
         self._score = (obj.quantum_term, obj.classical_term)
         self._terms = [score(t) for score, t in zip(self._score, self._totals)]
         self.value = self._terms[0] + self._terms[1]
-        self._table, self._base_array, self._elem_array, band, mask = _flip_table(obj)
-        self._entry = self._table.item
-        self._base, self._elem = self._base_array.tolist(), self._elem_array.tolist()
-        self._band, self._mask = band.tolist(), mask.tolist()
-        self._peek: tuple[int, complex, float] | None = None    # (bit, total, term)
+        self._table, self._base, self._elem, self._band, self._mask = _flip_table(obj)
+        self._peek_bit, self._peek_total, self._peek_term = -1, 0j, 0.0
 
     def peek_flip(self, i: int) -> float:
         """Objective value if bit i were flipped; kept for apply_flip, x is unchanged."""
         b = self._band[i]
-        t = self._totals[b] + self._entry(self._base[i] + self._levels[self._elem[i]])
+        t = self._totals[b] + self._table[self._base[i] + self._levels[self._elem[i]]]
         term = self._score[b](t)
-        self._peek = (i, t, term)
+        self._peek_bit, self._peek_total, self._peek_term = i, t, term
         return term + self._terms[1 - b]
 
     def peek_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Every peek_flip(i) as an array score, and a bound on each score's error.
 
-        The candidate totals come from the same values through complex add,
-        which acts per component, so they equal peek_flip's bit for bit. The
-        terms (ExactObjective.terms) differ from the scalar ones only in
-        numpy's abs and log2, by a few ulps of alpha (QBER + p_dark) for a
-        quantum term and of the term itself plus about 15 units of roundoff
-        of beta for a classical one (see block_coordinate_descent). So
-        |score - peek_flip(i)| <= SCREEN_TOL (|new term| + |other band's
-        term| + alpha p_dark + beta), which also covers the sum. Near overflow
-        the bound is 32 ulps of the largest float, so score - bound or score +
-        bound overflows wherever peek_flip does; an infinite or NaN term makes
-        the bound infinite or NaN.
+        The flip deltas at the current levels (_flip_deltas) equal the table's
+        entries, and complex add acts per component, so the candidate totals
+        equal peek_flip's bit for bit. The terms (ExactObjective.terms) differ
+        from the scalar ones only in numpy's abs and log2, by a few ulps of
+        alpha (QBER + p_dark) for a quantum term and of the term itself plus
+        about 15 units of roundoff of beta for a classical one (see
+        block_coordinate_descent). So the bound SCREEN_TOL (|new term| +
+        |other band's term| + alpha p_dark + beta) holds, the sum included.
+        Near overflow it is 32 ulps of the largest float, so score - bound or
+        score + bound overflows wherever peek_flip does; an infinite or NaN
+        term makes the bound infinite or NaN.
         """
-        obj, nq = self.obj, self.obj.n * self.obj.bq
-        t = self._table[self._base_array + self._level_array[self._elem_array]]
+        obj, levels = self.obj, np.array(self._levels)
+        tq = self._totals[0] + _flip_deltas(obj.uq, obj._phasor_q, obj.bq, levels[:obj.n]).ravel()
+        tc = self._totals[1] + _flip_deltas(obj.uc, obj._phasor_c, obj.bc, levels[obj.n:]).ravel()
+        nq = len(tq)
         with np.errstate(all="ignore"):
-            new = np.concatenate(obj.terms(self._totals[0] + t[:nq], self._totals[1] + t[nq:]))
+            new = np.concatenate(obj.terms(tq, tc))
             other = np.repeat((self._terms[1], self._terms[0]), (nq, obj.dim - nq))
             scale = obj.alpha * obj.p_dark + obj.beta
             return new + other, SCREEN_TOL * (np.abs(new) + np.abs(other) + scale)
 
     def apply_flip(self, i: int) -> None:
         b, e = self._band[i], self._elem[i]
-        peek, self._peek = self._peek, None
-        if peek is not None and peek[0] == i:
-            _, self._totals[b], self._terms[b] = peek
+        if i == self._peek_bit:
+            self._totals[b], self._terms[b] = self._peek_total, self._peek_term
         else:
-            self._totals[b] += self._entry(self._base[i] + self._levels[e])
+            self._totals[b] += self._table[self._base[i] + self._levels[e]]
             self._terms[b] = self._score[b](self._totals[b])
+        self._peek_bit = -1
         self._levels[e] ^= self._mask[i]
-        self._level_view[e] = self._levels[e]
         self._x[i] ^= 1
         self.value = self._terms[0] + self._terms[1]
 

@@ -554,7 +554,6 @@ class TestWalkConsistency:
         if not quadratic:
             assert (walk._totals, walk._terms) == (twin._totals, twin._terms)
             assert walk._levels == rebuilt._levels
-            assert np.array_equal(walk._level_array, rebuilt._level_array)
         scores, err = walk.peek_all()
         for i in range(obj.dim):
             assert abs(walk.peek_flip(i) - scores[i]) <= err[i]
@@ -615,10 +614,13 @@ class TestWalkConsistency:
     @staticmethod
     def check_flip_table(obj):
         # each entry equals the numpy scalar product u_n (phasor[new] - phasor[old]),
-        # and a walk's scalar flips read it as a Python complex
+        # and so do the deltas at given levels, which peek_all reads
         table, base, elem, band, mask = qubo._flip_table(obj)
-        entry = obj.walk(np.zeros(obj.dim, np.uint8))._entry
         bands = [(obj.uq, obj._phasor_q, obj.bq), (obj.uc, obj._phasor_c, obj.bc)]
+        rng = np.random.default_rng(obj.n)
+        levels = [rng.integers(0, len(phasor), obj.n) for _, phasor, _ in bands]
+        at_levels = [qubo._flip_deltas(u, phasor, width, lev)
+                     for (u, phasor, width), lev in zip(bands, levels)]
         bits = [(b, n, k) for b, (_, _, width) in enumerate(bands)
                 for n in range(obj.n) for k in range(width)]
         assert len(base) == len(elem) == len(band) == len(mask) == obj.dim == len(bits)
@@ -627,9 +629,10 @@ class TestWalkConsistency:
             assert (band[i], elem[i], mask[i]) == (b, b * obj.n + n, 1 << k)
             for old in range(len(phasor)):
                 expected = u[n] * (phasor[old ^ mask[i]] - phasor[old])
-                got = entry(base[i] + old)
+                got = table[base[i] + old]
                 assert (got.real, got.imag) == (expected.real, expected.imag)
-                assert type(got) is complex and got == table[base[i] + old]
+                assert type(got) is complex
+            assert at_levels[b][n, k] == table[base[i] + levels[b][n]]
 
     @pytest.mark.parametrize("n", [128, 512])
     def test_solver_results_pinned_at_benchmark_states(self, n):
