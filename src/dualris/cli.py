@@ -37,7 +37,7 @@ from .experiments import (
 )
 from .geometry import GeometryParams
 from .metrics import QBER_SECURITY_THRESHOLD, Calibration, CostWeights
-from .qubo import QUBO_MAX_PAIRS, build_qubo, format_qubo, qubo_pairs
+from .qubo import QUBO_MAX_PAIRS, SurrogateError, build_qubo, format_qubo, qubo_pairs
 from .ris import RisConfig
 from .solvers import (BRUTE_FORCE_MAX_BITS, RNG_ALGORITHM, SolverConfig, min_qber,
                       trace_csv_lines)
@@ -335,6 +335,9 @@ def run_cli(argv=None) -> int:
         return _run_command(args, cfg, cal)
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SurrogateError as exc:        # qubo-export, or a quadratic objective
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

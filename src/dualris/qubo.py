@@ -11,6 +11,7 @@ the bits by their weights (_band_terms). The bit layout is ris.bits_to_levels.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Iterator
@@ -44,6 +45,10 @@ SCREEN_TOL = 2.0 ** -48
 def qubo_pairs(n: int, bits_q: int, bits_c: int) -> int:
     """Pair count of the surrogate before exact zeros drop: C(N b_Q, 2) + C(N b_C, 2)."""
     return math.comb(n * bits_q, 2) + math.comb(n * bits_c, 2)
+
+
+class SurrogateError(ValueError):
+    """build_qubo's model has a coefficient that is not finite."""
 
 
 @dataclass
@@ -329,9 +334,24 @@ def build_qubo(state: ChannelState, weights: CostWeights, cal: Calibration,
     function of |H_Q_tot|^2) and the log-SNR map are replaced by first-order
     affine surrogates there, so the model reproduces the exact objective at
     that point and stays quadratic everywhere. Raises ValueError on an
-    expansion point of the wrong length or with a value other than 0/1, and
-    refuses a model of more than QUBO_MAX_PAIRS pairs before allocating it.
+    expansion point of the wrong length or with a value other than 0/1,
+    refuses a model of more than QUBO_MAX_PAIRS pairs before allocating it,
+    and raises SurrogateError when the offset, a linear term or a pair weight
+    is not finite (weights so large that the surrogate overflows).
     """
+    model = _surrogate(state, weights, cal, optical, rf, cfg, expansion_point)
+    for name, values in (("offset", model.offset), ("linear term", model.linear),
+                         ("pair weight", model.pair_w)):
+        if not np.isfinite(values).all():
+            raise SurrogateError(f"the QUBO surrogate has a non-finite {name} "
+                                 "at these cost weights")
+    return model
+
+
+def _surrogate(state: ChannelState, weights: CostWeights, cal: Calibration,
+               optical: OpticalParams, rf: RfParams, cfg: RisConfig,
+               expansion_point: np.ndarray | None) -> QuboModel:
+    """build_qubo's model, whose coefficients may overflow to inf or NaN."""
     pairs = qubo_pairs(cfg.n_elements, cfg.bits_quantum, cfg.bits_classical)
     if pairs > QUBO_MAX_PAIRS:
         raise ValueError(f"QUBO build refused: {pairs} pairs exceed the cap of {QUBO_MAX_PAIRS}")
@@ -354,10 +374,12 @@ def build_qubo(state: ChannelState, weights: CostWeights, cal: Calibration,
     gamma0 = obj.snr_coeff * pc0
     dlog_dp = obj.snr_coeff / ((1.0 + gamma0) * math.log(2.0))
 
-    lin_q, iq, jq, wq, off_q = _band_terms(obj.alpha * deps_dp, tq0, uq0, levels0_q,
-                                          cfg.bits_quantum)
-    lin_c, ic, jc, wc, off_c = _band_terms(-obj.beta * dlog_dp, tc0, uc0, levels0_c,
-                                          cfg.bits_classical)
+    with np.errstate(over="ignore", invalid="ignore"):     # build_qubo refuses the result
+        lin_q, iq, jq, wq, off_q = _band_terms(obj.alpha * deps_dp, tq0, uq0, levels0_q,
+                                              cfg.bits_quantum)
+        lin_c, ic, jc, wc, off_c = _band_terms(-obj.beta * dlog_dp, tc0, uc0, levels0_c,
+                                              cfg.bits_classical)
+        offset = obj.cost_from_totals(tq0, tc0) + off_q + off_c
     split = np.int32(cfg.n_elements * cfg.bits_quantum)
     return QuboModel(
         dim=cfg.bits_total,
@@ -365,7 +387,7 @@ def build_qubo(state: ChannelState, weights: CostWeights, cal: Calibration,
         pair_i=np.concatenate([iq, ic + split]),
         pair_j=np.concatenate([jq, jc + split]),
         pair_w=np.concatenate([wq, wc]),
-        offset=obj.cost_from_totals(tq0, tc0) + off_q + off_c,
+        offset=offset,
         n_elements=cfg.n_elements,
     )
 
@@ -511,8 +533,168 @@ def expansion_error(state: ChannelState, weights: CostWeights, cal: Calibration,
 # --- plain-text sparse triplet export -----------------------------------------
 
 _CHUNK_ROWS = 1 << 15                  # triplet lines per text chunk of format_qubo
-_TRIPLET_LINE = "%d %d %.16e\n"
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+# |x| range of _decimal: x (2^27 + 1) cannot overflow, and every part and
+# product of the two-product with 10^k is a normal double
+_FAST_MIN, _FAST_MAX = 1e-290, 1e290
+_TIE_MARGIN = 2.0 ** -32       # far above the 5e-15 error of an inexact remainder
+_SPLIT = 134217729.0           # 2^27 + 1: Veltkamp's split into halves of 26 bits
+# a line's bytes after its second index: ' ', sign, first digit, '.', 16 digits,
+# 'e', exponent sign, two NUL and the exponent word. NUL bytes are dropped
+_VALUE_ROW = b" \x000.0000000000000000e+\x00\x00000\n"
+
+
+@functools.cache
+def _ascii_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ASCII words (4 bytes), built on first use: the four digits of 0..9999,
+    the same with NUL for leading zeros (0 keeps one '0'), and NUL or the
+    hundreds digit of 0..999, its tens and units digits and '\n'."""
+    number = np.arange(10000, dtype=np.uint16)[:, None]
+    digits = (number // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")).astype(np.uint8)
+    leading = np.where(number >= np.array([1000, 100, 10, 0], np.uint16), digits, 0
+                       ).astype(np.uint8)
+    exponent = np.column_stack([leading[:1000, 1], digits[:1000, 2:],
+                                np.full(1000, ord("\n"), np.uint8)])
+    return tuple(table.view(np.uint32).ravel() for table in (digits, leading, exponent))
+
+
+@functools.cache
+def _power_of_ten(k: int) -> tuple[float, float, float, float]:
+    """10^k as (hi, lo, hi's upper half, hi's lower half).
+
+    hi is the double nearest 10^k and lo the double nearest 10^k - hi: Python
+    divides integers with correct rounding, so hi + lo is within 2^-106 of
+    10^k; lo is 0 for 0 <= k <= 22. The Veltkamp halves of hi are split at
+    hi's binary exponent and scaled back, so the split cannot overflow.
+    """
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    m, ex = math.frexp(hi)
+    c = m * _SPLIT
+    head = c - (c - m)
+    return (hi, (num * d - n * den) / (den * d),
+            math.ldexp(head, ex), math.ldexp(m - head, ex))
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a 10^k as ph + t, and where 10^k is not a double.
+
+    ph = a * hi rounded, and Dekker's two-product gives its rounding error
+    exactly; t adds a * lo to that error. For a in [_FAST_MIN, _FAST_MAX] and
+    a 10^k in [10^16, 10^17], |t| < 20 and ph + t is within 5e-15 of a 10^k
+    (2^-106 of hi left out of lo, and two roundings of t), or equal to it
+    where lo is 0.
+    """
+    base = int(k.min())
+    table = np.array([_power_of_ten(e) for e in range(base, int(k.max()) + 1)]).T
+    hi, lo, hi_head, hi_tail = (column[k - base] for column in table)
+    ph = a * hi
+    c = a * _SPLIT
+    head = c - (c - a)
+    tail = a - head
+    err = ((head * hi_head - ph) + head * hi_tail + tail * hi_head) + tail * hi_tail
+    return ph, err + a * lo, lo != 0.0
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits and the decimal exponent of each value.
+
+    Returns (digits, exp, settled) with |x| = digits 10^(exp - 16) rounded
+    half-even, digits in [10^16, 10^17): the digits '%.16e' writes, wherever
+    settled holds. Not settled are 0, non-finite values, |x| outside
+    [_FAST_MIN, _FAST_MAX] and the rows whose inexact remainder lies within
+    _TIE_MARGIN of a half-unit tie.
+    """
+    a = np.abs(x)
+    settled = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a[~settled] = 1.0                                   # harmless digits, replaced later
+    exp = np.floor(np.log10(a)).astype(np.int64)       # may be one off either way
+    ph, t, inexact = _scaled(a, 16 - exp)
+    # move exp once so that ph + t lies in [10^16, 10^17). Where a rounding
+    # error could pick the wrong side of a bound, a 10^(16 - exp) is within
+    # 1e-13 of it, and both sides write the same text after the carry below
+    step = ((ph - 1e17) + t >= 0.0).astype(np.int64) - ((ph - 1e16) + t < 0.0)
+    moved = np.flatnonzero(step)
+    if moved.size:
+        exp[moved] += step[moved]
+        ph[moved], t[moved], inexact[moved] = _scaled(a[moved], 16 - exp[moved])
+    # ph >= 2^53 is an even integer, so t rounded half-even rounds ph + t so
+    r = np.rint(t)
+    digits = ph.astype(np.int64) + r.astype(np.int64)
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    exp[carry] += 1
+    settled &= ~inexact | (0.5 - np.abs(t - r) > _TIE_MARGIN)
+    settled &= (digits >= 10 ** 16) & (digits < 10 ** 17)
+    return digits, exp, settled
+
+
+def _digit_words(value: np.ndarray, groups: int) -> list[np.ndarray]:
+    """value < 10^(4 groups) as that many ASCII digit words, most significant first."""
+    digit_words = _ascii_words()[0]
+    words = []
+    for _ in range(groups - 1):
+        high = value // 10000
+        words.append(digit_words[value - 10000 * high])
+        value = high
+    words.append(digit_words[value])
+    return words[::-1]
+
+
+def _index_words(index: np.ndarray, groups: int) -> list[np.ndarray]:
+    """index < 10^(4 groups) as _digit_words, with NUL for its leading zeros."""
+    digit_words, index_words, _ = _ascii_words()
+    words = []
+    for g in range(groups - 1, -1, -1):
+        head = index // 10 ** (4 * g)                # this group's digits and those above
+        if g == groups - 1:
+            word = index_words[head]
+        else:
+            part = head % 10000
+            word = np.where(head < 10000, index_words[part], digit_words[part])
+        words.append(np.where(head > 0, word, 0) if g else word)
+    return words
+
+
+def _triplet_lines(i: np.ndarray, j: np.ndarray, w: np.ndarray) -> str:
+    """'%d %d %.16e\n' % row for every row of (i, j, w), as one string.
+
+    Each line is laid out in one uint8 row: both indices right-aligned in
+    fields of whole 4-byte words with a space and three NUL between them,
+    then _VALUE_ROW filled in, so that every 4-digit group is one word of the
+    row's uint32 view. NUL bytes stand for what the line does not hold (an
+    index's leading zeros, the sign of a positive value, a third exponent
+    digit below 100), and the text is the row bytes without them. The rows
+    _decimal leaves unsettled take Python's own '%.16e' text, NUL-padded, in
+    the value's columns. Indices must be >= 0.
+    """
+    i, j, w = i.astype(np.int64), j.astype(np.int64), w.astype(np.float64, copy=False)
+    if min(i.min(), j.min()) < 0:
+        raise ValueError("triplet indices must be >= 0")
+    groups = (len(str(max(i.max(), j.max()))) + 3) // 4
+    v = 8 * groups + 4                               # _VALUE_ROW's first column
+    text = np.empty((len(w), v + len(_VALUE_ROW)), np.uint8)
+    text[:, :v] = 0
+    text[:, 4 * groups] = ord(" ")
+    text[:, v:] = np.frombuffer(_VALUE_ROW, np.uint8)
+    words = text.view(np.uint32)
+    for start, index in ((0, i), (groups + 1, j)):
+        for g, word in enumerate(_index_words(index, groups)):
+            words[:, start + g] = word
+    digits, exp, settled = _decimal(w)
+    first = digits // 10 ** 16
+    text[:, v + 1] = np.where(w < 0, ord("-"), 0)
+    text[:, v + 2] = first + ord("0")
+    for g, word in enumerate(_digit_words(digits - first * 10 ** 16, 4)):
+        words[:, v // 4 + 1 + g] = word
+    text[:, v + 21] = np.where(exp < 0, ord("-"), ord("+"))
+    words[:, v // 4 + 6] = _ascii_words()[2][np.abs(exp)]
+    python = np.flatnonzero(~settled)
+    if python.size:                      # from the sign up to the '\n'
+        field = np.array(["%.16e" % x for x in w[python].tolist()], dtype="S26")
+        text[python, v + 1:v + 27] = field.view(np.uint8).reshape(-1, 26)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def format_qubo(model: QuboModel, comments: list[str] | None = None) -> Iterator[str]:
@@ -522,7 +704,9 @@ def format_qubo(model: QuboModel, comments: list[str] | None = None) -> Iterator
     <offset>', then 'i i value' lines for nonzero linear terms and 'i j value'
     (i < j) for pair terms, zero-based, 17 significant digits. The first chunk
     holds the comments and the header; each later one at most _CHUNK_ROWS
-    triplet lines.
+    triplet lines. Every line is the text of '%d %d %.16e\n', byte for byte:
+    _decimal computes the digits exactly in numpy, and Python's '%.16e'
+    writes the values it leaves unsettled.
     """
     lin_idx = np.nonzero(model.linear)[0]
     head = [f"# {c}\n" for c in comments or []]
@@ -533,8 +717,7 @@ def format_qubo(model: QuboModel, comments: list[str] | None = None) -> Iterator
                     (model.pair_i, model.pair_j, model.pair_w)):
         for lo in range(0, len(w), _CHUNK_ROWS):
             rows = slice(lo, lo + _CHUNK_ROWS)
-            yield "".join(map(_TRIPLET_LINE.__mod__, zip(
-                i[rows].tolist(), j[rows].tolist(), w[rows].tolist())))
+            yield _triplet_lines(i[rows], j[rows], w[rows])
 
 
 def export_qubo(model: QuboModel, path: str, comments: list[str] | None = None) -> None:

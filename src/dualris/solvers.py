@@ -110,7 +110,9 @@ class _Best:
 
 def _finalize(objective, bits: np.ndarray | None, evaluations: int,
               trace: list[tuple[int, float]]) -> SolverResult:
-    bits = bits if bits is not None else np.zeros(0, np.uint8)
+    """The result at bits, re-scored; bits is None when _Best took no value."""
+    if bits is None:             # every value was NaN or +inf, so none compared below inf
+        raise ValueError(f"no finite objective value was found in {evaluations} evaluations")
     return SolverResult(best_bits=bits,
                         best_value=objective.value(bits),   # re-score: no stale caching
                         evaluations=evaluations, trace=trace)

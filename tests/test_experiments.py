@@ -423,6 +423,8 @@ class TestCli:
         assert argv[-2] in err
         assert "Traceback" not in err
 
+    HUGE_BETA = "[weights]\nalpha = 1\nbeta = 1e308\n[solver]\nkind = tabu\nobjective = quadratic\n"
+
     @pytest.mark.parametrize("ini,argv", [
         ("[sweep]\nris_sizes = 0,1.5\n", ["sweep"]),
         ("[sweep]\nris_sizes = 0:3:1.5\n", ["sweep"]),
@@ -468,6 +470,10 @@ class TestCli:
         ("[ris]\nbits_quantum = 30\n", ["link-budget", "--elevation", "45", "--n", "8"]),
         ("[ris]\nbits_quantum = 62\n", ["link-budget", "--elevation", "45", "--n", "8"]),
         ("[ris]\nbits_classical = 30\n", ["link-budget", "--elevation", "45", "--n", "8"]),
+        # the surrogate's offset overflows: optimize ended in a traceback, and
+        # qubo-export wrote a header offset of nan
+        (HUGE_BETA, ["optimize", "--elevation", "45", "--n", "4"]),
+        (HUGE_BETA, ["qubo-export", "--n", "4"]),
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"

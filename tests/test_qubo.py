@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -405,6 +409,143 @@ class TestFileRoundTrip:
         model = load_qubo(str(path))
         assert model.linear.tolist() == [1.5, 0.0]
         assert model.pair_w.tolist() == [-2.0]
+
+
+def plain_format_qubo(model, comments=None):
+    """format_qubo as one '%' formatting per line: the byte reference."""
+    lin_idx = np.nonzero(model.linear)[0]
+    head = [f"# {c}\n" for c in comments or []]
+    head.append(f"qubo {model.dim} {len(lin_idx)} {len(model.pair_w)} "
+                f"{model.offset:.16e}\n")
+    yield "".join(head)
+    for i, j, w in ((lin_idx, lin_idx, model.linear[lin_idx]),
+                    (model.pair_i, model.pair_j, model.pair_w)):
+        for lo in range(0, len(w), qubo._CHUNK_ROWS):
+            rows = slice(lo, lo + qubo._CHUNK_ROWS)
+            yield "".join(map("%d %d %.16e\n".__mod__, zip(
+                i[rows].tolist(), j[rows].tolist(), w[rows].tolist())))
+
+
+def assert_formats_like_plain(model, comments=None):
+    # the same chunks: the joined text and every chunk boundary
+    assert list(format_qubo(model, comments)) == list(plain_format_qubo(model, comments))
+
+
+def named_values():
+    """The formatter's edge cases, each with its negative."""
+    powers = [float(f"1e{k}") for k in range(-300, 301)]
+    values = [0.0, 5e-324, 2.0 ** -1022, math.inf, math.nan,
+              1234567890123456.75, 1234567890123457.25]         # exact decimal ties
+    values += [x for p in powers for x in (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))]
+    values += [x for limit in (qubo._FAST_MIN, qubo._FAST_MAX)
+               for x in (np.nextafter(limit, 0.0), limit, np.nextafter(limit, math.inf))]
+    return np.array(values + [-x for x in values])
+
+
+def pair_model(weights, seed=0):
+    """Sorted distinct pairs of a dim just large enough, one per weight."""
+    weights = np.asarray(weights, dtype=float)
+    dim = 2
+    while dim * (dim - 1) // 2 < len(weights):
+        dim *= 2
+    model = random_model(np.random.default_rng(seed), dim, len(weights),
+                         values=lambda k: np.ones(k))
+    order = np.lexsort((model.pair_j, model.pair_i))
+    return QuboModel(dim=dim, linear=np.zeros(dim), pair_i=model.pair_i[order],
+                     pair_j=model.pair_j[order], pair_w=weights, offset=1.0)
+
+
+# writes format_qubo's text of the model saved at argv[1] to argv[2] and
+# prints whether numpy dispatches to AVX2 (x86-64-v3) kernels
+_DISPATCH_CHILD = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from dualris.qubo import QuboModel, export_qubo
+saved = np.load(sys.argv[1])
+export_qubo(QuboModel(dim=int(saved["dim"]), linear=saved["linear"], pair_i=saved["pair_i"],
+                      pair_j=saved["pair_j"], pair_w=saved["pair_w"],
+                      offset=float(saved["offset"])), sys.argv[2])
+print(__cpu_features__["X86_V3"])
+"""
+
+
+class TestTripletFormat:
+    @pytest.mark.parametrize("n", workloads.QUBO_SIZES)
+    def test_qubo_workload_models(self, n):
+        cfg, cal = RunConfig(seed=workloads.STATE_SEED), workloads.pinned_calibration()
+        state, ris_cfg, _ = build_channel_state(cfg, cal, workloads.QUBO_ELEVATION, n)
+        model = build_qubo(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
+        assert_formats_like_plain(model, ["dualris surrogate", f"n_elements {n}"])
+
+    def test_named_values(self):
+        values = named_values()
+        model = pair_model(values)
+        model.linear[:] = values[:model.dim]
+        assert_formats_like_plain(model)
+        text = "".join(format_qubo(model))
+        # CPython rounds both ties half-even
+        assert " 1.2345678901234568e+15\n" in text and " 1.2345678901234572e+15\n" in text
+
+    def test_ties_take_the_numpy_path(self):
+        # the tie rows are decided in numpy, not left to Python's formatting
+        digits, exp, settled = qubo._decimal(np.array([1234567890123456.75,
+                                                       -1234567890123457.25]))
+        assert settled.all() and exp.tolist() == [15, 15]
+        assert digits.tolist() == [12345678901234568, 12345678901234572]
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(1, 7), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300),
+           st.integers(0, 2**32 - 1))
+    def test_bit_patterns(self, digits, bits, seed):
+        # arbitrary float64 bit patterns, with the largest index of `digits` digits
+        rng = np.random.default_rng(seed)
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        dim = 10 ** (digits - 1) + int(rng.integers(1, min(1000, 9 * 10 ** (digits - 1)) + 1))
+        index = np.minimum(10 ** rng.integers(1, digits + 1, (len(values), 2)), dim)
+        index = np.sort(rng.integers(0, index), axis=1)
+        index[0, 1] = dim - 1
+        linear = np.zeros(dim)
+        linear[rng.integers(0, dim, len(values) // 3)] = values[:len(values) // 3]
+        model = QuboModel(dim=dim, linear=linear, pair_i=index[:, 0].astype(np.int32),
+                          pair_j=index[:, 1].astype(np.int32), pair_w=values,
+                          offset=float(values[0]))
+        assert_formats_like_plain(model)
+
+    def test_same_bytes_under_pre_avx2_dispatch(self, tmp_path):
+        # numpy's SIMD kernels differ per dispatch level (np.log10 by an ulp);
+        # the digits must not
+        from numpy._core._multiarray_umath import __cpu_features__
+        if "X86_V3" not in __cpu_features__:
+            pytest.skip("x86-64 dispatch levels only")
+        rng = np.random.default_rng(20)
+        values = np.concatenate([named_values(), rng.integers(
+            0, 2**64, 1 << 15, dtype=np.uint64).view(np.float64)])
+        model = pair_model(values)
+        np.savez(tmp_path / "model.npz", dim=model.dim, linear=model.linear,
+                 pair_i=model.pair_i, pair_j=model.pair_j, pair_w=model.pair_w,
+                 offset=model.offset)
+        src = str(Path(qubo.__file__).parents[1])
+        text = {}
+        for level in ("X86_V2", None):
+            env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+            env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+            if level:
+                env["NPY_ENABLE_CPU_FEATURES"] = level
+            out = tmp_path / f"{level}.qubo"
+            run = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD, str(tmp_path / "model.npz"),
+                                  str(out)], env=env, capture_output=True, text=True, check=True)
+            if level:              # the variable took effect: no AVX2 kernels in this child
+                assert run.stdout.strip() == "False"
+            text[level] = out.read_bytes()
+        assert text["X86_V2"] == text[None]
+        assert text[None].decode() == "".join(plain_format_qubo(model))
+
+    def test_negative_index_refused(self):
+        model = pair_model([1.0])
+        model.pair_i[0] = -1
+        with pytest.raises(ValueError, match="must be >= 0"):
+            list(format_qubo(model))
 
 
 def _loop_adjacency(model):

@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from dualris.channels import ComplexGain, OpticalParams, RfParams
 from dualris.experiments import RunConfig, build_channel_state
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights, field_gain_qber_array
-from dualris.qubo import ExactObjective, QuadraticObjective, QuboModel, build_qubo
+from dualris.qubo import ExactObjective, QuadraticObjective, QuboModel
 from dualris.ris import ChannelState, RisConfig, bits_to_levels, levels_to_bits
-from dualris import solvers
+from dualris import qubo, solvers
 from dualris.solvers import (
     SCREEN_BLOCK,
     SolverConfig,
@@ -88,6 +88,17 @@ class TestBruteForce:
     def test_hard_cap(self):
         with pytest.raises(ValueError):
             brute_force(QuadraticObjective(linear_model([0.0] * 25)), 25)
+
+
+@pytest.mark.parametrize("kind,dim", [("anneal", 4), ("tabu", 4), ("tabu", 64), ("brute", 4)])
+def test_all_nan_objective_is_refused(kind, dim):
+    # no value compares below the running best, so there is no state to report;
+    # at 64 bits tabu screens its moves
+    obj = QuadraticObjective(linear_model([math.nan] * dim))
+    cfg = SolverConfig(kind=kind, max_iters=2)
+    with pytest.raises(ValueError, match="no finite objective value was found"):
+        {"anneal": simulated_annealing, "tabu": tabu_search,
+         "brute": lambda o, d, c: brute_force(o, d)}[kind](obj, dim, cfg)
 
 
 class TestDeterminism:
@@ -256,12 +267,16 @@ class TestTabu:
 
 
 def tabu_instance(seed, n, bits, beta, quadratic):
-    """random_instance, with beta overriding the weights, or its QUBO surrogate."""
+    """random_instance, with beta overriding the weights, or its QUBO surrogate.
+
+    The surrogate is taken unchecked: build_qubo refuses one that overflows.
+    """
     obj, cfg = random_instance(seed, n, bits=bits)
     weights = CostWeights() if beta is None else CostWeights(alpha=1.0, beta=beta)
     if quadratic:
         with np.errstate(all="ignore"):
-            return QuadraticObjective(build_qubo(obj.state, weights, obj.cal, OPT, RF, cfg))
+            return QuadraticObjective(qubo._surrogate(obj.state, weights, obj.cal, OPT, RF,
+                                                      cfg, None))
     return ExactObjective(obj.state, weights, obj.cal, OPT, RF, cfg)
 
 
