@@ -37,7 +37,7 @@ from .experiments import (
 )
 from .geometry import GeometryParams
 from .metrics import QBER_SECURITY_THRESHOLD, Calibration, CostWeights
-from .qubo import QUBO_MAX_PAIRS, SurrogateError, build_qubo, format_qubo, qubo_pairs
+from .qubo import QUBO_MAX_PAIRS, ObjectiveError, build_qubo, format_qubo, qubo_pairs
 from .ris import RisConfig
 from .solvers import (BRUTE_FORCE_MAX_BITS, RNG_ALGORITHM, SolverConfig, min_qber,
                       trace_csv_lines)
@@ -327,16 +327,16 @@ def run_cli(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        cal = calibrate(cfg, CalibrationAnchors())
-    except CalibrationError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION
-    try:
+        try:
+            cal = calibrate(cfg, CalibrationAnchors())
+        except CalibrationError as exc:
+            print(f"calibration failed: {exc}", file=sys.stderr)
+            return EXIT_CALIBRATION
         return _run_command(args, cfg, cal)
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SurrogateError as exc:        # qubo-export, or a quadratic objective
+    except ObjectiveError as exc:        # weights whose cost or QUBO surrogate overflows
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

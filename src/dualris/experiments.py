@@ -29,7 +29,7 @@ from .metrics import (
     skr,
     snr,
 )
-from .qubo import ExactObjective, QuadraticObjective, build_qubo
+from .qubo import ExactObjective, ObjectiveError, QuadraticObjective, build_qubo
 from .ris import CLASSICAL, QUANTUM, ChannelState, RisConfig, cascade_gains
 from .solvers import SolverConfig, SolverResult, enforce_security, solve
 
@@ -192,9 +192,16 @@ def solve_point(cfg: RunConfig, cal: Calibration, elevation_deg: float,
                 n_elements: int, att: float = 1.0,
                 solver: SolverConfig | None = None
                 ) -> tuple[SolverResult, ExactObjective]:
-    """Optimize one sweep point and apply the BB84 rule to the winner."""
+    """Optimize one sweep point and apply the BB84 rule to the winner.
+
+    Raises ObjectiveError before any solve when a cost term can overflow
+    (objective_problem).
+    """
     state, ris_cfg, _ = build_channel_state(cfg, cal, elevation_deg, n_elements, att)
     objective = ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
+    problem = objective_problem(objective)
+    if problem:
+        raise ObjectiveError(problem)
     scfg = solver if solver is not None else cfg.solver
     if scfg.objective == "quadratic":
         model = build_qubo(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
@@ -376,6 +383,22 @@ def sweep_problem(spec: SweepSpec) -> str | None:
         return (f"the sweep needs ris_sizes to start with 0 for its baseline rows, "
                 f"got {','.join(map(str, spec.ris_sizes))}")
     return None
+
+
+def objective_problem(obj: ExactObjective) -> str | None:
+    """Why a cost term of obj can be infinite or NaN, or None when neither can.
+
+    QBER lies in [0, 0.5 + p_dark], and by the triangle inequality no
+    reachable |T_C| exceeds |h_C| + sum |u_C|, so the terms' extremes are
+    alpha (0.5 + p_dark) and beta log2(1 + kappa (|h_C| + sum |u_C|)^2).
+    """
+    amp = abs(obj.h0c) + float(np.abs(obj.uc).sum())
+    quantum = obj.alpha * (0.5 + obj.p_dark)
+    classical = obj.beta * math.log2(1.0 + obj.snr_coeff * amp * amp)
+    if math.isfinite(quantum) and math.isfinite(classical):
+        return None
+    return (f"the cost is not finite at these weights: alpha (0.5 + p_dark) = {quantum:g}, "
+            f"beta log2(1 + kappa (|h_C| + sum |u_C|)^2) = {classical:g}")
 
 
 def histogram_problem(ris: RisConfig) -> str | None:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 import numpy as np
 
@@ -47,7 +48,11 @@ def qubo_pairs(n: int, bits_q: int, bits_c: int) -> int:
     return math.comb(n * bits_q, 2) + math.comb(n * bits_c, 2)
 
 
-class SurrogateError(ValueError):
+class ObjectiveError(ValueError):
+    """The cost at these weights is not finite everywhere."""
+
+
+class SurrogateError(ObjectiveError):
     """build_qubo's model has a coefficient that is not finite."""
 
 
@@ -192,19 +197,23 @@ def _flip_deltas(u: np.ndarray, phasor: np.ndarray, bits: int,
     """u_n (phasor[l ^ 2^j] - phasor[l]): what flipping bit j of element n adds.
 
     For every level l as an (n, bit, level) array, or at levels[n] as (n, bit).
-    The product is taken with real ufuncs: they round like the scalar complex
-    product, and numpy's vectorized complex product may not. Each entry is one
+    The product is taken with real ufuncs (_product). Each entry is one
     elementwise computation, so both shapes give the same values.
     """
     k = len(phasor)
     d = phasor[np.arange(k) ^ (1 << np.arange(bits))[:, None]] - phasor   # (bit, level)
     if levels is None:
-        u = u[:, None, None]
-    else:
-        d, u = d[:, levels].T, u[:, None]
-    delta = np.empty(np.broadcast_shapes(u.shape, d.shape), complex)
-    delta.real, delta.imag = u.real * d.real - u.imag * d.imag, u.real * d.imag + u.imag * d.real
-    return delta
+        return _product(u[:, None, None], d)
+    return _product(u[:, None], d[:, levels].T)
+
+
+def _product(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u * w elementwise, broadcast, in real ufuncs: they round like the scalar
+    complex product on every numpy dispatch level, and numpy's vectorized
+    complex product may not."""
+    out = np.empty(np.broadcast_shapes(u.shape, w.shape), complex)
+    out.real, out.imag = u.real * w.real - u.imag * w.imag, u.real * w.imag + u.imag * w.real
+    return out
 
 
 def _flip_table(obj: ExactObjective) -> tuple[list[complex], list[int], list[int],
@@ -310,7 +319,7 @@ def _band_terms(mult: float, t0: complex, u: np.ndarray, levels0: np.ndarray,
     affine in the bits with weights v_k = s 2^k, so the bits see M (x) v v^T.
     Indices are local to the band; pairs are sorted, exact zeros dropped.
     """
-    beat = np.conj(t0) * u
+    beat = _product(np.conj(t0), u)
     m = mult * (np.outer(u.real, u.real) + np.outer(u.imag, u.imag)
                 - np.diag(beat.real))
     g = -2.0 * mult * beat.imag
@@ -363,8 +372,8 @@ def _surrogate(state: ChannelState, weights: CostWeights, cal: Calibration,
     levels0_q, levels0_c = obj.levels_of(bits0)         # raises on a wrong length
 
     # cascades rotated to the expansion phases, and the band totals there
-    uq0 = obj.uq * obj._phasor_q[levels0_q]
-    uc0 = obj.uc * obj._phasor_c[levels0_c]
+    uq0 = _product(obj.uq, obj._phasor_q[levels0_q])
+    uc0 = _product(obj.uc, obj._phasor_c[levels0_c])
     tq0, tc0 = obj.h0q + uq0.sum(), obj.h0c + uc0.sum()
     pq0, pc0 = abs(tq0) ** 2, abs(tc0) ** 2
 
@@ -577,14 +586,17 @@ def _power_of_ten(k: int) -> tuple[float, float, float, float]:
             math.ldexp(head, ex), math.ldexp(m - head, ex))
 
 
-def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a 10^k as ph + t, and where 10^k is not a double.
+def _scaled(a: np.ndarray, k: np.ndarray, b: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a + b) 10^k as ph + t, and where 10^k is not a double.
 
     ph = a * hi rounded, and Dekker's two-product gives its rounding error
-    exactly; t adds a * lo to that error. For a in [_FAST_MIN, _FAST_MAX] and
-    a 10^k in [10^16, 10^17], |t| < 20 and ph + t is within 5e-15 of a 10^k
-    (2^-106 of hi left out of lo, and two roundings of t), or equal to it
-    where lo is 0.
+    exactly; t adds a * lo (and b * hi) to that error. For a in [_FAST_MIN,
+    _FAST_MAX] and a 10^k in [10^16, 10^17], |t| < 20 and ph + t is within
+    5e-15 of a 10^k (2^-106 of hi left out of lo, and two roundings of t), or
+    equal to it where lo is 0. For a 10^k in [_FAST_MIN, _FAST_MAX], a in
+    [10^16, 10^17] and |b| <= 8, ph + t is within 2^-100 of (a + b) 10^k,
+    relative (_triplet_columns).
     """
     base = int(k.min())
     table = np.array([_power_of_ten(e) for e in range(base, int(k.max()) + 1)]).T
@@ -594,7 +606,10 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     head = c - (c - a)
     tail = a - head
     err = ((head * hi_head - ph) + head * hi_tail + tail * hi_head) + tail * hi_tail
-    return ph, err + a * lo, lo != 0.0
+    t = err + a * lo
+    if b is not None:
+        t += b * hi
+    return ph, t, lo != 0.0
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -742,6 +757,129 @@ def _read_header(fh: TextIO) -> tuple[int, int, int, float]:
     raise ValueError("missing qubo header line")
 
 
+_LOAD_BLOCK = 1 << 18          # body bytes per block of _read_triplets
+_SHORTEST_LINE = 27            # '0 0 0.0000000000000000e+00\n'
+# decimal exponents e of digits 10^(e - 16), digits in [10^16, 10^17), that
+# lie in [_FAST_MIN, _FAST_MAX]
+_FAST_EXP = (-290, 289)
+# per field length L = 0..8: the top L bytes of a word, and ASCII '0' below them
+_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], np.uint64)
+_FILL = ~_KEEP & np.uint64(0x3030303030303030)
+
+
+def _digit_fields(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eight ASCII digits per little-endian uint64 word as their value, and
+    whether all eight are digits.
+
+    Lemire's SWAR steps: one mask test checks every byte, and three
+    multiplies combine digits, pairs and quads (uint64 arithmetic wraps, as
+    it does in C).
+    """
+    digits = (((words + 0x4646464646464646) | (words - 0x3030303030303030))
+              & 0x8080808080808080) == 0
+    v = words - 0x3030303030303030
+    v = v * 10 + (v >> 8)
+    v = ((v & 0x000000FF000000FF) * 0x000F424000000064
+         + ((v >> 16) & 0x000000FF000000FF) * 0x0000271000000001) >> 32
+    return v, digits
+
+
+def _triplet_columns(buf: np.ndarray, words: np.ndarray, s1: np.ndarray, s2: np.ndarray,
+                     nl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The (i, j, value) columns of the lines of buf whose spaces are s1 and s2
+    and whose newlines are nl, or None when a line is not '%d %d %.16e\n'.
+
+    words is buf's stride-1 view of unaligned uint64 words. A line holds
+    indices of 1 to 8 digits without a leading zero and a value of an
+    optional '-', a digit, '.', 16 digits, 'e', a sign and 2 or 3 digits;
+    every byte is checked. Each 8-digit group, and each index or exponent as
+    the word that ends with it, the bytes before it made '0', is one
+    _digit_fields word. The value is digits D < 10^17 times 10^(e - 16);
+    D = a + b with a = float(D) and |b| <= 8 is scaled as _scaled does, within
+    2^-100 of the value, and s = ph + t is rounded once. r = (ph - s) + t is
+    exactly what that sum left out. Rounding is monotone, so s is the double
+    nearest the value wherever s + (r - m) and s + (r + m) both round to s,
+    with m = _TIE_MARGIN s / 2^53 (at least 2^-33 ulp(s)); only values within
+    m of a half-ulp tie fail that. Those rows, and the values outside
+    [_FAST_MIN, _FAST_MAX] other than 0, take Python's float of their own
+    bytes.
+    """
+    start = np.concatenate([[8], nl[:-1] + 1])
+    neg = buf[s2 + 1] == 45                            # '-'
+    vs = s2 + 1 + neg                                  # first digit of the value
+    length = np.concatenate([s1 - start, s2 - s1 - 1, nl - vs - 20])   # i, j, exponent
+    rows = len(nl)
+    li, lj, le = length[:rows], length[rows:2 * rows], length[2 * rows:]
+    if not ((li >= 1) & (li <= 8) & (lj >= 1) & (lj <= 8) & (le >= 2) & (le <= 3)).all():
+        return None
+    lead = buf[vs].astype(np.int64) - 48
+    exp_neg = buf[vs + 19] == 45
+    layout = ((buf[vs + 1] == 46) & (buf[vs + 18] == 101) & (exp_neg | (buf[vs + 19] == 43))
+              & (lead >= 0) & (lead <= 9) & ((li == 1) | (buf[start] != 48))
+              & ((lj == 1) | (buf[s1 + 1] != 48)))
+    group = words[np.concatenate([s1, s2, nl, vs + 10, vs + 18]) - 8]
+    fields = group[:3 * rows]
+    fields &= _KEEP[length]
+    fields |= _FILL[length]
+    group, digits = _digit_fields(group)
+    if not (layout.all() and digits.all()):
+        return None
+    i, j, e, high, low = group.astype(np.int64).reshape(5, rows)
+    e = np.where(exp_neg, -e, e)
+    d = lead * 10 ** 16 + high * 10 ** 8 + low
+    fast = (lead > 0) & (e >= _FAST_EXP[0]) & (e <= _FAST_EXP[1])
+    d = np.where(fast, d, 10 ** 16)                    # harmless digits, replaced below
+    a = d.astype(np.float64)
+    ph, t, _ = _scaled(a, np.where(fast, e - 16, 0), (d - a.astype(np.int64)).astype(np.float64))
+    s = ph + t
+    r = (ph - s) + t
+    m = s * (_TIE_MARGIN * 2.0 ** -53)
+    fast &= (s + (r + m) == s) & (s + (r - m) == s)
+    zero = (lead == 0) & (high == 0) & (low == 0)
+    s[zero] = 0.0
+    v = np.where(neg, -s, s)
+    for row in np.flatnonzero(~(fast | zero)).tolist():
+        v[row] = float(buf[s2[row] + 1:nl[row]].tobytes())
+    return i, j, v
+
+
+def _read_triplets(raw: BinaryIO, size: int) -> np.ndarray | None:
+    """The _TRIPLET rows of the size bytes left in raw, or None when a line is
+    not '%d %d %.16e\n' or the last line has no newline.
+
+    The bytes are read in blocks of about _LOAD_BLOCK into one buffer behind
+    8 bytes of '0' (a word that ends in the first line starts there). One
+    scan finds the bytes <= ' ': up to the block's last newline they must be
+    ' ', ' ', '\n' in turn, one triple per line, and _triplet_columns parses
+    those lines into one array sized for the shortest line. The bytes after
+    the last newline move to the front for the next block.
+    """
+    cap = size // _SHORTEST_LINE
+    body = np.empty(cap, _TRIPLET)
+    buf = np.full(8 + _LOAD_BLOCK, 48, np.uint8)
+    words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
+    rows = held = 0                        # lines parsed, bytes of a line carried over
+    while got := raw.readinto(buf[8 + held:]):
+        end = 8 + held + got
+        sep = np.flatnonzero(buf[:end] <= 32)
+        last = max(len(sep) - 3, 0)        # at most two spaces follow the last newline
+        last += np.flatnonzero(buf[sep[last:]] == 10)
+        if not last.size or last[-1] % 3 != 2 or rows + (last[-1] + 1) // 3 > cap:
+            return None
+        s1, s2, nl = sep[:last[-1] + 1].reshape(-1, 3).T
+        if not ((buf[s1] == 32) & (buf[s2] == 32) & (buf[nl] == 10)).all():
+            return None
+        columns = _triplet_columns(buf, words, s1, s2, nl)
+        if columns is None:
+            return None
+        for name, part in zip("ijv", columns):
+            body[name][rows:rows + len(nl)] = part
+        rows += len(nl)
+        held = end - (nl[-1] + 1)
+        buf[8:8 + held] = buf[nl[-1] + 1:end]
+    return None if held else body[:rows]
+
+
 def _first(mask: np.ndarray, body: np.ndarray) -> str:
     """The first triplet of body where mask holds, as text."""
     i, j, v = body[int(np.argmax(mask))].tolist()
@@ -751,22 +889,28 @@ def _first(mask: np.ndarray, body: np.ndarray) -> str:
 def load_qubo(path: str) -> QuboModel:
     """Read a model written by export_qubo.
 
-    The header is read line by line; the triplets after it are parsed in one
-    np.loadtxt call, in which '#' starts a comment anywhere on a line. Every
-    rule is then checked on the parsed arrays.
+    The header is read line by line. The triplets after it are parsed in numpy
+    (_read_triplets) when every line is laid out as export_qubo writes it;
+    otherwise the whole body takes one np.loadtxt call, in which '#' starts a
+    comment anywhere on a line. Both give the same arrays. Every rule is then
+    checked on the parsed arrays.
     """
     with open(path, "r", encoding="utf-8") as fh:
         dim, n_lin, n_quad, offset = _read_header(fh)
         start = fh.tell()
-        try:
-            with warnings.catch_warnings():      # a file may hold no triplet at all
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                body = np.loadtxt(fh, dtype=_TRIPLET, comments="#", ndmin=1)
-        except ValueError as exc:
+        fh.seek(start)                           # the byte stream now starts the body
+        body = _read_triplets(fh.buffer, os.fstat(fh.fileno()).st_size - fh.buffer.tell())
+        if body is None:
             fh.seek(start)
-            if any(line.lstrip().startswith("qubo") for line in fh):
-                raise ValueError("repeated qubo header") from None
-            raise ValueError(f"malformed triplet line: {exc}") from None
+            try:
+                with warnings.catch_warnings():      # a file may hold no triplet at all
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    body = np.loadtxt(fh, dtype=_TRIPLET, comments="#", ndmin=1)
+            except ValueError as exc:
+                fh.seek(start)
+                if any(line.lstrip().startswith("qubo") for line in fh):
+                    raise ValueError("repeated qubo header") from None
+                raise ValueError(f"malformed triplet line: {exc}") from None
     i, j, v = body["i"], body["j"], body["v"]
     bad = (i < 0) | (i >= dim) | (j < 0) | (j >= dim)
     if bad.any():

@@ -28,12 +28,13 @@ from dualris.experiments import (
     delta_metrics,
     derived_seed,
     evaluate_point,
+    objective_problem,
     phase_histogram,
     solve_point,
     sweep_elevation,
 )
 from dualris.metrics import Calibration, CostWeights
-from dualris.qubo import load_qubo
+from dualris.qubo import ExactObjective, ObjectiveError, load_qubo
 from dualris.ris import RisConfig
 from dualris.solvers import SolverConfig
 
@@ -163,6 +164,23 @@ class TestSweep:
         row, result, _ = evaluate_point(cfg, calibrated["cal"], 45.0, 4)
         assert result is not None
         assert row.feasible
+
+    @pytest.mark.parametrize("beta,finite", [(0.0, True), (1.0, True), (1e300, True),
+                                             (1e308, False)])
+    def test_point_refuses_a_cost_that_overflows(self, run_config, calibrated, beta, finite):
+        # the objective itself accepts the weights; solve_point refuses them
+        # before any solve when a term's extreme is not finite
+        cal = calibrated["cal"]
+        cfg = dataclasses.replace(run_config, weights=CostWeights(alpha=1.0, beta=beta))
+        state, ris_cfg, _ = build_channel_state(cfg, cal, 45.0, 4)
+        obj = ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
+        assert (objective_problem(obj) is None) == finite
+        if finite:
+            solve_point(cfg, cal, 45.0, 4)
+        else:
+            assert "not finite" in objective_problem(obj)
+            with pytest.raises(ObjectiveError, match="not finite"):
+                solve_point(cfg, cal, 45.0, 4)
 
 
 class TestHistogramApi:
@@ -424,6 +442,7 @@ class TestCli:
         assert "Traceback" not in err
 
     HUGE_BETA = "[weights]\nalpha = 1\nbeta = 1e308\n[solver]\nkind = tabu\nobjective = quadratic\n"
+    HUGE_EXACT_BETA = "[weights]\nalpha = 1\nbeta = 1e308\n[solver]\nkind = anneal\n"
 
     @pytest.mark.parametrize("ini,argv", [
         ("[sweep]\nris_sizes = 0,1.5\n", ["sweep"]),
@@ -474,6 +493,12 @@ class TestCli:
         # qubo-export wrote a header offset of nan
         (HUGE_BETA, ["optimize", "--elevation", "45", "--n", "4"]),
         (HUGE_BETA, ["qubo-export", "--n", "4"]),
+        # every exact cost is -inf, so no solver can rank them: optimize and
+        # link-budget printed cost: -inf, and sweep and histogram wrote files
+        (HUGE_EXACT_BETA, ["optimize", "--elevation", "45", "--n", "4"]),
+        (HUGE_EXACT_BETA, ["link-budget", "--elevation", "45", "--n", "4"]),
+        (HUGE_EXACT_BETA, ["sweep"]),
+        (HUGE_EXACT_BETA, ["histogram"]),
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"
@@ -542,13 +567,15 @@ class TestCli:
         assert model.dim == 8
 
     def test_qubo_export_bytes(self, tmp_path, capsys):
-        # the default seed-1 export; the file format and build are byte-stable
+        # the default seed-1 export; the file format and build are byte-stable,
+        # also across numpy dispatch levels (see test_qubo.py,
+        # test_same_exports_and_loads_under_pre_avx2_dispatch)
         cfg = tmp_path / "q.ini"
         cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n")
         assert run_cli(["--config", str(cfg), "qubo-export", "--n", "20",
                         "--out", "m.qubo"]) == EXIT_OK
         digest = hashlib.sha256((tmp_path / "m.qubo").read_bytes()).hexdigest()
-        assert digest == "a541cb490e996a93dcb2b3a5ce00346de5408c80a158caf95fd2d19633c25685"
+        assert digest == "42755a3e46df050fc9cdb948315de81f353ec2e401ce7327a502750f4ad299f8"
 
     @pytest.mark.parametrize("argv", [
         ["qubo-export", "--n", "4", "--out", "."],

@@ -337,7 +337,7 @@ class TestFileRoundTrip:
     def test_export_bytes_pinned(self, model_n64):
         built, path, loaded = model_n64
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "d1860db375b320efa25ac5e75562ceba45e3cb944d7b5e73e10a13e826ee6a5b"
+        assert digest == "cf69814673b781610deefd83a72494bafc86ac915dc5f9e89ebd8b37e1405321"
         assert_same_model(loaded, built)
 
     def test_chunks_join_to_the_file(self, model_n64):
@@ -470,6 +470,19 @@ print(__cpu_features__["X86_V3"])
 """
 
 
+def run_child(script, level, *args):
+    """Run script in a fresh interpreter with this src/ on PYTHONPATH, under the
+    numpy dispatch level (None: the default), and return its last output word."""
+    src = str(Path(qubo.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    if level:
+        env["NPY_ENABLE_CPU_FEATURES"] = level
+    run = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                         capture_output=True, text=True, check=True)
+    return run.stdout.split()[-1]
+
+
 class TestTripletFormat:
     @pytest.mark.parametrize("n", workloads.QUBO_SIZES)
     def test_qubo_workload_models(self, n):
@@ -525,18 +538,12 @@ class TestTripletFormat:
         np.savez(tmp_path / "model.npz", dim=model.dim, linear=model.linear,
                  pair_i=model.pair_i, pair_j=model.pair_j, pair_w=model.pair_w,
                  offset=model.offset)
-        src = str(Path(qubo.__file__).parents[1])
         text = {}
         for level in ("X86_V2", None):
-            env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
-            env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-            if level:
-                env["NPY_ENABLE_CPU_FEATURES"] = level
             out = tmp_path / f"{level}.qubo"
-            run = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD, str(tmp_path / "model.npz"),
-                                  str(out)], env=env, capture_output=True, text=True, check=True)
+            has_avx2 = run_child(_DISPATCH_CHILD, level, tmp_path / "model.npz", out)
             if level:              # the variable took effect: no AVX2 kernels in this child
-                assert run.stdout.strip() == "False"
+                assert has_avx2 == "False"
             text[level] = out.read_bytes()
         assert text["X86_V2"] == text[None]
         assert text[None].decode() == "".join(plain_format_qubo(model))
@@ -546,6 +553,191 @@ class TestTripletFormat:
         model.pair_i[0] = -1
         with pytest.raises(ValueError, match="must be >= 0"):
             list(format_qubo(model))
+
+
+
+def plain_load_qubo(path):
+    """load_qubo with every body taken by np.loadtxt: the array reference."""
+    with mock.patch.object(qubo, "_read_triplets", return_value=None):
+        return load_qubo(str(path))
+
+
+def load_outcome(load, path):
+    """What a loader gives for the file: the model's arrays as bytes, or its message."""
+    try:
+        model = load(str(path))
+    except ValueError as exc:
+        return str(exc)
+    return (model.dim, float(model.offset).hex(),
+            *[(a.dtype.str, a.tobytes()) for a in (model.linear, model.pair_i, model.pair_j,
+                                                   model.pair_w)])
+
+
+def no_loadtxt():
+    return mock.patch.object(np, "loadtxt", side_effect=AssertionError("np.loadtxt was called"))
+
+
+# exports the default 45 deg models with N = 20 and 64 through the CLI into
+# argv[1], loads each file back and saves its arrays, and prints whether
+# numpy dispatches to AVX2 (x86-64-v3) kernels
+_EXPORT_CHILD = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from dualris.cli import run_cli
+from dualris.qubo import load_qubo
+out = sys.argv[1]
+with open(out + "/run.ini", "w") as fh:
+    fh.write("[run]\\noutput_dir = " + out + "\\n")
+for n in (20, 64):
+    assert run_cli(["--config", out + "/run.ini", "qubo-export", "--n", str(n),
+                    "--out", f"n{n}.qubo"]) == 0
+    m = load_qubo(f"{out}/n{n}.qubo")
+    np.savez(f"{out}/n{n}.npz", linear=m.linear, pair_i=m.pair_i, pair_j=m.pair_j,
+             pair_w=m.pair_w, offset=m.offset)
+print(__cpu_features__["X86_V3"])
+"""
+
+_HEADER = b"qubo 3 2 1 0.5\n"
+_LINES = [b"0 0 1.5000000000000000e+00\n", b"2 2 -2.5000000000000000e-01\n",
+          b"0 1 7.0000000000000000e+00\n"]
+
+
+def _body(middle, *extra):
+    """_HEADER and _LINES with the middle line replaced, and extra lines after it."""
+    return _HEADER + b"".join([_LINES[0], middle, *extra, _LINES[2]])
+
+
+class TestTripletLoad:
+    @pytest.mark.parametrize("n", workloads.QUBO_SIZES)
+    def test_workload_models_never_reach_loadtxt(self, tmp_path, n):
+        cfg, cal = RunConfig(seed=workloads.STATE_SEED), workloads.pinned_calibration()
+        state, ris_cfg, _ = build_channel_state(cfg, cal, workloads.QUBO_ELEVATION, n)
+        model = build_qubo(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
+        path = tmp_path / "m.qubo"
+        export_qubo(model, str(path), ["dualris surrogate", f"n_elements {n}"])
+        with no_loadtxt():
+            assert_same_model(load_qubo(str(path)), model)
+            got = load_outcome(load_qubo, path)
+        assert got == load_outcome(plain_load_qubo, path)
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300),
+           st.integers(0, 2**32 - 1))
+    @example(named_values()[np.isfinite(named_values())].view(np.uint64).tolist(), 0)
+    def test_bit_patterns_load_like_loadtxt(self, tmp_path_factory, bits, seed):
+        # every finite float64, -0.0 pair weights and subnormals included,
+        # takes the numpy parser and gives np.loadtxt's arrays bit for bit
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]          # 'inf' and 'nan' are off the layout
+        model = pair_model(values, seed)
+        model.linear[:len(values)] = values[:model.dim]
+        model.offset = float(values[0]) if values.size else 1.0
+        path = tmp_path_factory.mktemp("bits") / "m.qubo"
+        export_qubo(model, str(path))
+        with no_loadtxt():
+            got = load_outcome(load_qubo, path)
+        assert got == load_outcome(plain_load_qubo, path)
+        linear = model.linear.copy()
+        linear[linear == 0.0] = 0.0                      # -0.0 is not written
+        assert got[2:] == load_outcome(lambda p: QuboModel(
+            model.dim, linear, model.pair_i, model.pair_j, model.pair_w, model.offset), path)[2:]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(10**16, 10**17 - 1),
+                              st.integers(-330, 310)), min_size=1, max_size=200))
+    @example([(False, 90071992547409930, 15), (True, 90071992547409950, 15),   # 2^53 + 1, + 3
+              (False, 18014398509481986, 16), (False, 44501477170144023, -324),
+              (False, 17976931348623158, 308), (True, 24703282292062328, -340 + 16)])
+    def test_any_digits_load_like_loadtxt(self, tmp_path_factory, rows):
+        # 17 digits that no double formats to: values anywhere between two
+        # doubles, exact half-ulp ties, subnormals, overflow and underflow
+        lines = [f"{k} {k + 1} {'-' if neg else ''}{str(d)[0]}.{str(d)[1:]}e{e:+03d}\n"
+                 for k, (neg, d, e) in enumerate(rows)]
+        path = tmp_path_factory.mktemp("digits") / "m.qubo"
+        path.write_text(f"qubo {len(rows) + 1} 0 {len(rows)} 0.0\n" + "".join(lines))
+        with no_loadtxt():
+            got = load_outcome(load_qubo, path)
+        assert got == load_outcome(plain_load_qubo, path)
+
+    # files with a line off the '%d %d %.16e\n' layout take np.loadtxt whole;
+    # the rest stay in numpy. Either way: the reference's arrays or message
+    @pytest.mark.parametrize("text,fast", [
+        (_body(b"# note\n" + _LINES[1]), False),
+        (_body(_LINES[1].replace(b"\n", b" # note\n")), False),
+        (_body(_LINES[1], b"\n"), False),
+        (_body(_LINES[1]).replace(b"\n", b"\r\n"), False),
+        (_body(b"2\t2 -2.5000000000000000e-01\n"), False),
+        (_body(b"+2 2 -2.5000000000000000e-01\n"), False),
+        (_body(b"2 2 +2.5000000000000000e-01\n"), False),
+        (_body(b"02 2 -2.5000000000000000e-01\n"), False),
+        (_body(b"1 02 -2.5000000000000000e-01\n"), False),
+        (_body(b"000000002 2 -2.5000000000000000e-01\n"), False),
+        (_body(b"123456789 2 -2.5000000000000000e-01\n"), False),
+        (_body(b"2 2 inf\n"), False),
+        (_body(b"2 2 -inf\n"), False),
+        (_body(b"2 2 nan\n"), False),
+        (_body("2 2 -2.5000000000000000e-0١\n".encode()), False),
+        (_body("2 ٢ -2.5000000000000000e-01\n".encode()), False),
+        # past the header's first read of 8 KiB, which would fail to decode first
+        (_body(_LINES[1], *[b"1 2 1.0000000000000000e+00\n"] * 400,
+               b"2 2 -2.5000000000000000e-01\xff\n"), False),
+        (_body(_LINES[1])[:-1], False),                   # no final newline
+        (_body(b"2 2 1.5\n"), False),
+        (_body(b"2 2 -2.5000000000000000E-01\n"), False),
+        (_body(b"2 2 -2.5000000000000000e-1\n"), False),
+        (_body(b"2  2 -2.5000000000000000e-01\n"), False),
+        (_body(b"2 2 -2.5000000000000000e-01 \n"), False),
+        (_body(b"2 2 -2.5000000000000000e-01 4\n"), False),
+        (_body(_LINES[1], _HEADER), False),
+        (_body(_LINES[1]), True),
+        (_body(b"2 2 -0.0000000000000000e+00\n"), True),
+        (_body(b"2 2 0.0000000000000000e+99\n"), True),
+        (_body(b"2 2 0.2500000000000000e+00\n"), True),       # leading zero digit
+        (_body(b"2 2 -2.5000000000000000e-001\n"), True),
+        (_body(b"2 2 9.9999999999999999e+308\n"), True),      # overflows to inf
+        (_body(b"2 2 1.0000000000000000e-330\n"), True),      # underflows to 0
+        (_body(b"2 2 4.9406564584124654e-324\n"), True),
+        (_body(b"12345678 2 -2.5000000000000000e-01\n"), True),
+        (_body(b"2 2 -2.5000000000000000e-01\n", b"1 2 1.0000000000000000e+00\n"), True),
+        (_HEADER, True),
+    ])
+    def test_lines_off_the_layout_take_loadtxt(self, tmp_path, text, fast):
+        path = tmp_path / "m.qubo"
+        path.write_bytes(text)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+            got = load_outcome(load_qubo, path)
+        assert spy.called != fast
+        assert got == load_outcome(plain_load_qubo, path)
+
+    def test_block_boundaries(self, tmp_path):
+        # lines cut across blocks of every size carry over whole
+        model = random_model(np.random.default_rng(4), 40, 700)
+        path = tmp_path / "m.qubo"
+        export_qubo(model, str(path))
+        expected = load_outcome(plain_load_qubo, path)
+        for block in (64, 100, 1000, 4096):
+            with mock.patch.object(qubo, "_LOAD_BLOCK", block), no_loadtxt():
+                assert load_outcome(load_qubo, path) == expected
+
+    def test_same_exports_and_loads_under_pre_avx2_dispatch(self, tmp_path):
+        # the surrogate's complex products are real ufuncs, so the bytes of
+        # qubo-export and the arrays load_qubo reads back do not depend on
+        # numpy's SIMD kernels
+        from numpy._core._multiarray_umath import __cpu_features__
+        if "X86_V3" not in __cpu_features__:
+            pytest.skip("x86-64 dispatch levels only")
+        for level in ("X86_V2", None):
+            (tmp_path / str(level)).mkdir()
+            has_avx2 = run_child(_EXPORT_CHILD, level, tmp_path / str(level))
+            if level:
+                assert has_avx2 == "False"
+        for n in (20, 64):
+            files = [tmp_path / str(level) / f"n{n}.qubo" for level in ("X86_V2", None)]
+            assert files[0].read_bytes() == files[1].read_bytes()
+            arrays = [np.load(f.with_suffix(".npz")) for f in files]
+            for name in ("linear", "pair_i", "pair_j", "pair_w", "offset"):
+                assert arrays[0][name].tobytes() == arrays[1][name].tobytes(), (n, name)
 
 
 def _loop_adjacency(model):
@@ -630,8 +822,8 @@ class TestQuadraticObjective:
 
 
 PINNED_SOLVES = {
-    1: ("a3fc8096301e902ff14f19037f453e1b997b2a519ce65ee38fb0c26c475f02af",
-        "ed672a01960e829e011adcd3804f1cbed14994aad01a13b2d75188b56a586700"),
+    1: ("f04d1a13526c8b1cc567f32e785f09f9cd206ea4479347903ca5e81a79773820",
+        "7202cdd6de15ab6d6211d1c6a1235203f20a7d799049b2a18b325acac5f235c9"),
     2: ("461ebcdc5c8a175556e78eb54e816f87f8b40eabd0516c6689c69b26680bcef4",
         "9bac76120e542c1b4053f6ffe0947991dcf461ef3d37043524b0c1f9a8717ae7"),
 }
