@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
 import warnings
 from collections.abc import Iterator
@@ -851,11 +852,15 @@ def _read_triplets(raw: BinaryIO, size: int) -> np.ndarray | None:
     8 bytes of '0' (a word that ends in the first line starts there). One
     scan finds the bytes <= ' ': up to the block's last newline they must be
     ' ', ' ', '\n' in turn, one triple per line, and _triplet_columns parses
-    those lines into one array sized for the shortest line. The bytes after
-    the last newline move to the front for the next block.
+    those lines. The bytes after the last newline move to the front for the
+    next block. The rows go into an anonymous mapping sized for the shortest
+    line: pages never written are never resident, and the whole mapping goes
+    back to the system once the last view of it is dropped. An array from
+    malloc's heap can stay resident after the load and raise the peak RSS
+    of later work.
     """
     cap = size // _SHORTEST_LINE
-    body = np.empty(cap, _TRIPLET)
+    body = np.frombuffer(mmap.mmap(-1, max(cap, 1) * _TRIPLET.itemsize), _TRIPLET)[:cap]
     buf = np.full(8 + _LOAD_BLOCK, 48, np.uint8)
     words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
     rows = held = 0                        # lines parsed, bytes of a line carried over

@@ -499,6 +499,7 @@ class TestCli:
         (HUGE_EXACT_BETA, ["link-budget", "--elevation", "45", "--n", "4"]),
         (HUGE_EXACT_BETA, ["sweep"]),
         (HUGE_EXACT_BETA, ["histogram"]),
+        (HUGE_EXACT_BETA, ["calibrate"]),      # its fits solve points with these weights
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"
