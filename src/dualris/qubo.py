@@ -40,7 +40,7 @@ _BATCH_ELEMENTS = 1 << 20     # cap on one (rows, pairs) temporary of QuadraticO
 _EXACT_BATCH_ELEMENTS = 1 << 15   # cap on one (rows, N) temporary of ExactObjective.batch
 QUBO_MAX_PAIRS = 1 << 23      # build_qubo's cap; N = 1024 at 2 + 2 bits has 4.2M pairs
 # 32 units of roundoff (2^-53): the error bound of an array term against its
-# scalar term, relative to the terms and the weights (see ObjectiveWalk.peek_all)
+# scalar term, relative to the terms and the weights (ExactObjective.screen_bound)
 SCREEN_TOL = 2.0 ** -48
 
 
@@ -180,6 +180,27 @@ class ExactObjective:
         gamma = self.snr_coeff * np.abs(tc) ** 2
         return self.alpha * eps, -self.beta * np.log2(1.0 + gamma)
 
+    def screen_bound(self, *parts: np.ndarray | float) -> np.ndarray:
+        """SCREEN_TOL (sum of |part| + alpha p_dark + beta): how far a sum of
+        parts, or a difference of such sums, may lie from its scalar value.
+
+        Each part is an array term (terms) or a scalar term or cost. An array
+        term differs from its scalar term only in numpy's abs and log2 against
+        hypot and math.log2, each within a few ulps. A quantum term moves by a
+        few ulps of alpha (QBER + p_dark): its parts are non-negative, or
+        cancel against p_dark at most. A classical term moves by a few ulps of
+        itself plus, as 1 + gamma rounds, up to about 15 units of roundoff of
+        beta. SCREEN_TOL = 2^-48 is 32 units of roundoff (2^-53); it covers
+        both terms' errors, the sums and one final subtraction. Near overflow
+        the bound is 32 ulps of the largest float, so a score minus or plus it
+        overflows wherever the scalar score does; an infinite or NaN part
+        makes the bound infinite or NaN.
+        """
+        total = self.alpha * self.p_dark + self.beta
+        for part in parts:
+            total = total + np.abs(part)
+        return SCREEN_TOL * total
+
     def qber_of(self, x: np.ndarray) -> float:
         tq, _ = self.totals_of(x)
         return self.qber_from_total(abs(tq))
@@ -275,15 +296,9 @@ class ObjectiveWalk:
 
         The flip deltas at the current levels (_flip_deltas) equal the table's
         entries, and complex add acts per component, so the candidate totals
-        equal peek_flip's bit for bit. The terms (ExactObjective.terms) differ
-        from the scalar ones only in numpy's abs and log2, by a few ulps of
-        alpha (QBER + p_dark) for a quantum term and of the term itself plus
-        about 15 units of roundoff of beta for a classical one (see
-        block_coordinate_descent). So the bound SCREEN_TOL (|new term| +
-        |other band's term| + alpha p_dark + beta) holds, the sum included.
-        Near overflow it is 32 ulps of the largest float, so score - bound or
-        score + bound overflows wherever peek_flip does; an infinite or NaN
-        term makes the bound infinite or NaN.
+        equal peek_flip's bit for bit. The score adds the array term of the
+        flipped band (ExactObjective.terms) to the other band's scalar term,
+        so ExactObjective.screen_bound of the two bounds its error.
         """
         obj, levels = self.obj, np.array(self._levels)
         tq = self._totals[0] + _flip_deltas(obj.uq, obj._phasor_q, obj.bq, levels[:obj.n]).ravel()
@@ -292,8 +307,7 @@ class ObjectiveWalk:
         with np.errstate(all="ignore"):
             new = np.concatenate(obj.terms(tq, tc))
             other = np.repeat((self._terms[1], self._terms[0]), (nq, obj.dim - nq))
-            scale = obj.alpha * obj.p_dark + obj.beta
-            return new + other, SCREEN_TOL * (np.abs(new) + np.abs(other) + scale)
+            return new + other, obj.screen_bound(new, other)
 
     def apply_flip(self, i: int) -> None:
         b, e = self._band[i], self._elem[i]
@@ -419,6 +433,7 @@ class QuadraticObjective:
         self.model = model
         self.dim = model.dim
         self._adjacency: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._neighbours: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def value(self, x: np.ndarray) -> float:
         return eval_quadratic(self.model, x)
@@ -426,25 +441,34 @@ class QuadraticObjective:
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """value() over the rows of a (m, dim) bit matrix.
 
-        The pair term is reduced in row blocks whose (rows, pairs)
-        temporaries hold about _BATCH_ELEMENTS entries. The column-indexed
-        temporaries are column-major, so numpy sums each row of a block of two
-        or more rows left to right but a lone row pairwise; no block of a
-        taller batch has one row, and the sums do not depend on the block size.
+        Each row's pair term is the sum of its pair products left to right,
+        as numpy sums the rows of a column-major (rows, pairs) block, and a
+        lone row's pairwise, as numpy sums a contiguous vector. Two or more
+        rows take the pairs in chunks whose (pairs, rows) products hold about
+        _BATCH_ELEMENTS entries: numpy sums a C-order chunk one pair row after
+        another, and the sum so far is added to the chunk's first row, so each
+        value continues the same left-to-right sum.
         """
         xs = np.asarray(xs, dtype=float)
         m = self.model
         out = xs @ m.linear + m.offset
-        if m.pair_w.size:
-            quad = np.empty(len(xs))
-            rows = max(2, _BATCH_ELEMENTS // m.pair_w.size)
-            bounds = [0, *range(rows, len(xs) - 1, rows), len(xs)]
-            for lo, hi in zip(bounds, bounds[1:]):
-                block = xs[lo:hi]
-                quad[lo:hi] = (block[:, m.pair_i] * block[:, m.pair_j]
-                               * m.pair_w).sum(axis=1)
-            out = out + quad
-        return out
+        if not m.pair_w.size:
+            return out
+        if len(xs) == 1:
+            x = xs[0]
+            return out + (x[m.pair_i] * x[m.pair_j] * m.pair_w).sum()
+        bits = np.ascontiguousarray(xs.T)              # (dim, rows)
+        step = max(1, _BATCH_ELEMENTS // max(len(xs), 1))
+        quad = None
+        for lo in range(0, m.pair_w.size, step):
+            pairs = slice(lo, lo + step)
+            t = bits[m.pair_i[pairs]]
+            t *= bits[m.pair_j[pairs]]
+            t *= m.pair_w[pairs, None]
+            if quad is not None:
+                t[0] += quad
+            quad = t.sum(axis=0)
+        return out + quad
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Neighbour lists in CSR form: (indptr, neighbour, weight).
@@ -462,6 +486,15 @@ class QuadraticObjective:
             self._adjacency = (indptr, others[order], np.repeat(m.pair_w, 2)[order])
         return self._adjacency
 
+    def neighbours(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per bit i, views of its (neighbour, weight) entries of adjacency()."""
+        if self._neighbours is None:
+            indptr, neighbour, weight = self.adjacency()
+            bounds = indptr.tolist()
+            self._neighbours = [(neighbour[lo:hi], weight[lo:hi])
+                                for lo, hi in zip(bounds, bounds[1:])]
+        return self._neighbours
+
     def walk(self, x: np.ndarray) -> "QuadraticWalk":
         return QuadraticWalk(self, x)
 
@@ -470,25 +503,38 @@ class QuadraticWalk:
     """Incremental single-flip evaluation of a quadratic model.
 
     Maintains the neighbour sums s_i = sum_j w_ij x_j, so a flip of bit i
-    changes the value by (1 - 2 x_i)(c_i + s_i).
+    changes the value by (1 - 2 x_i)(c_i + s_i). x, s and c are read as Python
+    floats and ints (memoryviews and a list), without numpy scalars. A flip
+    adds or subtracts bit i's weights at its neighbours in one unbuffered
+    ufunc.at call, in list order, so a pair listed twice adds both terms and,
+    as a + (-w) is a - w, every sum takes the steps of adding w (1 - 2 x_i).
+    apply_flip(i) right after peek_flip(i) reuses the peek's delta, the same
+    float; every apply drops the peek.
     """
 
     def __init__(self, obj: QuadraticObjective, x: np.ndarray):
         self.obj = obj
         self.x = np.array(x, dtype=np.uint8, copy=True)
+        self._x = memoryview(self.x)
         self.value = obj.value(self.x)
         model = obj.model
         self._sums = np.zeros(obj.dim)
+        self._s = memoryview(self._sums)
         xf = self.x.astype(float)
         if model.pair_w.size:
             np.add.at(self._sums, model.pair_i, model.pair_w * xf[model.pair_j])
             np.add.at(self._sums, model.pair_j, model.pair_w * xf[model.pair_i])
+        self._linear = model.linear.tolist()
+        self._neighbours = obj.neighbours()
+        self._peek_bit, self._peek_delta = -1, 0.0
 
     def _delta(self, i: int) -> float:
-        return (1.0 - 2.0 * self.x[i]) * (self.obj.model.linear[i] + self._sums[i])
+        return (1.0 - 2.0 * self._x[i]) * (self._linear[i] + self._s[i])
 
     def peek_flip(self, i: int) -> float:
-        return self.value + self._delta(i)
+        delta = self._delta(i)
+        self._peek_bit, self._peek_delta = i, delta
+        return self.value + delta
 
     def peek_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Every peek_flip(i) as an array, in _delta's arithmetic, so each is exact."""
@@ -496,13 +542,11 @@ class QuadraticWalk:
         return scores, np.zeros(self.obj.dim)
 
     def apply_flip(self, i: int) -> None:
-        step = 1.0 - 2.0 * self.x[i]     # +1 for 0 -> 1, -1 for 1 -> 0
-        self.value += self._delta(i)
-        indptr, neighbour, weight = self.obj.adjacency()
-        lo, hi = indptr[i], indptr[i + 1]
-        # unbuffered, in list order: a pair listed twice adds both terms
-        np.add.at(self._sums, neighbour[lo:hi], weight[lo:hi] * step)
-        self.x[i] ^= 1
+        self.value += self._peek_delta if i == self._peek_bit else self._delta(i)
+        self._peek_bit = -1
+        neighbour, weight = self._neighbours[i]
+        (np.subtract if self._x[i] else np.add).at(self._sums, neighbour, weight)
+        self._x[i] ^= 1
 
 
 def expansion_error(state: ChannelState, weights: CostWeights, cal: Calibration,
@@ -932,7 +976,11 @@ def load_qubo(path: str) -> QuboModel:
     pair_i, pair_j = i[off_diag], j[off_diag]
     if len(pair_i) != n_quad or int(np.count_nonzero(linear)) != n_lin:
         raise ValueError("header counts disagree with triplet data")
-    if (np.diff(np.sort(pair_i * dim + pair_j)) == 0).any():
+    keys = pair_i * dim + pair_j
+    steps = np.diff(keys)
+    if not (steps > 0).all():             # export_qubo writes the pairs sorted
+        steps = np.diff(np.sort(keys))
+    if (steps == 0).any():
         raise ValueError("repeated pair line")
     return QuboModel(dim=dim, linear=linear, pair_i=pair_i.astype(np.int32),
                      pair_j=pair_j.astype(np.int32), pair_w=v[off_diag], offset=offset)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import QBER_SECURITY_THRESHOLD
-from .qubo import SCREEN_TOL, ExactObjective
+from .qubo import ExactObjective
 from .ris import levels_to_bits
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -279,7 +279,7 @@ SCREEN_BLOCK = 256       # elements the screen scores per numpy pass
 
 def _unclearable(obj: ExactObjective, cand_q: np.ndarray, cand_c: np.ndarray,
                  cur_q: np.ndarray, cur_c: np.ndarray, tq: complex, tc: complex,
-                 value: float, scale: float) -> np.ndarray:
+                 value: float) -> np.ndarray:
     """Mask of the block's elements that the screen cannot clear.
 
     cand_q, cand_c hold the block's candidate contributions as (K, B) arrays
@@ -289,7 +289,7 @@ def _unclearable(obj: ExactObjective, cand_q: np.ndarray, cand_c: np.ndarray,
         # complex add and subtract act per component, as in the scalar visit
         eps_terms, log_terms = obj.terms((tq - cur_q) + cand_q, (tc - cur_c) + cand_c)
         mq, mc = eps_terms.min(axis=0), log_terms.min(axis=0)
-        slack = SCREEN_TOL * (np.abs(mq) + np.abs(mc) + (abs(value) + scale))
+        slack = obj.screen_bound(value, mq, mc)
         # a clearing test, negated: NaN compares false, so it is never cleared
         return ~(value - (mq + mc) + slack <= 1e-12 * abs(value))
 
@@ -310,23 +310,17 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     terms at the current totals. From the second sweep on (the first, from all
     zeros, changes most elements), the next SCREEN_BLOCK elements are scored
     at once in numpy (ExactObjective.terms) as mq, mc, and the screen clears
-    element n when value - (mq + mc) + SCREEN_TOL (|mq| + |mc| + |value| +
-    alpha p_dark + beta) <= 1e-12 |value|. A cleared element is skipped but
-    still adds its joint pairs to evaluations; the others get the scalar visit
-    in order. An accepted change moves the totals, so screening restarts at
-    the next element. Skipping never changes a result:
-    - the candidate totals (t - cur_n) + u_n phasor[l] come from the same
-      values through complex add and subtract, which act per component, so
-      they equal the scalar visit's bit for bit;
-    - the terms then differ only in numpy's abs and log2 against hypot and
-      math.log2, each within a few ulps. A quantum term moves by a few ulps of
-      alpha (QBER + p_dark): its parts are non-negative, or cancel against
-      p_dark at most. A classical term moves by a few ulps of itself plus, as
-      1 + gamma rounds, up to about 15 units of roundoff of beta;
-    - SCREEN_TOL = 2^-48 is 32 units of roundoff (2^-53). It covers both
-      terms' errors, the sums and the final subtraction, so a cleared element
-      is always one whose scalar visit would be rejected. NaN, from an
-      infinite or overflowing weight, is never cleared.
+    element n when value - (mq + mc) + ExactObjective.screen_bound(value, mq,
+    mc) <= 1e-12 |value|. A cleared element is skipped but still adds its
+    joint pairs to evaluations; the others get the scalar visit in order. An
+    accepted change moves the totals, so screening restarts at the next
+    element. Skipping never changes a result: the candidate totals
+    (t - cur_n) + u_n phasor[l] come from the same values through complex add
+    and subtract, which act per component, so they equal the scalar visit's
+    bit for bit, and screen_bound covers the terms' errors, their sum and the
+    subtraction from value. So a cleared element is always one whose scalar
+    visit would be rejected. NaN, from an infinite or overflowing weight, is
+    never cleared.
     """
     if not isinstance(objective, ExactObjective):
         raise TypeError("block coordinate descent needs the exact objective")
@@ -344,7 +338,6 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     cand_q, cand_c = cand_q_arr.tolist(), cand_c_arr.tolist()
     screen_q, screen_c = cand_q_arr.T.copy(), cand_c_arr.T.copy()
     cur_q, cur_c = cand_q_arr[:, 0].copy(), cand_c_arr[:, 0].copy()
-    scale = obj.alpha * obj.p_dark + obj.beta     # absolute rounding scale of the terms
 
     levels_q, levels_c = [0] * obj.n, [0] * obj.n
     tq = obj.h0q + sum(row[0] for row in cand_q)
@@ -361,7 +354,7 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
                 hi = min(n + SCREEN_BLOCK, obj.n)
                 todo = (n + np.flatnonzero(_unclearable(
                     obj, screen_q[:, n:hi], screen_c[:, n:hi], cur_q[n:hi], cur_c[n:hi],
-                    tq, tc, value, scale))).tolist()
+                    tq, tc, value))).tolist()
             else:
                 hi, todo = obj.n, range(n, obj.n)
             for m in todo:

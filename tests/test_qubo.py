@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -332,6 +333,16 @@ class TestFileRoundTrip:
         n_quad = body.count("1 2 ")
         path.write_text(f"qubo 3 1 {n_quad} 0.0\n" + body)
         with pytest.raises(ValueError, match="repeated"):
+            load_qubo(str(path))
+
+    def test_unsorted_pairs_are_checked_for_repeats(self, tmp_path):
+        # pairs out of (i, j) order take the sorted repeat check
+        path = tmp_path / "unsorted.qubo"
+        path.write_text("qubo 3 0 3 0.0\n1 2 0.5\n0 1 0.25\n0 2 1.0\n")
+        model = load_qubo(str(path))
+        assert (model.pair_i.tolist(), model.pair_j.tolist()) == ([1, 0, 0], [2, 1, 2])
+        path.write_text("qubo 3 0 3 0.0\n1 2 0.5\n0 1 0.25\n1 2 1.0\n")
+        with pytest.raises(ValueError, match="repeated pair line"):
             load_qubo(str(path))
 
     def test_export_bytes_pinned(self, model_n64):
@@ -760,9 +771,11 @@ class TestQuadraticObjective:
     @given(st.integers(0, 24), st.integers(1, 40), st.sampled_from([1, 7, 64, 1 << 20]),
            st.integers(0, 2**32 - 1))
     @example(7, 2, 1, 0)
-    @example(7, 3, 1, 0)             # a lone last row joins the block before it
+    @example(7, 3, 1, 0)
+    @example(24, 1, 1, 0)            # a lone row: one pairwise sum, whatever the cap
+    @example(24, 40, 7, 0)           # a cap below the row count: chunks of one pair
     def test_batch_equals_inline_reference(self, dim, rows, cap, seed):
-        # small caps force one to many row blocks
+        # small caps force one to many pair chunks
         rng = np.random.default_rng(seed)
         model = random_model(rng, dim, int(rng.integers(0, dim * (dim - 1) // 2 + 1)))
         xs = rng.integers(0, 2, size=(rows, dim), dtype=np.uint8)
@@ -776,13 +789,31 @@ class TestQuadraticObjective:
         assert np.array_equal(got, expected)
 
     def test_batch_blocks_at_the_default_cap(self):
-        # 32 640 pairs: 100 rows take four blocks of at most 32 rows
+        # 32 640 pairs: 100 rows take four pair chunks of at most 10 485 pairs
         rng = np.random.default_rng(5)
         model = random_model(rng, 256, 256 * 255 // 2)
         xs = rng.integers(0, 2, size=(100, 256), dtype=np.uint8).astype(float)
         expected = xs @ model.linear + model.offset + (
             xs[:, model.pair_i] * xs[:, model.pair_j] * model.pair_w).sum(axis=1)
         assert np.array_equal(QuadraticObjective(model).batch(xs), expected)
+
+    def test_batch_peak_memory_is_two_chunks(self):
+        # a chunk's products and its second gather, each at most
+        # _BATCH_ELEMENTS floats, plus about the size of the inputs (the bits
+        # as floats and the model's arrays); three such temporaries did not fit
+        rng = np.random.default_rng(5)
+        model = random_model(rng, 256, 256 * 255 // 2)
+        xs = rng.integers(0, 2, size=(100, 256), dtype=np.uint8)
+        obj = QuadraticObjective(model)
+        inputs = 8 * xs.size + sum(a.nbytes for a in (model.linear, model.pair_i,
+                                                       model.pair_j, model.pair_w))
+        tracemalloc.start()
+        try:
+            obj.batch(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * qubo._BATCH_ELEMENTS + inputs
 
     def test_adjacency_matches_loop_reference(self, model_n64):
         model = model_n64[2]
@@ -807,6 +838,30 @@ class TestQuadraticObjective:
                 sums[j] += w * step
             walk.apply_flip(i)
             assert np.array_equal(walk._sums, sums)
+
+    def test_walk_matches_loop_reference_on_the_loaded_surrogate(self, model_n64):
+        # peeks, applies of the peeked bit and applies of another bit, each
+        # step against the per-pair loop in numpy scalars, bit for bit
+        model = model_n64[2]
+        adj = _loop_adjacency(model)
+        rng = np.random.default_rng(8)
+        walk = QuadraticObjective(model).walk(rng.integers(0, 2, model.dim, dtype=np.uint8))
+        x, sums, value = walk.x.copy(), walk._sums.copy(), walk.value
+        kinds = rng.integers(0, 3, size=2000).tolist()
+        for kind, i in zip(kinds, rng.integers(0, model.dim, size=2000).tolist()):
+            step = 1.0 - 2.0 * x[i]
+            delta = step * (model.linear[i] + sums[i])
+            if kind == 0:
+                assert walk.peek_flip(i) == value + delta
+            else:
+                walk.peek_flip(i if kind == 1 else (i + 1) % model.dim)
+                walk.apply_flip(i)
+                value += delta
+                for j, w in adj[i]:
+                    sums[j] += w * step
+                x[i] ^= 1
+            assert walk.value == value
+            assert np.array_equal(walk._sums, sums) and np.array_equal(walk.x, x)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_solver_results_pinned(self, model_n64, seed):

@@ -414,8 +414,7 @@ class TestBcd:
         tq, tc, value = (complex(math.nan, tq.imag) if nan_in == "quantum total" else tq,
                          complex(tc.real, math.nan) if nan_in == "classical total" else tc,
                          math.nan if nan_in == "value" else value)
-        keep = solvers._unclearable(obj, cand_q, cand_c, cand_q[0], cand_c[0], tq, tc,
-                                    value, obj.alpha * obj.p_dark + obj.beta)
+        keep = solvers._unclearable(obj, cand_q, cand_c, cand_q[0], cand_c[0], tq, tc, value)
         assert keep.all()
 
     @staticmethod
