@@ -112,13 +112,8 @@ def _parse_sequence(raw: str, item_type) -> tuple:
 
 def _coerce_field(typ, raw: str):
     """Parse raw as a value of the resolved annotation typ."""
-    args = typing.get_args(typ)
     if typing.get_origin(typ) is tuple:
-        return _parse_sequence(raw, args[0])
-    if type(None) in args:             # optional scalar, e.g. float | None
-        if raw.strip().lower() in ("none", ""):
-            return None
-        typ, = (a for a in args if a is not type(None))
+        return _parse_sequence(raw, typing.get_args(typ)[0])
     return _parse_scalar(raw, typ)
 
 

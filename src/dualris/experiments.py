@@ -41,7 +41,6 @@ class SweepSpec:
     elevations_deg: tuple[float, ...] = tuple(float(e) for e in range(10, 95, 5))
     ris_sizes: tuple[int, ...] = (0, 128, 265, 512)
     attenuation_levels: tuple[float, ...] = (1.0, 0.6, 0.3, 0.1)
-    trials: int = 1
 
     def __post_init__(self) -> None:
         if not self.elevations_deg or not self.ris_sizes or not self.attenuation_levels:
@@ -55,8 +54,6 @@ class SweepSpec:
         for att in self.attenuation_levels:
             if not (math.isfinite(att) and att > 0.0):
                 raise ValueError(f"attenuation level {att:g} must be finite and > 0")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -337,29 +334,16 @@ def evaluate_point(cfg: RunConfig, cal: Calibration, elevation_deg: float,
 
 
 def sweep_elevation(cfg: RunConfig, cal: Calibration) -> list[SweepRow]:
-    """All (elevation, N) rows of the reproduction sweep, trial-major.
-
-    Extra trials rerun the grid with independently derived master seeds; each
-    trial emits its own complete elevation x size block.
-    """
-    rows = []
-    for trial in range(cfg.sweep.trials):
-        trial_cfg = cfg if trial == 0 else replace(
-            cfg, seed=int(np.random.SeedSequence([cfg.seed, 7777, trial])
-                          .generate_state(1)[0]))
-        for elevation in cfg.sweep.elevations_deg:
-            for n in cfg.sweep.ris_sizes:
-                row, _, _ = evaluate_point(trial_cfg, cal, elevation, n)
-                rows.append(row)
-    return rows
+    """All (elevation, N) rows of the reproduction sweep, elevation-major."""
+    return [evaluate_point(cfg, cal, elevation, n)[0]
+            for elevation in cfg.sweep.elevations_deg for n in cfg.sweep.ris_sizes]
 
 
 def delta_metrics(rows: list[SweepRow]) -> list[DeltaRow]:
     """Append per-row improvements over the matched N = 0 baseline.
 
     Baselines are matched in stream order: each N = 0 row becomes the
-    reference for the following rows at its elevation, so repeated trial
-    blocks pair with their own baselines.
+    reference for the following rows at its elevation.
     """
     baselines: dict[float, SweepRow] = {}
     out = []

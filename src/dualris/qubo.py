@@ -15,10 +15,9 @@ import functools
 import math
 import mmap
 import os
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import BinaryIO, TextIO
+from typing import BinaryIO
 
 import numpy as np
 
@@ -786,10 +785,10 @@ def export_qubo(model: QuboModel, path: str, comments: list[str] | None = None) 
         fh.writelines(format_qubo(model, comments))
 
 
-def _read_header(fh: TextIO) -> tuple[int, int, int, float]:
+def _read_header(fh: BinaryIO) -> tuple[int, int, int, float]:
     """Skip comment and blank lines and parse the header: (dim, n_lin, n_quad, offset)."""
-    for raw in iter(fh.readline, ""):
-        line = raw.strip()
+    for raw in fh:
+        line = raw.decode("utf-8").strip()
         if not line or line.startswith("#"):
             continue
         if not line.startswith("qubo"):
@@ -938,28 +937,16 @@ def _first(mask: np.ndarray, body: np.ndarray) -> str:
 def load_qubo(path: str) -> QuboModel:
     """Read a model written by export_qubo.
 
-    The header is read line by line. The triplets after it are parsed in numpy
-    (_read_triplets) when every line is laid out as export_qubo writes it;
-    otherwise the whole body takes one np.loadtxt call, in which '#' starts a
-    comment anywhere on a line. Both give the same arrays. Every rule is then
-    checked on the parsed arrays.
+    The header is read line by line. Every line after it must be laid out as
+    export_qubo writes it, '%d %d %.16e\\n', and the triplets are parsed in
+    numpy (_read_triplets). Every rule is then checked on the parsed arrays.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         dim, n_lin, n_quad, offset = _read_header(fh)
-        start = fh.tell()
-        fh.seek(start)                           # the byte stream now starts the body
-        body = _read_triplets(fh.buffer, os.fstat(fh.fileno()).st_size - fh.buffer.tell())
-        if body is None:
-            fh.seek(start)
-            try:
-                with warnings.catch_warnings():      # a file may hold no triplet at all
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    body = np.loadtxt(fh, dtype=_TRIPLET, comments="#", ndmin=1)
-            except ValueError as exc:
-                fh.seek(start)
-                if any(line.lstrip().startswith("qubo") for line in fh):
-                    raise ValueError("repeated qubo header") from None
-                raise ValueError(f"malformed triplet line: {exc}") from None
+        body = _read_triplets(fh, os.fstat(fh.fileno()).st_size - fh.tell())
+    if body is None:
+        raise ValueError("malformed triplet line: each line after the qubo header "
+                         "must read '%d %d %.16e\\n'")
     i, j, v = body["i"], body["j"], body["v"]
     bad = (i < 0) | (i >= dim) | (j < 0) | (j >= dim)
     if bad.any():

@@ -31,13 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import QBER_SECURITY_THRESHOLD
-from .qubo import ExactObjective
+from .qubo import ExactObjective, _product
 from .ris import levels_to_bits
 
 RNG_ALGORITHM = "numpy-pcg64"
 BRUTE_FORCE_MAX_BITS = 24
 # below this many bits, tabu's numpy screen costs more than scoring every flip
 TABU_SCREEN_MIN_DIM = 64
+COOLING_RATE = 0.97            # anneal's temperature factor per sweep
 
 
 @dataclass(frozen=True)
@@ -45,15 +46,11 @@ class SolverConfig:
     kind: str = "exact"                # exact | brute | anneal | tabu | bcd
     seed: int = 0
     max_iters: int = 200               # sweeps (anneal/bcd) or moves (tabu)
-    initial_temp: float | None = None  # None: 10 x std of F over 100 probes
-    cooling_rate: float = 0.97
     tabu_tenure: int = 8
     restarts: int = 3
     objective: str = "exact"           # exact | quadratic
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.cooling_rate < 1.0:
-            raise ValueError("cooling_rate must be in (0, 1)")
         if self.tabu_tenure < 1:
             raise ValueError("tabu_tenure must be >= 1")
         if self.restarts < 1:
@@ -62,9 +59,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (self.initial_temp is None or 0.0 < self.initial_temp < math.inf):
-            raise ValueError(
-                f"initial_temp must be none or finite and > 0, got {self.initial_temp}")
         if self.kind not in ("exact", "brute", "anneal", "tabu", "bcd"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
         if self.objective not in ("exact", "quadratic"):
@@ -158,7 +152,8 @@ def _auto_temperature(objective, dim: int, rng: np.random.Generator) -> float:
 
 
 def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
-    """Metropolis single-flip annealing with geometric cooling per sweep."""
+    """Metropolis single-flip annealing from _auto_temperature, cooled by
+    COOLING_RATE per sweep."""
     rng = np.random.default_rng(cfg.seed)
     best = _Best()
     trace: list[tuple[int, float]] = []
@@ -168,7 +163,7 @@ def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
     for _ in range(cfg.restarts):
         x0 = rng.integers(0, 2, size=dim, dtype=np.uint8)
         # the probes' batch temporaries are freed before the walk builds its table
-        temp = cfg.initial_temp if cfg.initial_temp else _auto_temperature(objective, dim, rng)
+        temp = _auto_temperature(objective, dim, rng)
         walk = objective.walk(x0)
         evaluations += 1
         if best.offer(walk.value, walk.x):
@@ -184,7 +179,7 @@ def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
                     walk.apply_flip(i)
                     if best.offer(walk.value, walk.x):
                         trace.append((evaluations, best.value))
-            temp *= cfg.cooling_rate
+            temp *= COOLING_RATE
     return _finalize(objective, best.bits, evaluations, trace)
 
 
@@ -331,10 +326,11 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     qterm, cterm = obj.quantum_term, obj.classical_term
     order_q, order_c = _lex_level_order(obj.bq), _lex_level_order(obj.bc)
     joint = len(order_q) * len(order_c)
-    # per-element candidate contributions, fixed for the whole run; the
-    # screen reads them level-major and the contributions in use per element
-    cand_q_arr = obj.uq[:, None] * obj._phasor_q[None, :]
-    cand_c_arr = obj.uc[:, None] * obj._phasor_c[None, :]
+    # per-element candidate contributions, fixed for the whole run, in real
+    # ufuncs so that they do not depend on numpy's dispatch; the screen reads
+    # them level-major and the contributions in use per element
+    cand_q_arr = _product(obj.uq[:, None], obj._phasor_q)
+    cand_c_arr = _product(obj.uc[:, None], obj._phasor_c)
     cand_q, cand_c = cand_q_arr.tolist(), cand_c_arr.tolist()
     screen_q, screen_c = cand_q_arr.T.copy(), cand_c_arr.T.copy()
     cur_q, cur_c = cand_q_arr[:, 0].copy(), cand_c_arr[:, 0].copy()

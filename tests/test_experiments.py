@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import pickle
 import re
 import typing
 
@@ -37,6 +38,8 @@ from dualris.metrics import Calibration, CostWeights
 from dualris.qubo import ExactObjective, ObjectiveError, load_qubo
 from dualris.ris import RisConfig
 from dualris.solvers import SolverConfig
+from test_qubo import run_child
+from test_solvers import random_instance
 
 
 class TestCalibration:
@@ -137,18 +140,6 @@ class TestSweep:
         ris_only = [r for r in sweep_result["rows"] if r.n_elements > 0]
         with pytest.raises(ValueError):
             delta_metrics(ris_only)
-
-    def test_trials_emit_independent_blocks(self, calibrated):
-        cfg = RunConfig(sweep=SweepSpec(elevations_deg=(45.0,), ris_sizes=(0, 8),
-                                        trials=2))
-        rows = sweep_elevation(cfg, calibrated["cal"])
-        assert len(rows) == 4
-        assert [r.n_elements for r in rows] == [0, 8, 0, 8]
-        # distinct trial seeds give distinct cascade draws, baselines agree
-        assert rows[0] == rows[2]
-        assert rows[1] != rows[3]
-        deltas = delta_metrics(rows)
-        assert all(d.dqber_pp > 0 for d in deltas if d.n_elements > 0)
 
     def test_swing_cost_uses_the_resolved_weights(self, calibrated):
         # swing weights with beta_o = 0 resolve to (1 / qber_threshold, 0) on every row
@@ -273,11 +264,6 @@ output_dir = out
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.ini")
 
-    @pytest.mark.parametrize("raw,expected", [("none", None), ("2.5", 2.5)])
-    def test_optional_float_field(self, tmp_path, raw, expected):
-        cfg = load_config(self._write(tmp_path, f"[solver]\ninitial_temp = {raw}\n"))
-        assert cfg.solver.initial_temp == expected
-
     @pytest.mark.parametrize("raw", ["0,1.5", "0:3:1.5", "inf"])
     def test_non_integer_list_item_rejected(self, tmp_path, raw):
         with pytest.raises(ConfigError):
@@ -325,6 +311,30 @@ class TestCsvOutput:
         write_sweep_csv(str(tmp_path / "ok.csv"), run_config, calibrated["cal"],
                         sweep_result["rows"], with_timestamp=False)
         assert sorted(os.listdir(tmp_path)) == ["ok.csv"]
+
+
+# runs sweep, histogram and calibrate through the CLI into argv[1] and BCD on
+# the objective pickled at argv[2], writes calibrate's output and BCD's result
+# there too, and prints whether numpy dispatches to AVX2 (x86-64-v3) kernels
+_DISPATCH_CHILD = """
+import contextlib, pickle, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from dualris.cli import run_cli
+from dualris.solvers import SolverConfig, block_coordinate_descent
+out = sys.argv[1]
+with open(out + "/run.ini", "w") as fh:
+    fh.write("[run]\\noutput_dir = " + out + "\\n")
+for argv in (["sweep", "--no-timestamp"], ["histogram", "--no-timestamp"]):
+    assert run_cli(["--config", out + "/run.ini", *argv]) == 0
+with open(out + "/calibrate.txt", "w") as fh, contextlib.redirect_stdout(fh):
+    assert run_cli(["--config", out + "/run.ini", "calibrate"]) == 0
+with open(sys.argv[2], "rb") as fh:
+    result = block_coordinate_descent(pickle.load(fh), SolverConfig(kind="bcd", max_iters=50))
+with open(out + "/bcd.txt", "w") as fh:
+    fh.write(repr((result.best_bits.tolist(), result.evaluations,
+                   [(e, float(v).hex()) for e, v in result.trace])))
+print(__cpu_features__["X86_V3"])
+"""
 
 
 def _float_keys() -> list[tuple[str, str]]:
@@ -452,7 +462,6 @@ class TestCli:
         ("[sweep]\nelevations_deg = 10:inf:5\n", ["sweep"]),
         ("[sweep]\nelevations_deg = 0:1e12:1\n", ["sweep"]),
         ("[sweep]\nris_sizes = 0,-1\n", ["sweep"]),
-        ("[sweep]\ntrials = -3\n", ["sweep"]),
         ("[sweep]\nattenuation_levels = 1.0,-0.5\n", ["histogram"]),
         ("[sweep]\nattenuation_levels = 1.0,inf\n", ["histogram"]),
         ("[sweep]\nattenuation_levels = 1.0,0\n", ["histogram"]),
@@ -460,9 +469,10 @@ class TestCli:
         ("[solver]\nmax_iters = -1\n", ["sweep"]),
         ("seed = -1\n", ["sweep"]),            # no header: stays in [run]
         ("[solver]\nkind = anneal\nseed = -1\n", ["sweep"]),
-        ("[solver]\ninitial_temp = 0\n", ["sweep"]),
-        ("[solver]\ninitial_temp = -5\n", ["sweep"]),
-        ("[solver]\ninitial_temp = nan\n", ["sweep"]),
+        # keys of removed settings, at the one value every run used
+        ("[solver]\ninitial_temp = none\n", ["sweep"]),
+        ("[solver]\ncooling_rate = 0.97\n", ["sweep"]),
+        ("[sweep]\ntrials = 1\n", ["sweep"]),
         ("[solver]\nkind = brute\n", ["sweep"]),
         ("[solver]\nkind = brute\n", ["optimize", "--elevation", "45", "--n", "10"]),
         # files the INI parser itself rejects; bytes are the whole file
@@ -577,6 +587,26 @@ class TestCli:
                         "--out", "m.qubo"]) == EXIT_OK
         digest = hashlib.sha256((tmp_path / "m.qubo").read_bytes()).hexdigest()
         assert digest == "42755a3e46df050fc9cdb948315de81f353ec2e401ce7327a502750f4ad299f8"
+
+    def test_same_csvs_and_bcd_under_pre_avx2_dispatch(self, tmp_path):
+        # the pinned CSVs, calibrate's output and coordinate descent do not
+        # depend on numpy's SIMD kernels; BCD on this instance did while its
+        # candidate table was numpy's complex product
+        from numpy._core._multiarray_umath import __cpu_features__
+        if "X86_V3" not in __cpu_features__:
+            pytest.skip("x86-64 dispatch levels only")
+        obj, _ = random_instance(4, 430, bits=(2, 3))
+        with open(tmp_path / "obj.pkl", "wb") as fh:
+            pickle.dump(obj, fh)
+        for level in ("X86_V2", None):
+            (tmp_path / str(level)).mkdir()
+            has_avx2 = run_child(_DISPATCH_CHILD, level, tmp_path / str(level),
+                                 tmp_path / "obj.pkl")
+            if level:              # the variable took effect: no AVX2 kernels in this child
+                assert has_avx2 == "False"
+        for name in ("sweep.csv", "histogram.csv", "calibrate.txt", "bcd.txt"):
+            files = [tmp_path / str(level) / name for level in ("X86_V2", None)]
+            assert files[0].read_bytes() == files[1].read_bytes(), name
 
     @pytest.mark.parametrize("argv", [
         ["qubo-export", "--n", "4", "--out", "."],

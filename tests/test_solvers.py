@@ -148,10 +148,10 @@ class TestTraces:
 class TestSimulatedAnnealing:
     def test_zero_temperature_is_greedy_descent(self):
         obj, cfg = random_instance(21, 3)
-        result = simulated_annealing(
-            obj, cfg.bits_total,
-            SolverConfig(kind="anneal", seed=5, max_iters=50, restarts=1,
-                         initial_temp=1e-300))
+        with mock.patch.object(solvers, "_auto_temperature", return_value=1e-300):
+            result = simulated_annealing(
+                obj, cfg.bits_total, SolverConfig(kind="anneal", seed=5, max_iters=50,
+                                                  restarts=1))
         values = [v for _, v in result.trace]
         assert all(b <= a for a, b in zip(values, values[1:]))
         # greedy descent ends in a local minimum: no single flip improves
@@ -435,8 +435,8 @@ def joint_scan_bcd(obj, max_iters):
 
     order_q, order_c = lex(obj.bq), lex(obj.bc)
 
-    cand_q = (obj.uq[:, None] * obj._phasor_q[None, :]).tolist()
-    cand_c = (obj.uc[:, None] * obj._phasor_c[None, :]).tolist()
+    cand_q = qubo._product(obj.uq[:, None], obj._phasor_q).tolist()
+    cand_c = qubo._product(obj.uc[:, None], obj._phasor_c).tolist()
     lq, lc = [0] * obj.n, [0] * obj.n
     tq = obj.h0q + sum(row[0] for row in cand_q)
     tc = obj.h0c + sum(row[0] for row in cand_c)
