@@ -395,7 +395,8 @@ class TestFileRoundTrip:
         ("qubo 2 1 0 0.0\nqubo 2 1 0 0.0\n" + triplets((0, 0, 1.0)), "malformed triplet line"),
         ("qubo 2 1 0 0.0\n" + triplets((2, 2, 1.0)), "out of range"),
         ("qubo 2 0 1 0.0\n" + triplets((0, 2, 1.0)), "out of range"),
-        ("qubo 2 0 1 0.0\n" + triplets((-1, 1, 1.0)), "malformed triplet line"),  # no sign
+        # an index has no sign in export's layout
+        ("qubo 2 0 1 0.0\n" + triplets((-1, 1, 1.0)), "malformed triplet line"),
         ("qubo 3 0 1 0.0\n" + triplets((2, 1, 1.0)), "i < j"),
         ("qubo 3 2 0 0.0\n" + triplets((0, 0, 1.0)), "disagree"),
         ("qubo 3 0 2 0.0\n" + triplets((0, 1, 1.0)), "disagree"),
