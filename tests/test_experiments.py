@@ -523,6 +523,24 @@ class TestCli:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["edge.ini"]
 
+    # every value the removed settings once parsed or refused: the optional
+    # float's none and 2.5, the out-of-range temperatures, the non-finite
+    # floats, and a two-trial and a negative sweep
+    @pytest.mark.parametrize("section,key,raw", [
+        *[("solver", "initial_temp", raw)
+          for raw in ("none", "2.5", "0", "-5", "nan", "inf", "-inf")],
+        *[("solver", "cooling_rate", raw) for raw in ("nan", "inf", "-inf")],
+        ("sweep", "trials", "2"),
+        ("sweep", "trials", "-3"),
+    ])
+    def test_removed_key_exits_config(self, tmp_path, capsys, section, key, raw):
+        cfg = tmp_path / "edge.ini"
+        cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n[{section}]\n{key} = {raw}\n")
+        assert run_cli(["--config", str(cfg), "sweep"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: unknown key {key!r} in [{section}]\n"
+        assert os.listdir(tmp_path) == ["edge.ini"]
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section,key", _float_keys())
     def test_non_finite_float_exits_config(self, tmp_path, capsys, section, key, raw):
