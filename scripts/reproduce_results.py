@@ -27,9 +27,9 @@ def main() -> int:
     args = parser.parse_args()
 
     cfg = RunConfig(seed=args.seed, output_dir=args.out)
-    t0 = time.time()
+    t0 = time.perf_counter()
     cal = calibrate(cfg)
-    print(f"calibration finished in {time.time() - t0:.2f} s")
+    print(f"calibration finished in {time.perf_counter() - t0:.2f} s")
     print(f"  rf_gain_offset_db    = {cal.rf_gain_offset_db:.4f}")
     print(f"  effective_visibility = {cal.effective_visibility:.6f}")
     print(f"  h_ref_sq             = {cal.h_ref_sq:.6e}")
@@ -37,9 +37,9 @@ def main() -> int:
     print(f"  element_amp_scale    = {cal.element_amp_scale:.6e}")
     print(f"  rf_element_scale     = {cal.rf_element_scale:.6e}")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = delta_metrics(sweep_elevation(cfg, cal))
-    print(f"sweep finished in {time.time() - t0:.2f} s ({len(rows)} rows)")
+    print(f"sweep finished in {time.perf_counter() - t0:.2f} s ({len(rows)} rows)")
     by = {(r.elevation_deg, r.n_elements): r for r in rows}
 
     print("\nbaseline anchors:")

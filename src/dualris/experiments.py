@@ -30,8 +30,8 @@ from .metrics import (
     snr,
 )
 from .qubo import ExactObjective, ObjectiveError, QuadraticObjective, build_qubo
-from .ris import CLASSICAL, QUANTUM, ChannelState, RisConfig, cascade_gains
-from .solvers import SolverConfig, SolverResult, enforce_security, solve
+from .ris import CLASSICAL, QUANTUM, ChannelState, RisConfig, cascade_gains, levels_to_bits
+from .solvers import SolverConfig, SolverResult, band_levels, enforce_security, solve
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,6 @@ def solve_point(cfg: RunConfig, cal: Calibration, elevation_deg: float,
     return enforce_security(result, objective), objective
 
 
-_FIT_SOLVER = SolverConfig(kind="exact")
-
-
 def calibrate(cfg: RunConfig, anchors: CalibrationAnchors | None = None) -> Calibration:
     """Fit the calibration constants to the benchmark anchors, in order.
 
@@ -302,11 +299,42 @@ def calibrate(cfg: RunConfig, anchors: CalibrationAnchors | None = None) -> Cali
 def _fit_cascade_scale(cfg: RunConfig, cal: Calibration, a: CalibrationAnchors,
                        name: str, residual_of: Callable[[Metrics], float]) -> Calibration:
     """cal with its cascade scale `name` fitted so that residual_of(optimized
-    metrics at (ris_n, high_deg)) is 0; the residual must grow with the scale."""
+    metrics at (ris_n, high_deg)) is 0; the residual must grow with the scale.
+
+    The metrics equal solve_point's with the exact solver, bit for bit. The
+    point is built once, with the constant at 1.0: at att = 1
+    build_channel_state multiplies the cascade by the constant times 1.0, so
+    unit * scale is the cascade it builds at that scale. The band sweep picks
+    each band's levels from that band's inputs alone (band_sweep), so each
+    scale re-sweeps the fitted band, and the other band is swept once per
+    fit. enforce_security is skipped: its fallback is the band sweep's own
+    bits. Residuals are kept by scale, since _bisect evaluates again the
+    bracket ends that the search below found.
+    """
+    band = 0 if name == "element_amp_scale" else 1       # 0 quantum, 1 classical
+    fitted = ("cascade_quantum", "cascade_classical")[band]
+    state, ris_cfg, _ = build_channel_state(cfg, replace(cal, **{name: 1.0}),
+                                            a.high_deg, a.ris_n)
+    unit = getattr(state, fitted)
+    other: np.ndarray | None = None            # the other band's levels
+    residuals: dict[float, float] = {}
+
     def residual(scale: float) -> float:
-        c = replace(cal, **{name: scale})
-        result, objective = solve_point(cfg, c, a.high_deg, a.ris_n, solver=_FIT_SOLVER)
-        return residual_of(objective.metrics_of(result.best_bits))
+        nonlocal other
+        if scale not in residuals:
+            c = replace(cal, **{name: scale})
+            obj = ExactObjective(replace(state, **{fitted: unit * scale}), cfg.weights, c,
+                                 cfg.optical, cfg.rf, ris_cfg)
+            problem = objective_problem(obj)
+            if problem:
+                raise ObjectiveError(problem)
+            bands = ((obj.h0q, obj.uq, obj._phasor_q), (obj.h0c, obj.uc, obj._phasor_c))
+            swept = band_levels(*bands[band])
+            if other is None:
+                other = band_levels(*bands[1 - band])
+            levels = (swept, other) if band == 0 else (other, swept)
+            residuals[scale] = residual_of(obj.metrics_of(levels_to_bits(*levels, ris_cfg)))
+        return residuals[scale]
 
     lo, hi = 1e-12, 1e-6
     while residual(hi) < 0 and hi < 1e12:

@@ -785,9 +785,10 @@ def export_qubo(model: QuboModel, path: str, comments: list[str] | None = None) 
         fh.writelines(format_qubo(model, comments))
 
 
-def _read_header(fh: BinaryIO) -> tuple[int, int, int, float]:
-    """Skip comment and blank lines and parse the header: (dim, n_lin, n_quad, offset)."""
-    for raw in fh:
+def _read_header(fh: BinaryIO) -> tuple[int, int, int, float, int]:
+    """Skip comment and blank lines and parse the header: (dim, n_lin, n_quad,
+    offset, lines read)."""
+    for count, raw in enumerate(fh, 1):
         line = raw.decode("utf-8").strip()
         if not line or line.startswith("#"):
             continue
@@ -795,7 +796,7 @@ def _read_header(fh: BinaryIO) -> tuple[int, int, int, float]:
             raise ValueError("triplet data before the qubo header")
         try:
             _, d, nl, nq, off = line.split()
-            return int(d), int(nl), int(nq), float(off)
+            return int(d), int(nl), int(nq), float(off), count
         except ValueError as exc:
             raise ValueError(f"malformed qubo header {line!r}: {exc}") from None
     raise ValueError("missing qubo header line")
@@ -829,9 +830,10 @@ def _digit_fields(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _triplet_columns(buf: np.ndarray, words: np.ndarray, s1: np.ndarray, s2: np.ndarray,
-                     nl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+                     nl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | int:
     """The (i, j, value) columns of the lines of buf whose spaces are s1 and s2
-    and whose newlines are nl, or None when a line is not '%d %d %.16e\n'.
+    and whose newlines are nl, or the index of a line that is not
+    '%d %d %.16e\n' (_first_off_layout finds the first).
 
     words is buf's stride-1 view of unaligned uint64 words. A line holds
     indices of 1 to 8 digits without a leading zero and a value of an
@@ -854,8 +856,9 @@ def _triplet_columns(buf: np.ndarray, words: np.ndarray, s1: np.ndarray, s2: np.
     length = np.concatenate([s1 - start, s2 - s1 - 1, nl - vs - 20])   # i, j, exponent
     rows = len(nl)
     li, lj, le = length[:rows], length[rows:2 * rows], length[2 * rows:]
-    if not ((li >= 1) & (li <= 8) & (lj >= 1) & (lj <= 8) & (le >= 2) & (le <= 3)).all():
-        return None
+    fits = (li >= 1) & (li <= 8) & (lj >= 1) & (lj <= 8) & (le >= 2) & (le <= 3)
+    if not fits.all():
+        return int(np.argmin(fits))
     lead = buf[vs].astype(np.int64) - 48
     exp_neg = buf[vs + 19] == 45
     layout = ((buf[vs + 1] == 46) & (buf[vs + 18] == 101) & (exp_neg | (buf[vs + 19] == 43))
@@ -867,7 +870,7 @@ def _triplet_columns(buf: np.ndarray, words: np.ndarray, s1: np.ndarray, s2: np.
     fields |= _FILL[length]
     group, digits = _digit_fields(group)
     if not (layout.all() and digits.all()):
-        return None
+        return int(np.argmin(layout & digits.reshape(5, rows).all(axis=0)))
     i, j, e, high, low = group.astype(np.int64).reshape(5, rows)
     e = np.where(exp_neg, -e, e)
     d = lead * 10 ** 16 + high * 10 ** 8 + low
@@ -887,20 +890,43 @@ def _triplet_columns(buf: np.ndarray, words: np.ndarray, s1: np.ndarray, s2: np.
     return i, j, v
 
 
-def _read_triplets(raw: BinaryIO, size: int) -> np.ndarray | None:
-    """The _TRIPLET rows of the size bytes left in raw, or None when a line is
-    not '%d %d %.16e\n' or the last line has no newline.
+def _first_off_layout(buf: np.ndarray, words: np.ndarray, sep: np.ndarray) -> int:
+    """Index of the first line of a refused block of _read_triplets that is
+    not '%d %d %.16e\n', given the positions sep of the block's bytes <= ' '.
+
+    It starts from the first line whose such bytes are not ' ', ' ', '\n' or,
+    when all are, the line still open at the block's end (longer than a
+    block), and moves to a line that _triplet_columns refuses among the
+    lines before it until it refuses none.
+    """
+    pattern = np.resize(np.frombuffer(b"  \n", np.uint8), len(sep))
+    off = np.flatnonzero(buf[sep] != pattern)
+    first = int(off[0]) // 3 if off.size else len(sep) // 3
+    while first:
+        s1, s2, nl = sep[:3 * first].reshape(-1, 3).T
+        refused = _triplet_columns(buf, words, s1, s2, nl)
+        if not isinstance(refused, int):
+            break
+        first = refused
+    return first
+
+
+def _read_triplets(raw: BinaryIO, size: int) -> np.ndarray | int:
+    """The _TRIPLET rows of the size bytes left in raw, or the index of the
+    first line that is not '%d %d %.16e\n' (a last line without its newline
+    is not).
 
     The bytes are read in blocks of about _LOAD_BLOCK into one buffer behind
     8 bytes of '0' (a word that ends in the first line starts there). One
     scan finds the bytes <= ' ': up to the block's last newline they must be
     ' ', ' ', '\n' in turn, one triple per line, and _triplet_columns parses
     those lines. The bytes after the last newline move to the front for the
-    next block. The rows go into an anonymous mapping sized for the shortest
-    line: pages never written are never resident, and the whole mapping goes
-    back to the system once the last view of it is dropped. An array from
-    malloc's heap can stay resident after the load and raise the peak RSS
-    of later work.
+    next block; a refused block is searched for its first line off the
+    layout (_first_off_layout). The rows go into an anonymous mapping sized
+    for the shortest line: pages never written are never resident, and the
+    whole mapping goes back to the system once the last view of it is
+    dropped. An array from malloc's heap can stay resident after the load
+    and raise the peak RSS of later work.
     """
     cap = size // _SHORTEST_LINE
     body = np.frombuffer(mmap.mmap(-1, max(cap, 1) * _TRIPLET.itemsize), _TRIPLET)[:cap]
@@ -913,19 +939,19 @@ def _read_triplets(raw: BinaryIO, size: int) -> np.ndarray | None:
         last = max(len(sep) - 3, 0)        # at most two spaces follow the last newline
         last += np.flatnonzero(buf[sep[last:]] == 10)
         if not last.size or last[-1] % 3 != 2 or rows + (last[-1] + 1) // 3 > cap:
-            return None
+            return rows + _first_off_layout(buf, words, sep)
         s1, s2, nl = sep[:last[-1] + 1].reshape(-1, 3).T
         if not ((buf[s1] == 32) & (buf[s2] == 32) & (buf[nl] == 10)).all():
-            return None
+            return rows + _first_off_layout(buf, words, sep)
         columns = _triplet_columns(buf, words, s1, s2, nl)
-        if columns is None:
-            return None
+        if isinstance(columns, int):
+            return rows + _first_off_layout(buf, words, sep)
         for name, part in zip("ijv", columns):
             body[name][rows:rows + len(nl)] = part
         rows += len(nl)
         held = end - (nl[-1] + 1)
         buf[8:8 + held] = buf[nl[-1] + 1:end]
-    return None if held else body[:rows]
+    return rows if held else body[:rows]
 
 
 def _first(mask: np.ndarray, body: np.ndarray) -> str:
@@ -939,16 +965,18 @@ def load_qubo(path: str) -> QuboModel:
 
     The header is read line by line. Every line after it must be laid out as
     export_qubo writes it, '%d %d %.16e\\n', and the triplets are parsed in
-    numpy (_read_triplets). Every rule is then checked on the parsed arrays.
+    numpy (_read_triplets); the refusal names the first line off that layout,
+    counted from 1 at the file's first line. Every rule is then checked on the
+    parsed arrays.
     """
     with open(path, "rb") as fh:
-        dim, n_lin, n_quad, offset = _read_header(fh)
+        dim, n_lin, n_quad, offset, head_lines = _read_header(fh)
         body = _read_triplets(fh, os.fstat(fh.fileno()).st_size - fh.tell())
-    if body is None:
-        raise ValueError("malformed triplet line: each line after the qubo header "
-                         "must read '%d %d %.16e\\n'")
+    if isinstance(body, int):
+        raise ValueError(f"malformed triplet line {head_lines + body + 1}: each line "
+                         "after the qubo header must read '%d %d %.16e\\n'")
     i, j, v = body["i"], body["j"], body["v"]
-    bad = (i < 0) | (i >= dim) | (j < 0) | (j >= dim)
+    bad = (i >= dim) | (j >= dim)
     if bad.any():
         raise ValueError(f"index out of range in triplet {_first(bad, body)}")
     if (i > j).any():

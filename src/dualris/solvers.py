@@ -383,7 +383,7 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     return _finalize(obj, levels_to_bits(levels_q, levels_c, obj.cfg), evaluations, trace)
 
 
-def _band_levels(h0: complex, u: np.ndarray, phasor: np.ndarray) -> np.ndarray:
+def band_levels(h0: complex, u: np.ndarray, phasor: np.ndarray) -> np.ndarray:
     """Per-element levels l_n that maximize |h0 + sum_n u_n phasor[l_n]|.
 
     For a reference angle phi, Re(T e^{-j phi}) is maximized element by element
@@ -420,7 +420,7 @@ def band_sweep(objective: ExactObjective) -> SolverResult:
 
     The cost alpha * QBER(|T_Q|) - beta * log2(1 + kappa |T_C|^2) has one term
     per band, and with alpha, beta >= 0 each term is non-increasing in its
-    band's |T|, so maximizing |T_Q| and |T_C| separately (_band_levels, with
+    band's |T|, so maximizing |T_Q| and |T_C| separately (band_levels, with
     its tie rule) minimizes it. evaluations counts the band totals scored,
     2 + N (2^b_Q + 2^b_C). The chosen |T_Q| is the largest any assignment
     reaches, so its QBER is also the smallest: the result is feasible exactly
@@ -431,8 +431,8 @@ def band_sweep(objective: ExactObjective) -> SolverResult:
     obj = objective
     if obj.dim == 0:
         return brute_force(obj, 0)
-    bits = levels_to_bits(_band_levels(obj.h0q, obj.uq, obj._phasor_q),
-                          _band_levels(obj.h0c, obj.uc, obj._phasor_c), obj.cfg)
+    bits = levels_to_bits(band_levels(obj.h0q, obj.uq, obj._phasor_q),
+                          band_levels(obj.h0c, obj.uc, obj._phasor_c), obj.cfg)
     evaluations = 2 + obj.n * (len(obj._phasor_q) + len(obj._phasor_c))
     return _finalize(obj, bits, evaluations, [(evaluations, obj.value(bits))])
 

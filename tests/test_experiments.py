@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualris import cli
+from dualris import cli, experiments
 from dualris.cli import (
     ConfigError,
     EXIT_CALIBRATION,
@@ -23,9 +23,11 @@ from dualris.cli import (
 )
 from dualris.experiments import (
     CalibrationAnchors,
+    CalibrationError,
     RunConfig,
     SweepSpec,
     build_channel_state,
+    calibrate,
     delta_metrics,
     derived_seed,
     evaluate_point,
@@ -65,6 +67,92 @@ class TestCalibration:
 
     def test_visibility_physical(self, calibrated):
         assert 0.0 < calibrated["cal"].effective_visibility <= 1.0
+
+
+def plain_fit_cascade_scale(cfg, cal, a, name, residual_of):
+    """experiments._fit_cascade_scale as one exact solve_point per step (reference)."""
+    def residual(scale):
+        c = dataclasses.replace(cal, **{name: scale})
+        result, objective = experiments.solve_point(cfg, c, a.high_deg, a.ris_n,
+                                                    solver=SolverConfig(kind="exact"))
+        return residual_of(objective.metrics_of(result.best_bits))
+
+    lo, hi = 1e-12, 1e-6
+    while residual(hi) < 0 and hi < 1e12:
+        lo, hi = hi, hi * 10.0
+    return dataclasses.replace(cal, **{name: experiments._bisect(residual, lo, hi, what=name)})
+
+
+def calibrate_outcome(cfg, anchors=None):
+    """calibrate's six constants, or the type and message of its refusal."""
+    try:
+        return dataclasses.astuple(calibrate(cfg, anchors))
+    except (CalibrationError, ObjectiveError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def counted(calls, fn):
+    """fn, appending the arguments of each call to calls."""
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestCascadeFits:
+    # the fits rescale one band of a point built once and re-sweep that band
+    # only; every constant and refusal equals a solve_point per step
+
+    @pytest.mark.parametrize("bits", [(2, 2), (1, 1), (3, 1)])
+    @pytest.mark.parametrize("n,elevation", [(512, 80.0), (128, 80.0), (265, 45.0)])
+    def test_constants_equal_the_reference(self, monkeypatch, n, elevation, bits):
+        anchors = CalibrationAnchors(ris_n=n, high_deg=elevation)
+        for seed in range(5):
+            cfg = RunConfig(seed=seed, ris=RisConfig(bits_quantum=bits[0],
+                                                     bits_classical=bits[1]))
+            got = dataclasses.astuple(calibrate(cfg, anchors))
+            with monkeypatch.context() as m:
+                m.setattr(experiments, "_fit_cascade_scale", plain_fit_cascade_scale)
+                assert got == dataclasses.astuple(calibrate(cfg, anchors)), seed
+
+    @pytest.mark.parametrize("weights,anchors,kind", [
+        (CostWeights(alpha=1.0, beta=1e308), None, "ObjectiveError"),
+        (CostWeights(), CalibrationAnchors(dsnr_high_db=1000.0), "CalibrationError"),
+        (CostWeights(), CalibrationAnchors(skr_gain_high=-0.5), "CalibrationError"),
+    ])
+    def test_refusals_equal_the_reference(self, monkeypatch, weights, anchors, kind):
+        cfg = RunConfig(weights=weights)
+        got = calibrate_outcome(cfg, anchors)
+        assert got[0] == kind
+        monkeypatch.setattr(experiments, "_fit_cascade_scale", plain_fit_cascade_scale)
+        assert got == calibrate_outcome(cfg, anchors)
+
+    def test_each_fit_builds_its_point_once(self, monkeypatch):
+        cfg = RunConfig()
+        solves = []            # per fit, the calibration of each point the reference solves
+
+        def reference(*args):
+            solves.append([])
+            return plain_fit_cascade_scale(*args)
+
+        def solve(cfg, cal, *args, **kwargs):
+            solves[-1].append(cal)
+            return solve_point(cfg, cal, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "_fit_cascade_scale", reference)
+            m.setattr(experiments, "solve_point", solve)
+            calibrate(cfg)
+        scales = sum(len(set(fit)) for fit in solves)
+        assert (sum(map(len, solves)), scales) == (76, 72)
+        builds, sweeps = [], []
+        monkeypatch.setattr(experiments, "build_channel_state",
+                            counted(builds, experiments.build_channel_state))
+        monkeypatch.setattr(experiments, "band_levels", counted(sweeps, experiments.band_levels))
+        calibrate(cfg)
+        assert len(builds) == 2
+        # the fitted band once per distinct scale of its fit, the other band once per fit
+        assert len(sweeps) == scales + 2
 
 
 class TestSeeds:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -610,6 +611,17 @@ def _body(middle, *extra):
     return _HEADER + b"".join([_LINES[0], middle, *extra, _LINES[2]])
 
 
+_LAYOUT = re.compile(rb"(0|[1-9][0-9]{0,7}) (0|[1-9][0-9]{0,7}) "
+                     rb"-?[0-9]\.[0-9]{16}e[+-][0-9]{2,3}\n")
+
+
+def first_off_layout(text):
+    """Number, from 1, of the first line after the header off export's layout (reference)."""
+    lines = re.findall(rb"[^\n]*\n|[^\n]+$", text)
+    head = next(k for k, line in enumerate(lines) if line.startswith(b"qubo"))
+    return next(k + 1 for k in range(head + 1, len(lines)) if not _LAYOUT.fullmatch(lines[k]))
+
+
 class TestTripletLoad:
     @pytest.mark.parametrize("n", workloads.QUBO_SIZES)
     def test_workload_models_load_like_loadtxt(self, tmp_path, n):
@@ -687,6 +699,12 @@ class TestTripletLoad:
         (_body(b"2 2 -2.5000000000000000e-01 \n"), False),
         (_body(b"2 2 -2.5000000000000000e-01 4\n"), False),
         (_body(_LINES[1], _HEADER), False),
+        # the first of two lines off the layout is named, whichever check
+        # refuses the second
+        (_body(b"2 2 -2.5000000000000000e-0x\n", b"123456789 2 -2.5000000000000000e-01\n"),
+         False),
+        (_body(b"2 2 -2.5000000000000000e-0x\n", b"2\t2 -2.5000000000000000e-01\n"), False),
+        (_body(b"2 2 -2.5000000000000000e-1\n", b"2 2 1.5\n"), False),
         (_body(_LINES[1]), True),
         (_body(b"2 2 -0.0000000000000000e+00\n"), True),
         (_body(b"2 2 0.0000000000000000e+99\n"), True),
@@ -708,6 +726,20 @@ class TestTripletLoad:
         else:
             assert got.startswith("malformed triplet line") and "'%d %d %.16e\\n'" in got
             assert "\n" not in got
+            assert got.startswith(f"malformed triplet line {first_off_layout(text)}: ")
+
+    def test_refusal_names_the_line(self, tmp_path, model_n64):
+        # a tab in the first or the last triplet line of the 16 256-pair
+        # export: the last one lies several load blocks in
+        built, path, _ = model_n64
+        assert built.pair_w.size == 16256
+        lines = path.read_bytes().splitlines(keepends=True)
+        first = next(k for k, line in enumerate(lines) if line.startswith(b"qubo")) + 1
+        for k in (first, len(lines) - 1):
+            bad = tmp_path / f"tab{k}.qubo"
+            bad.write_bytes(b"".join([*lines[:k], lines[k].replace(b" ", b"\t", 1),
+                                      *lines[k + 1:]]))
+            assert load_outcome(load_qubo, bad).startswith(f"malformed triplet line {k + 1}: ")
 
     def test_block_boundaries(self, tmp_path):
         # lines cut across blocks of every size carry over whole
