@@ -19,8 +19,10 @@ code that was measured, because a commit cannot hold its own hash. It holds:
     over the passes of all runs;
   - per run: seed, position in its round, wall time and the CPU time of the
     run's processes (resource.getrusage(RUSAGE_CHILDREN), set-up probes
-    included), passes, attempted and failed operations, the run's own medians
-    and, on solve, each solver's gap to the exact optimum per state;
+    included), passes, attempted and failed operations, the run's own medians,
+    on solve each solver's gap to the exact optimum per state, and on qubo
+    the quadratic anneal's gap from the quadratic_anneal_gap row run.py
+    prints;
   - CPU count, Python and numpy versions, BLAS thread settings, the source
     sha256 and the commit that run.py recorded, followed by
     " + uncommitted changes" when `git status` lists changes under src/ or
@@ -42,12 +44,15 @@ position, wall and CPU time.
 The closing table prints, per workload and metric, for the Tier-1 wall and
 CPU time and for each CLI command's wall and CPU time, the median of the
 per-round medians of each checkout and, with two checkouts, in how many
-rounds the second was faster than the first.
+rounds the second was faster than the first, with the exact two-sided
+sign-test p-value over the rounds that differ (sign_test_p): how often two
+checkouts of equal speed would split those rounds at least as unevenly.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import resource
@@ -68,6 +73,7 @@ CLI_COMMANDS = ("calibrate", "link-budget --elevation 45 --n 512",
                 "optimize --elevation 45 --n 512", "sweep", "histogram",
                 "qubo-export --n 128")
 CLI_RUNS = 3                     # cold starts per command, checkout and round
+QUAD_GAP_ROW = re.compile(r"^\s+quadratic_anneal_gap\s+relative\s+(\S+)", re.M)
 
 
 def parse_args(argv):
@@ -125,7 +131,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(done.stdout.strip().splitlines()[-1])
     path = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     record = json.loads(path.read_text())
-    return {"record": record, "result": result, "wall_s": wall, "cpu_s": cpu}
+    return {"record": record, "result": result, "wall_s": wall, "cpu_s": cpu,
+            "stdout": done.stdout}
 
 
 def run_tier1(checkout: Path, position: int) -> dict:
@@ -160,6 +167,9 @@ def run_entry(run: dict, seed: int, position: int) -> dict:
              "medians": {name: res["metrics"][name]["value"] for name in METRICS}}
     if "gap" in rec["inputs"]:
         entry["gap"] = rec["inputs"]["gap"]
+    quad_gap = QUAD_GAP_ROW.search(run["stdout"])
+    if quad_gap:
+        entry["quadratic_anneal_gap"] = float(quad_gap.group(1))
     return entry
 
 
@@ -213,6 +223,15 @@ def bench_file(checkout: Path, runs: dict, tier1: list[dict], cli: dict, args) -
     return doc
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of wins against losses (ties dropped)."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2 ** n)
+
+
 def round_medians(entries: list[dict], name: str, rounds: int) -> list[float]:
     """Per round, the median of the entries' values of name."""
     return [statistics.median(e[name] for e in entries if e["round"] == r)
@@ -259,7 +278,7 @@ def main(argv=None) -> int:
 
     print(f"\n{'workload':<12} {'metric':<12} " + " ".join(
         f"{doc['source_sha256'][:12]:>14}" for doc in docs.values())
-          + ("  wins of 2nd" if len(docs) == 2 else ""))
+          + ("  wins of 2nd  sign-test p" if len(docs) == 2 else ""))
     rows = [(workload, name, [[e["medians"][name] for e in doc["workloads"][workload]["runs"]]
                               for doc in docs.values()])
             for workload in WORKLOADS for name in METRICS]
@@ -274,7 +293,8 @@ def main(argv=None) -> int:
             f"{statistics.median(v):>14.5g}" for v in per)
         if len(per) == 2:
             wins = sum(b < a for a, b in zip(*per))
-            line += f"  {wins}/{len(per[0])}"
+            losses = sum(b > a for a, b in zip(*per))
+            line += f"  {wins}/{len(per[0]):<10} {sign_test_p(wins, losses):.4f}"
         print(line)
     return 0
 

@@ -252,7 +252,7 @@ def _flip_table(obj: ExactObjective) -> tuple[list[complex], list[int], list[int
         delta = _flip_deltas(u, phasor, bits)
         base += range(len(table), len(table) + delta.size, len(phasor))
         table += delta.ravel().tolist()
-        elem += [e for e in range(b * obj.n, (b + 1) * obj.n) for _ in range(bits)]
+        elem += np.repeat(np.arange(b * obj.n, (b + 1) * obj.n), bits).tolist()
         band += [b] * (obj.n * bits)
         mask += [1 << j for j in range(bits)] * obj.n
     return table, base, elem, band, mask
@@ -319,6 +319,58 @@ class ObjectiveWalk:
         self._levels[e] ^= self._mask[i]
         self._x[i] ^= 1
         self.value = self._terms[0] + self._terms[1]
+
+    def anneal_sweep(self, flips: list[int], draws: list[float], temp: float, factor: float,
+                     best, trace: list[tuple[int, float]],
+                     evaluations: int) -> tuple[float, int]:
+        """One Metropolis sweep of simulated_annealing, in local variables.
+
+        For each flip i and its draw in turn: peek_flip(i), accept when the
+        change delta <= 0 or draw < exp(-delta / temp), then apply_flip(i), and
+        multiply temp by factor. Each accepted state is offered to best
+        (solvers._Best): a new best sets best.value and adds (evaluations,
+        value) to trace at once, but x is copied into best.bits only before an
+        accepted flip to a state that is not better, a tie included, so that
+        offer compares a tie with saved bits, and at the end of the sweep.
+        Returns the temperature and the evaluation count.
+        """
+        totals, terms, levels = self._totals, self._terms, self._levels
+        table, base, elem, band, mask = (self._table, self._base, self._elem, self._band,
+                                         self._mask)
+        qterm, cterm = self._score
+        x, xv, exp = self.x, self._x, math.exp
+        value, best_value, unsaved = self.value, best.value, False
+        for i, draw in zip(flips, draws):
+            b, e = band[i], elem[i]
+            # the flipped band's new total and term, plus the other band's term
+            if b:
+                t = totals[1] + table[base[i] + levels[e]]
+                term = cterm(t)
+                cand = term + terms[0]
+            else:
+                t = totals[0] + table[base[i] + levels[e]]
+                term = qterm(t)
+                cand = term + terms[1]
+            evaluations += 1
+            delta = cand - value
+            if delta <= 0.0 or draw < exp(-delta / temp):
+                if unsaved and not cand < best_value:     # else cand replaces that best
+                    best.bits, unsaved = x.copy(), False
+                totals[b], terms[b] = t, term
+                levels[e] ^= mask[i]
+                xv[i] ^= 1
+                value = cand            # terms[0] + terms[1]: float addition commutes
+                if value < best_value:
+                    best.value = best_value = value
+                    trace.append((evaluations, value))
+                    unsaved = True
+                elif value == best_value and best.offer(value, x):
+                    trace.append((evaluations, value))
+            temp *= factor
+        if unsaved:
+            best.bits = x.copy()
+        self.value, self._peek_bit = value, -1
+        return temp, evaluations
 
 
 def _band_terms(mult: float, t0: complex, u: np.ndarray, levels0: np.ndarray,
@@ -546,6 +598,38 @@ class QuadraticWalk:
         neighbour, weight = self._neighbours[i]
         (np.subtract if self._x[i] else np.add).at(self._sums, neighbour, weight)
         self._x[i] ^= 1
+
+    def anneal_sweep(self, flips: list[int], draws: list[float], temp: float, factor: float,
+                     best, trace: list[tuple[int, float]],
+                     evaluations: int) -> tuple[float, int]:
+        """One Metropolis sweep of simulated_annealing, in local variables; the
+        same steps and best-bits rule as ObjectiveWalk.anneal_sweep."""
+        delta_of, neighbours, sums = self._delta, self._neighbours, self._sums
+        add_at, subtract_at = np.add.at, np.subtract.at
+        x, xv, exp = self.x, self._x, math.exp
+        value, best_value, unsaved = self.value, best.value, False
+        for i, draw in zip(flips, draws):
+            cand = value + delta_of(i)
+            evaluations += 1
+            delta = cand - value
+            if delta <= 0.0 or draw < exp(-delta / temp):
+                if unsaved and not cand < best_value:     # else cand replaces that best
+                    best.bits, unsaved = x.copy(), False
+                neighbour, weight = neighbours[i]
+                (subtract_at if xv[i] else add_at)(sums, neighbour, weight)
+                xv[i] ^= 1
+                value = cand
+                if value < best_value:
+                    best.value = best_value = value
+                    trace.append((evaluations, value))
+                    unsaved = True
+                elif value == best_value and best.offer(value, x):
+                    trace.append((evaluations, value))
+            temp *= factor
+        if unsaved:
+            best.bits = x.copy()
+        self.value, self._peek_bit = value, -1
+        return temp, evaluations
 
 
 def expansion_error(state: ChannelState, weights: CostWeights, cal: Calibration,

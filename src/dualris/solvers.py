@@ -10,8 +10,9 @@ RNG_ALGORITHM, so runs replay across platforms.
 
 Brute force, annealing and tabu take any objective with dim, value(x),
 batch(xs) over rows and walk(x); a walk holds x and value and offers
-peek_flip(i), apply_flip(i) and peek_all(), which returns an array score for
-every flip and a bound on each score's distance from peek_flip's.
+peek_flip(i), apply_flip(i), peek_all(), which returns an array score for
+every flip and a bound on each score's distance from peek_flip's, and
+anneal_sweep(...), one whole Metropolis sweep (simulated_annealing).
 ExactObjective and QuadraticObjective implement this interface. The band
 sweep and coordinate descent need the per-element channel structure of
 ExactObjective.
@@ -38,7 +39,9 @@ RNG_ALGORITHM = "numpy-pcg64"
 BRUTE_FORCE_MAX_BITS = 24
 # below this many bits, tabu's numpy screen costs more than scoring every flip
 TABU_SCREEN_MIN_DIM = 64
-COOLING_RATE = 0.97            # anneal's temperature factor per sweep
+# anneal's last temperature over its first: every restart cools geometrically
+# over its max_iters * dim proposed flips to this fraction of its start
+ANNEAL_END_RATIO = 1e-7
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,13 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class _Best:
-    """Running best-so-far with lexicographic tie-breaking."""
+    """Running best-so-far with lexicographic tie-breaking.
+
+    A walk's anneal_sweep may set value alone on a new best and copy the bits
+    later: before an accepted flip leaves that state for one that is not
+    better, a tie included, and at the end of the sweep. The bits are those
+    offer would have copied.
+    """
 
     def __init__(self) -> None:
         self.value = math.inf
@@ -152,8 +161,16 @@ def _auto_temperature(objective, dim: int, rng: np.random.Generator) -> float:
 
 
 def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
-    """Metropolis single-flip annealing from _auto_temperature, cooled by
-    COOLING_RATE per sweep."""
+    """Metropolis single-flip annealing from _auto_temperature.
+
+    Each restart proposes max_iters sweeps of dim random flips and multiplies
+    the temperature by ANNEAL_END_RATIO^(1 / (max_iters dim)) after every
+    proposed flip, so it ends at ANNEAL_END_RATIO of its start whatever the
+    budget. A walk runs each sweep in one anneal_sweep call, which proposes
+    the flips in order, accepts flip i when its change delta <= 0 or its
+    draw < exp(-delta / temp), and offers each accepted state to best. Zero
+    sweeps return the best random start.
+    """
     rng = np.random.default_rng(cfg.seed)
     best = _Best()
     trace: list[tuple[int, float]] = []
@@ -168,18 +185,12 @@ def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
         evaluations += 1
         if best.offer(walk.value, walk.x):
             trace.append((evaluations, best.value))
+        factor = ANNEAL_END_RATIO ** (1.0 / (cfg.max_iters * dim)) if cfg.max_iters else 1.0
         for _ in range(cfg.max_iters):
             flips = rng.integers(0, dim, size=dim)
             accept_draws = rng.random(dim)
-            for i, draw in zip(flips.tolist(), accept_draws.tolist()):
-                cand = walk.peek_flip(i)
-                evaluations += 1
-                delta = cand - walk.value
-                if delta <= 0.0 or draw < math.exp(-delta / temp):
-                    walk.apply_flip(i)
-                    if best.offer(walk.value, walk.x):
-                        trace.append((evaluations, best.value))
-            temp *= COOLING_RATE
+            temp, evaluations = walk.anneal_sweep(flips.tolist(), accept_draws.tolist(),
+                                                  temp, factor, best, trace, evaluations)
     return _finalize(objective, best.bits, evaluations, trace)
 
 

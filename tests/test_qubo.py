@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dualris import qubo
+from dualris import qubo, solvers
 from dualris.channels import ComplexGain, OpticalParams, RfParams
 from dualris.experiments import RunConfig, build_channel_state
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights
@@ -886,7 +886,8 @@ class TestQuadraticObjective:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_solver_results_pinned(self, model_n64, seed):
         # anneal and tabu on the loaded N = 64 surrogate: bits, value,
-        # evaluation count and trace as pinned before the CSR walk
+        # evaluation count and trace; tabu as pinned before the CSR walk,
+        # anneal as re-pinned for its per-flip schedule (plain_anneal agrees)
         model = model_n64[2]
         obj = QuadraticObjective(model)
         anneal = simulated_annealing(obj, model.dim, SolverConfig(
@@ -897,11 +898,103 @@ class TestQuadraticObjective:
 
 
 PINNED_SOLVES = {
-    1: ("f04d1a13526c8b1cc567f32e785f09f9cd206ea4479347903ca5e81a79773820",
+    1: ("7d14f90edef01afff1b84a574eaef35a8b994db661bb63c9619bd25bba19a353",
         "7202cdd6de15ab6d6211d1c6a1235203f20a7d799049b2a18b325acac5f235c9"),
-    2: ("461ebcdc5c8a175556e78eb54e816f87f8b40eabd0516c6689c69b26680bcef4",
+    2: ("4567c3a288cfe908e125f8065f1514bb1c4f4771688a92b675fb6eb9aceb2445",
         "9bac76120e542c1b4053f6ffe0947991dcf461ef3d37043524b0c1f9a8717ae7"),
 }
+
+
+def plain_anneal(objective, dim, cfg):
+    """simulated_annealing as a per-flip loop of peek_flip, apply_flip and
+    _Best.offer, cooled by the per-flip factor (reference)."""
+    rng = np.random.default_rng(cfg.seed)
+    best = solvers._Best()
+    trace = []
+    evaluations = 0
+    for _ in range(cfg.restarts):
+        x0 = rng.integers(0, 2, size=dim, dtype=np.uint8)
+        temp = solvers._auto_temperature(objective, dim, rng)
+        walk = objective.walk(x0)
+        evaluations += 1
+        if best.offer(walk.value, walk.x):
+            trace.append((evaluations, best.value))
+        for _ in range(cfg.max_iters):
+            factor = solvers.ANNEAL_END_RATIO ** (1.0 / (cfg.max_iters * dim))
+            flips = rng.integers(0, dim, size=dim)
+            accept_draws = rng.random(dim)
+            for i, draw in zip(flips.tolist(), accept_draws.tolist()):
+                cand = walk.peek_flip(i)
+                evaluations += 1
+                delta = cand - walk.value
+                if delta <= 0.0 or draw < math.exp(-delta / temp):
+                    walk.apply_flip(i)
+                    if best.offer(walk.value, walk.x):
+                        trace.append((evaluations, best.value))
+                temp *= factor
+    return solvers._finalize(objective, best.bits, evaluations, trace)
+
+
+def assert_anneals_like_plain(obj, cfg):
+    got = simulated_annealing(obj, obj.dim, cfg)
+    assert _digest(got) == _digest(plain_anneal(obj, obj.dim, cfg))
+    return got
+
+
+class TestAnnealSweep:
+    """simulated_annealing's one-call sweeps and lazy best copy against plain_anneal."""
+
+    @pytest.mark.parametrize("n", [128, 512])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_plain_loop_at_benchmark_states(self, n, seed):
+        cfg = RunConfig(seed=workloads.STATE_SEED)
+        cal = workloads.pinned_calibration()
+        state, ris_cfg, _ = build_channel_state(cfg, cal, 45.0, n)
+        obj = ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
+        sweeps, restarts = workloads.ANNEAL_BUDGET[n]
+        assert_anneals_like_plain(obj, SolverConfig(kind="anneal", seed=seed,
+                                                    max_iters=sweeps, restarts=restarts))
+
+    def test_matches_plain_loop_with_the_campaign_budget(self):
+        # criterion 6's anneal budget on its first 20 instances (dim 4 to 16)
+        for i in range(20):
+            obj = campaign_instance(1000 + i, 1 + i % 4)
+            assert_anneals_like_plain(obj, SolverConfig(kind="anneal", seed=i,
+                                                        max_iters=400, restarts=3))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_plain_loop_on_the_loaded_surrogate(self, model_n64, seed):
+        obj = QuadraticObjective(model_n64[2])
+        assert_anneals_like_plain(obj, SolverConfig(kind="anneal", seed=seed,
+                                                    max_iters=20, restarts=2))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_plain_loop_where_values_tie(self, seed):
+        # coefficients in {-1, 0, 1}: many states share a value, so the
+        # lexicographic rule decides ties, which need the saved best bits
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, 10, 20, values=lambda k: rng.integers(-1, 2, k).astype(float))
+        decided = []
+
+        def lex_less(a, b):
+            decided.append(solvers_lex_less(a, b))
+            return decided[-1]
+
+        solvers_lex_less = solvers._lex_less
+        with mock.patch.object(solvers, "_lex_less", lex_less):
+            assert_anneals_like_plain(QuadraticObjective(model), SolverConfig(
+                kind="anneal", seed=seed, max_iters=30, restarts=3))
+        assert any(decided)
+
+    @pytest.mark.parametrize("objective", ["exact", "quadratic"])
+    def test_zero_sweeps_return_the_best_random_start(self, objective):
+        state, cal, cfg = make_instance(seed=3, n=4)
+        obj = ExactObjective(state, CostWeights(), cal, OPT, RF, cfg)
+        if objective == "quadratic":
+            obj = QuadraticObjective(build_qubo(state, CostWeights(), cal, OPT, RF, cfg))
+        got = assert_anneals_like_plain(obj, SolverConfig(kind="anneal", seed=4, max_iters=0,
+                                                          restarts=3))
+        assert got.evaluations == 3
 
 
 class TestWalkConsistency:
@@ -1032,6 +1125,10 @@ class TestWalkConsistency:
         bits = [(b, n, k) for b, (_, _, width) in enumerate(bands)
                 for n in range(obj.n) for k in range(width)]
         assert len(base) == len(elem) == len(band) == len(mask) == obj.dim == len(bits)
+        # the element list as a nested comprehension builds it, in Python ints
+        assert elem == [e for b, (_, _, width) in enumerate(bands)
+                        for e in range(b * obj.n, (b + 1) * obj.n) for _ in range(width)]
+        assert all(type(e) is int for e in elem)
         for i, (b, n, k) in enumerate(bits):
             u, phasor, _ = bands[b]
             assert (band[i], elem[i], mask[i]) == (b, b * obj.n + n, 1 << k)
@@ -1045,8 +1142,9 @@ class TestWalkConsistency:
     @pytest.mark.parametrize("n", [128, 512])
     def test_solver_results_pinned_at_benchmark_states(self, n):
         # bcd, anneal and tabu at 45 deg with the solve workload's budgets:
-        # bits, value, evaluation count and trace as pinned before the
-        # single-band flip kernel and the per-band coordinate step
+        # bits, value, evaluation count and trace; bcd and tabu as pinned
+        # before the single-band flip kernel and the per-band coordinate step,
+        # anneal as re-pinned for its per-flip schedule
         cfg = RunConfig(seed=workloads.STATE_SEED)
         state, ris_cfg, _ = build_channel_state(cfg, workloads.pinned_calibration(), 45.0, n)
         obj = ExactObjective(state, cfg.weights, workloads.pinned_calibration(), cfg.optical,
@@ -1076,8 +1174,9 @@ class TestWalkConsistency:
     @pytest.mark.parametrize("n", workloads.SOLVE_SIZES)
     @pytest.mark.parametrize("elevation", workloads.SOLVE_ELEVATIONS)
     def test_heuristic_results_pinned_at_every_benchmark_state(self, elevation, n):
-        # anneal and tabu with the solve workload's budgets, seeds 1 and 2, as
-        # pinned before the screened tabu neighbourhood and the peek reuse
+        # anneal and tabu with the solve workload's budgets, seeds 1 and 2;
+        # tabu as pinned before the screened tabu neighbourhood and the peek
+        # reuse, anneal as re-pinned for its per-flip schedule
         cfg = RunConfig(seed=workloads.STATE_SEED)
         cal = workloads.pinned_calibration()
         state, ris_cfg, _ = build_channel_state(cfg, cal, elevation, n)
@@ -1117,62 +1216,62 @@ PINNED_BCD = {
 
 PINNED_BENCHMARK_SOLVES = {
     128: {"bcd": "1a4c65698b371e24d49af7996f74822df4e13ae67e7abd79916f107a572a7968",
-          "anneal 1": "319b467ee9408837baed2a58234637db189c404e1e5a60ccdb694f886b7a75a9",
+          "anneal 1": "d5f0d3e32f542ed6a39d0f3015d60c0383a9348fe58d29e66c26b64503a44a7b",
           "tabu 1": "ea463fbea751dc9fff0720d452af38537d6fcb3ad56b8d3c623aee7f15f51270",
-          "anneal 2": "a0cb42f83d03c169ff1cca97d367c9b8a29ec1e3cd27172b8bfcc690d501477b",
+          "anneal 2": "c19c7c2899240195b5cfeffb76ffc4ab50b2147dea0e71120cd52e46facca804",
           "tabu 2": "c8574693ea85ac1e034b72747d0cffdd635c880048852a40f65f2fe5259ebc10"},
     512: {"bcd": "8d5dbf722dd9c4f38585f2e6802aec5c1878b4cfda430f3da39382058558b5e4",
-          "anneal 1": "4ca762d54cadb79af4bf6d4e0410296a658c690cbf45f8a20eaf32d07930c822",
+          "anneal 1": "5aaa45e2a578a9782b56a9bb8290c4318679c37a9efe573c2d06406b60c47a15",
           "tabu 1": "a4c9741b5d3fd55882a350a5409b52d7ae41bc913135c6ffbfc5a5e77be6d94e",
-          "anneal 2": "cbdca5144718e6f9169e12a79d85cfa885d080de143f084df57872fd91b62d26",
+          "anneal 2": "f18f8dacc393f4f08aafdb5ba796475e507d818307b0dcedced0fac224156588",
           "tabu 2": "7b8fceaaa052fa3580827a4ad5052cb0c32b782c7c74124f5e18958c752e7970"},
 }
 
 PINNED_HEURISTICS = {
     (20.0, 128): (
-        "805924afffe2f4ee222887a08180c3e8d6f367d11f2ac5f3ae1573698ec04fcb",
+        "56b42d60c06523aee2bd5f3dd24a128ec242d8d2f126abd7676e460c7b47bfa1",
         "8bc9341fb9ec5fde13960731105319cba3549fc23a9dec40ea47750e84190d9f",
-        "1ff720688d6889755f91d2beeb89edf458d78be869f4abe7f5e2d1cf4e71b59e",
+        "a2331d61fc9c22afb7ec0912fe102cf55f35c1f6b677eb8b75a4a18871869ce4",
         "3ef33ff56ea04cd3bbc5c78713a818bfbefb1f5b190cc17fda02743c57b50f23"),
     (20.0, 512): (
-        "16d70e63c0abd60ae21e4e48f5479160d24d4e2b62cbd1cd7125d9f9eb64fa98",
+        "a5a79d72b2ef150142960d61153d4e83ee0d1ece16551e6247dda4473900dca8",
         "8f6ac362b89e74c5a184ffb1f14b2c2ac700b861c5ce52674af9d330b19a5d2e",
-        "f8943cbce34776a20550d8d96f8af38aca22681d19d3b7d0385f6e4a4a4ca6b7",
+        "8c1bbe43a8c81d1e7e737a56f537f3f3c56d4189553f29cd12a795195ee74037",
         "15cc5ca6e91c8437911c066f6ef5adc60662c49dead681148dc138656ef1274d"),
     (20.0, 4096): (
-        "8bd329d102a66903c570514fbeb30e86e9b316a4f105d206de4bce05424315a1",
+        "df69d1344786052a04861dd1cc98716e502fd7bb485c9a636525712853b705f1",
         "58cc3f0880c7ee184aedec67c51e8e47c197adbf45818de41c8082502263124e",
-        "3bc3144ac173bd22f82c2cd17c76177058a469a23f2677aaf8949dadff4d88d7",
+        "328101939891a0f5ce55eefe3a8a8606cf75c27c3a3c4d6327e8013c278f7a71",
         "e0b6b3b4e2b5d508b78e0f834ad77113134bcef82943fbed740c5e3f6c24901a"),
     (45.0, 128): (
-        "319b467ee9408837baed2a58234637db189c404e1e5a60ccdb694f886b7a75a9",
+        "d5f0d3e32f542ed6a39d0f3015d60c0383a9348fe58d29e66c26b64503a44a7b",
         "ea463fbea751dc9fff0720d452af38537d6fcb3ad56b8d3c623aee7f15f51270",
-        "a0cb42f83d03c169ff1cca97d367c9b8a29ec1e3cd27172b8bfcc690d501477b",
+        "c19c7c2899240195b5cfeffb76ffc4ab50b2147dea0e71120cd52e46facca804",
         "c8574693ea85ac1e034b72747d0cffdd635c880048852a40f65f2fe5259ebc10"),
     (45.0, 512): (
-        "4ca762d54cadb79af4bf6d4e0410296a658c690cbf45f8a20eaf32d07930c822",
+        "5aaa45e2a578a9782b56a9bb8290c4318679c37a9efe573c2d06406b60c47a15",
         "a4c9741b5d3fd55882a350a5409b52d7ae41bc913135c6ffbfc5a5e77be6d94e",
-        "cbdca5144718e6f9169e12a79d85cfa885d080de143f084df57872fd91b62d26",
+        "f18f8dacc393f4f08aafdb5ba796475e507d818307b0dcedced0fac224156588",
         "7b8fceaaa052fa3580827a4ad5052cb0c32b782c7c74124f5e18958c752e7970"),
     (45.0, 4096): (
-        "64d57fe36f85fce7d999050e797167b5cfdeb192c5e639506afee579626d8427",
+        "4eff7bacb8f19e3c9abf2b8ca86b4149879582558a2df404e8884b84e62a68ad",
         "cd278155dbc1aa23d9eb7c4a553b08be9ac095a5308a460d261e1c06b39064cc",
-        "ec81f23210084fcd1ffb06eefcc7f8c3ac229da84cb610488c9b28fbfd4d4c8f",
+        "ed0759197fe9087f9f7863aea3ff90f51f5d394b8c27be00873dd17d172cd53c",
         "5ba04240f53d32cb8494353ba0e0f8b59ba716ce9533e365b19498550698cf82"),
     (80.0, 128): (
-        "d0696f34aedc9196795669484981f09a56ddec29fcd923abcfca0e5caf91f01b",
+        "225ea14e0cfcce3f65b3e87a477654d07324a0f3bf622c2fede21586605eb1de",
         "f90c1a48438ffa375b0d924eed713dad949c0c204dc7cf6808064c2923b5128b",
-        "cdc9a300c0716105b6916ccaf720a6d6a24e68435939eec258f6c4cf4e18c0b9",
+        "95bde3cfccd231fffd3ec484b7682f7b4b281c24b16b4c1dba559fe8e38e55ba",
         "29b2b3ce778af63c00b0b080bf9fbd1ebfa8fe1186ab1522f1e7bce48cf72de9"),
     (80.0, 512): (
-        "4208f2d0e383546490d37301af981b12d26acd5630d19a4c3bf6ba7b1eb87869",
+        "1dd085f9a691a0d3bea8d3f525c33a5279748fbd9f147e4912128b281dbe2659",
         "b6ea9b41aa38e4229ddea72fc6d1ba9c2399a2a24fe88ae658ddd9134626a331",
-        "8514697c819fd1a176e86eb5f5b620ca389ea83434e4d95ab5d5fe464dea952a",
+        "597c3e7e7f5bff99389ff4f911113372cc46713090ea0fbe396f54c5db95af71",
         "13492996e0c7e6ba74118b1bd2aa106594545b20fdf5b1c9aaf4ce0de1367c44"),
     (80.0, 4096): (
-        "664f0b01779707b2c767f9dd15c2d854d439ea70519e676222cfccafffce045b",
+        "9d7aa5e2c897c1d40ab5743bd9ede6e35675535324507e117d733ec67e4f2c53",
         "a4ed8e2424c16c448077fa0c27edbee33af226939ce0dec3dbdf8e9cd657a776",
-        "a64f0a8c10f58188be8cbc69a84d011d4e7c741a1b6cfcf1f2e796522a555ceb",
+        "03b8ffeb8661a4004afed1804e1db64bc7144007acf5826addc87a35055aa7ab",
         "fab0859157748986f976c27a4ce0697819756d36c790376c6fdc4657a10e89d6"),
 }
 
