@@ -265,8 +265,6 @@ class ObjectiveWalk:
     (quantum_term or classical_term) and adds the other band's cached term.
     Levels, totals, terms and the per-walk _flip_table are Python objects;
     peek_all computes its flip deltas from the levels in numpy instead.
-    apply_flip(i) right after peek_flip(i) reuses the peek's total and term,
-    the same floats it would compute; every apply drops the peek.
     """
 
     def __init__(self, obj: ExactObjective, x: np.ndarray):
@@ -280,15 +278,12 @@ class ObjectiveWalk:
         self._terms = [score(t) for score, t in zip(self._score, self._totals)]
         self.value = self._terms[0] + self._terms[1]
         self._table, self._base, self._elem, self._band, self._mask = _flip_table(obj)
-        self._peek_bit, self._peek_total, self._peek_term = -1, 0j, 0.0
 
     def peek_flip(self, i: int) -> float:
-        """Objective value if bit i were flipped; kept for apply_flip, x is unchanged."""
+        """Objective value if bit i were flipped; x is unchanged."""
         b = self._band[i]
         t = self._totals[b] + self._table[self._base[i] + self._levels[self._elem[i]]]
-        term = self._score[b](t)
-        self._peek_bit, self._peek_total, self._peek_term = i, t, term
-        return term + self._terms[1 - b]
+        return self._score[b](t) + self._terms[1 - b]
 
     def peek_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Every peek_flip(i) as an array score, and a bound on each score's error.
@@ -310,12 +305,8 @@ class ObjectiveWalk:
 
     def apply_flip(self, i: int) -> None:
         b, e = self._band[i], self._elem[i]
-        if i == self._peek_bit:
-            self._totals[b], self._terms[b] = self._peek_total, self._peek_term
-        else:
-            self._totals[b] += self._table[self._base[i] + self._levels[e]]
-            self._terms[b] = self._score[b](self._totals[b])
-        self._peek_bit = -1
+        self._totals[b] += self._table[self._base[i] + self._levels[e]]
+        self._terms[b] = self._score[b](self._totals[b])
         self._levels[e] ^= self._mask[i]
         self._x[i] ^= 1
         self.value = self._terms[0] + self._terms[1]
@@ -369,7 +360,7 @@ class ObjectiveWalk:
             temp *= factor
         if unsaved:
             best.bits = x.copy()
-        self.value, self._peek_bit = value, -1
+        self.value = value
         return temp, evaluations
 
 
@@ -559,8 +550,6 @@ class QuadraticWalk:
     adds or subtracts bit i's weights at its neighbours in one unbuffered
     ufunc.at call, in list order, so a pair listed twice adds both terms and,
     as a + (-w) is a - w, every sum takes the steps of adding w (1 - 2 x_i).
-    apply_flip(i) right after peek_flip(i) reuses the peek's delta, the same
-    float; every apply drops the peek.
     """
 
     def __init__(self, obj: QuadraticObjective, x: np.ndarray):
@@ -577,15 +566,12 @@ class QuadraticWalk:
             np.add.at(self._sums, model.pair_j, model.pair_w * xf[model.pair_i])
         self._linear = model.linear.tolist()
         self._neighbours = obj.neighbours()
-        self._peek_bit, self._peek_delta = -1, 0.0
 
     def _delta(self, i: int) -> float:
         return (1.0 - 2.0 * self._x[i]) * (self._linear[i] + self._s[i])
 
     def peek_flip(self, i: int) -> float:
-        delta = self._delta(i)
-        self._peek_bit, self._peek_delta = i, delta
-        return self.value + delta
+        return self.value + self._delta(i)
 
     def peek_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Every peek_flip(i) as an array, in _delta's arithmetic, so each is exact."""
@@ -593,8 +579,7 @@ class QuadraticWalk:
         return scores, np.zeros(self.obj.dim)
 
     def apply_flip(self, i: int) -> None:
-        self.value += self._peek_delta if i == self._peek_bit else self._delta(i)
-        self._peek_bit = -1
+        self.value += self._delta(i)
         neighbour, weight = self._neighbours[i]
         (np.subtract if self._x[i] else np.add).at(self._sums, neighbour, weight)
         self._x[i] ^= 1
@@ -628,7 +613,7 @@ class QuadraticWalk:
             temp *= factor
         if unsaved:
             best.bits = x.copy()
-        self.value, self._peek_bit = value, -1
+        self.value = value
         return temp, evaluations
 
 
