@@ -974,13 +974,12 @@ class TestAnnealSweep:
         # lexicographic rule decides ties, which need the saved best bits
         rng = np.random.default_rng(seed)
         model = random_model(rng, 10, 20, values=lambda k: rng.integers(-1, 2, k).astype(float))
-        decided = []
+        original, decided = solvers._lex_less, []
 
         def lex_less(a, b):
-            decided.append(solvers_lex_less(a, b))
+            decided.append(original(a, b))
             return decided[-1]
 
-        solvers_lex_less = solvers._lex_less
         with mock.patch.object(solvers, "_lex_less", lex_less):
             assert_anneals_like_plain(QuadraticObjective(model), SolverConfig(
                 kind="anneal", seed=seed, max_iters=30, restarts=3))
