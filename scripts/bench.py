@@ -47,6 +47,10 @@ per-round medians of each checkout and, with two checkouts, in how many
 rounds the second was faster than the first, with the exact two-sided
 sign-test p-value over the rounds that differ (sign_test_p): how often two
 checkouts of equal speed would split those rounds at least as unevenly.
+With two checkouts, the second one's file also holds this table as
+comparison: the first checkout's source sha256 (against_source_sha256) and
+per row the workload (or tier1, or the CLI command's first word), metric,
+both medians, rounds, wins and losses of the second, and sign_test_p.
 """
 from __future__ import annotations
 
@@ -238,6 +242,32 @@ def round_medians(entries: list[dict], name: str, rounds: int) -> list[float]:
             for r in range(rounds)]
 
 
+def comparison_rows(docs: list[dict], rounds: int) -> list[dict]:
+    """The closing table: per workload and metric, the Tier-1 times and each
+    CLI command's times, the median of each checkout's per-round values and,
+    with two checkouts, the rounds the second won and lost and sign_test_p."""
+    rows = [(workload, name, [[e["medians"][name] for e in doc["workloads"][workload]["runs"]]
+                              for doc in docs])
+            for workload in WORKLOADS for name in METRICS]
+    rows += [("tier1", name, [[e[name] for e in doc["tier1"]["runs"]] for doc in docs])
+             for name in ("wall_s", "cpu_s")]
+    rows += [(command.split()[0], name,
+              [round_medians(doc["cli"]["commands"][command]["runs"], name, rounds)
+               for doc in docs])
+             for command in CLI_COMMANDS for name in ("wall_s", "cpu_s")]
+    table = []
+    for workload, name, per in rows:
+        row = {"workload": workload, "metric": name,
+               "medians": [statistics.median(v) for v in per]}
+        if len(per) == 2:
+            wins = sum(b < a for a, b in zip(*per))
+            losses = sum(b > a for a, b in zip(*per))
+            row.update(rounds=len(per[0]), wins=wins, losses=losses,
+                       sign_test_p=sign_test_p(wins, losses))
+        table.append(row)
+    return table
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = [Path(c).resolve() for c in args.checkouts]
@@ -268,9 +298,14 @@ def main(argv=None) -> int:
                 print(f"round {r} {'cli':<9} {checkout.name:<20} {command}  wall "
                       f"{statistics.median(e['wall_s'] for e in starts):.3f} s", flush=True)
 
+    docs = {c: bench_file(c, runs[c], tier1[c], cli[c], args) for c in checkouts}
+    rows = comparison_rows(list(docs.values()), args.rounds)
+    if len(docs) == 2:
+        first, second = docs.values()
+        second["comparison"] = {"against_source_sha256": first["source_sha256"],
+                                "rows": rows}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    docs = {c: bench_file(c, runs[c], tier1[c], cli[c], args) for c in checkouts}
     for c, doc in docs.items():
         path = out_dir / f"BENCH_{doc['source_sha256'][:12]}.json"
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -279,22 +314,11 @@ def main(argv=None) -> int:
     print(f"\n{'workload':<12} {'metric':<12} " + " ".join(
         f"{doc['source_sha256'][:12]:>14}" for doc in docs.values())
           + ("  wins of 2nd  sign-test p" if len(docs) == 2 else ""))
-    rows = [(workload, name, [[e["medians"][name] for e in doc["workloads"][workload]["runs"]]
-                              for doc in docs.values()])
-            for workload in WORKLOADS for name in METRICS]
-    rows += [("tier1", name, [[e[name] for e in doc["tier1"]["runs"]] for doc in docs.values()])
-             for name in ("wall_s", "cpu_s")]
-    rows += [(command.split()[0], name,
-              [round_medians(doc["cli"]["commands"][command]["runs"], name, args.rounds)
-               for doc in docs.values()])
-             for command in CLI_COMMANDS for name in ("wall_s", "cpu_s")]
-    for workload, name, per in rows:
-        line = f"{workload:<12} {name:<12} " + " ".join(
-            f"{statistics.median(v):>14.5g}" for v in per)
-        if len(per) == 2:
-            wins = sum(b < a for a, b in zip(*per))
-            losses = sum(b > a for a, b in zip(*per))
-            line += f"  {wins}/{len(per[0]):<10} {sign_test_p(wins, losses):.4f}"
+    for row in rows:
+        line = f"{row['workload']:<12} {row['metric']:<12} " + " ".join(
+            f"{m:>14.5g}" for m in row["medians"])
+        if "wins" in row:
+            line += f"  {row['wins']}/{row['rounds']:<10} {row['sign_test_p']:.4f}"
         print(line)
     return 0
 

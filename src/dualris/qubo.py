@@ -686,8 +686,10 @@ def _power_of_ten(k: int) -> tuple[float, float, float, float]:
 
     hi is the double nearest 10^k and lo the double nearest 10^k - hi: Python
     divides integers with correct rounding, so hi + lo is within 2^-106 of
-    10^k; lo is 0 for 0 <= k <= 22. The Veltkamp halves of hi are split at
-    hi's binary exponent and scaled back, so the split cannot overflow.
+    10^k for k >= -291. Below that lo (or hi) is subnormal, and its rounding
+    error, up to 2^-1075, exceeds 2^-106 hi. lo is 0 for 0 <= k <= 22. The
+    Veltkamp halves of hi are split at hi's binary exponent and scaled back,
+    so the split cannot overflow.
     """
     num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
     hi = num / den
@@ -707,9 +709,9 @@ def _scaled(a: np.ndarray, k: np.ndarray, b: np.ndarray | None = None
     exactly; t adds a * lo (and b * hi) to that error. For a in [_FAST_MIN,
     _FAST_MAX] and a 10^k in [10^16, 10^17], |t| < 20 and ph + t is within
     5e-15 of a 10^k (2^-106 of hi left out of lo, and two roundings of t), or
-    equal to it where lo is 0. For a 10^k in [_FAST_MIN, _FAST_MAX], a in
+    equal to it where lo is 0. For a 10^k in [1e-275, _FAST_MAX], a in
     [10^16, 10^17] and |b| <= 8, ph + t is within 2^-100 of (a + b) 10^k,
-    relative (_triplet_columns).
+    relative (_triplet_columns). Both need k >= -291 (_power_of_ten).
     """
     base = int(k.min())
     table = np.array([_power_of_ten(e) for e in range(base, int(k.max()) + 1)]).T
@@ -874,8 +876,8 @@ def _read_header(fh: BinaryIO) -> tuple[int, int, int, float, int]:
 _LOAD_BLOCK = 1 << 18          # body bytes per block of _read_triplets
 _SHORTEST_LINE = 27            # '0 0 0.0000000000000000e+00\n'
 # decimal exponents e of digits 10^(e - 16), digits in [10^16, 10^17), that
-# lie in [_FAST_MIN, _FAST_MAX]
-_FAST_EXP = (-290, 289)
+# lie in [1e-275, _FAST_MAX]: _scaled needs k = e - 16 >= -291 (_power_of_ten)
+_FAST_EXP = (-275, 289)
 # per field length L = 0..8: the top L bytes of a word, and ASCII '0' below them
 _KEEP = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], np.uint64)
 _FILL = ~_KEEP & np.uint64(0x3030303030303030)
@@ -916,8 +918,8 @@ def _triplet_columns(buf: np.ndarray, words: np.ndarray, s1: np.ndarray, s2: np.
     nearest the value wherever s + (r - m) and s + (r + m) both round to s,
     with m = _TIE_MARGIN s / 2^53 (at least 2^-33 ulp(s)); only values within
     m of a half-ulp tie fail that. Those rows, and the values outside
-    [_FAST_MIN, _FAST_MAX] other than 0, take Python's float of their own
-    bytes.
+    [1e-275, _FAST_MAX] (_FAST_EXP) other than 0, take Python's float of
+    their own bytes.
     """
     start = np.concatenate([[8], nl[:-1] + 1])
     neg = buf[s2 + 1] == 45                            # '-'

@@ -8,8 +8,8 @@ lexicographically smallest bit vector; the band sweep has its own documented
 tie rule. The RNG is numpy's PCG64; the CSV metadata records its name,
 RNG_ALGORITHM, so runs replay across platforms.
 
-Brute force, annealing and tabu take any objective with dim, value(x),
-batch(xs) over rows and walk(x); a walk holds x and value and offers
+Annealing and tabu take any objective with dim, value(x) and walk(x), and
+brute force one with batch(xs) over rows; a walk holds x and value and offers
 peek_flip(i), apply_flip(i), peek_all(), which returns an array score for
 every flip and a bound on each score's distance from peek_flip's, and
 anneal_sweep(...), one whole Metropolis sweep (simulated_annealing).
@@ -154,16 +154,19 @@ def brute_force(objective, dim: int) -> SolverResult:
     return _finalize(objective, best.bits, evaluations, trace)
 
 
-def _auto_temperature(objective, dim: int, rng: np.random.Generator) -> float:
-    probes = rng.integers(0, 2, size=(100, dim), dtype=np.uint8)
-    spread = float(objective.batch(probes).std())
+def _start_temperature(walk) -> float:
+    """10 times the spread (standard deviation) of the walk's dim single-flip
+    changes, from peek_all; 1.0 where that spread is not > 0 (0 or NaN)."""
+    spread = float((walk.peek_all()[0] - walk.value).std())
     return 10.0 * spread if spread > 0 else 1.0
 
 
 def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
-    """Metropolis single-flip annealing from _auto_temperature.
+    """Metropolis single-flip annealing from _start_temperature.
 
-    Each restart proposes max_iters sweeps of dim random flips and multiplies
+    Each restart starts at the scale of the flips it will propose, 10 times
+    the spread of the single-flip changes at its random start, with no draw
+    of its own. It proposes max_iters sweeps of dim random flips and multiplies
     the temperature by ANNEAL_END_RATIO^(1 / (max_iters dim)) after every
     proposed flip, so it ends at ANNEAL_END_RATIO of its start whatever the
     budget. A walk runs each sweep in one anneal_sweep call, which proposes
@@ -179,9 +182,8 @@ def simulated_annealing(objective, dim: int, cfg: SolverConfig) -> SolverResult:
         return brute_force(objective, 0)
     for _ in range(cfg.restarts):
         x0 = rng.integers(0, 2, size=dim, dtype=np.uint8)
-        # the probes' batch temporaries are freed before the walk builds its table
-        temp = _auto_temperature(objective, dim, rng)
         walk = objective.walk(x0)
+        temp = _start_temperature(walk)
         evaluations += 1
         if best.offer(walk.value, walk.x):
             trace.append((evaluations, best.value))

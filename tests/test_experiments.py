@@ -40,6 +40,7 @@ from dualris.metrics import Calibration, CostWeights
 from dualris.qubo import ExactObjective, ObjectiveError, load_qubo
 from dualris.ris import RisConfig
 from dualris.solvers import SolverConfig
+from perfbench import workloads
 from test_qubo import run_child
 from test_solvers import random_instance
 
@@ -401,14 +402,25 @@ class TestCsvOutput:
         assert sorted(os.listdir(tmp_path)) == ["ok.csv"]
 
 
-# runs sweep, histogram and calibrate through the CLI into argv[1] and BCD on
-# the objective pickled at argv[2], writes calibrate's output and BCD's result
-# there too, and prints whether numpy dispatches to AVX2 (x86-64-v3) kernels
+# runs sweep, histogram and calibrate through the CLI into argv[1], BCD on the
+# objective pickled at argv[2], an anneal on the (objective, sweeps, restarts)
+# pickled at argv[3] and one on the QUBO file argv[4], writes calibrate's
+# output and the solver results there too, and prints whether numpy dispatches
+# to AVX2 (x86-64-v3) kernels
 _DISPATCH_CHILD = """
 import contextlib, pickle, sys
 from numpy._core._multiarray_umath import __cpu_features__
 from dualris.cli import run_cli
-from dualris.solvers import SolverConfig, block_coordinate_descent
+from dualris.qubo import QuadraticObjective, load_qubo
+from dualris.solvers import SolverConfig, block_coordinate_descent, simulated_annealing
+
+
+def write_result(name, result):
+    with open(out + "/" + name, "w") as fh:
+        fh.write(repr((result.best_bits.tolist(), float(result.best_value).hex(),
+                       result.evaluations, [(e, float(v).hex()) for e, v in result.trace])))
+
+
 out = sys.argv[1]
 with open(out + "/run.ini", "w") as fh:
     fh.write("[run]\\noutput_dir = " + out + "\\n")
@@ -417,10 +429,16 @@ for argv in (["sweep", "--no-timestamp"], ["histogram", "--no-timestamp"]):
 with open(out + "/calibrate.txt", "w") as fh, contextlib.redirect_stdout(fh):
     assert run_cli(["--config", out + "/run.ini", "calibrate"]) == 0
 with open(sys.argv[2], "rb") as fh:
-    result = block_coordinate_descent(pickle.load(fh), SolverConfig(kind="bcd", max_iters=50))
-with open(out + "/bcd.txt", "w") as fh:
-    fh.write(repr((result.best_bits.tolist(), result.evaluations,
-                   [(e, float(v).hex()) for e, v in result.trace])))
+    write_result("bcd.txt", block_coordinate_descent(pickle.load(fh),
+                                                     SolverConfig(kind="bcd", max_iters=50)))
+with open(sys.argv[3], "rb") as fh:
+    exact, sweeps, restarts = pickle.load(fh)
+write_result("anneal_exact.txt", simulated_annealing(exact, exact.dim, SolverConfig(
+    kind="anneal", seed=1, max_iters=sweeps, restarts=restarts)))
+model = load_qubo(sys.argv[4])
+write_result("anneal_quadratic.txt", simulated_annealing(
+    QuadraticObjective(model), model.dim, SolverConfig(kind="anneal", seed=1, max_iters=20,
+                                                       restarts=1)))
 print(__cpu_features__["X86_V3"])
 """
 
@@ -696,23 +714,32 @@ class TestCli:
         digest = hashlib.sha256((tmp_path / "m.qubo").read_bytes()).hexdigest()
         assert digest == "42755a3e46df050fc9cdb948315de81f353ec2e401ce7327a502750f4ad299f8"
 
-    def test_same_csvs_and_bcd_under_pre_avx2_dispatch(self, tmp_path):
+    def test_same_csvs_and_bcd_under_pre_avx2_dispatch(self, tmp_path, model_n64):
         # the pinned CSVs, calibrate's output and coordinate descent do not
         # depend on numpy's SIMD kernels; BCD on this instance did while its
-        # candidate table was numpy's complex product
+        # candidate table was numpy's complex product. Nor did two anneals:
+        # the exact walk at the solve workload's (45 deg, N = 4096) state and
+        # the quadratic walk on the N = 64 model. Their start temperatures
+        # differ by ulps (numpy's log2 and sum), so this holds on this data
         from numpy._core._multiarray_umath import __cpu_features__
         if "X86_V3" not in __cpu_features__:
             pytest.skip("x86-64 dispatch levels only")
         obj, _ = random_instance(4, 430, bits=(2, 3))
         with open(tmp_path / "obj.pkl", "wb") as fh:
             pickle.dump(obj, fh)
+        cfg, cal = RunConfig(seed=workloads.STATE_SEED), workloads.pinned_calibration()
+        state, ris_cfg, _ = build_channel_state(cfg, cal, 45.0, 4096)
+        exact = ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
+        with open(tmp_path / "exact.pkl", "wb") as fh:
+            pickle.dump((exact, *workloads.ANNEAL_BUDGET[4096]), fh)
         for level in ("X86_V2", None):
             (tmp_path / str(level)).mkdir()
             has_avx2 = run_child(_DISPATCH_CHILD, level, tmp_path / str(level),
-                                 tmp_path / "obj.pkl")
+                                 tmp_path / "obj.pkl", tmp_path / "exact.pkl", model_n64[1])
             if level:              # the variable took effect: no AVX2 kernels in this child
                 assert has_avx2 == "False"
-        for name in ("sweep.csv", "histogram.csv", "calibrate.txt", "bcd.txt"):
+        for name in ("sweep.csv", "histogram.csv", "calibrate.txt", "bcd.txt",
+                     "anneal_exact.txt", "anneal_quadratic.txt"):
             files = [tmp_path / str(level) / name for level in ("X86_V2", None)]
             assert files[0].read_bytes() == files[1].read_bytes(), name
 

@@ -148,7 +148,7 @@ class TestTraces:
 class TestSimulatedAnnealing:
     def test_zero_temperature_is_greedy_descent(self):
         obj, cfg = random_instance(21, 3)
-        with mock.patch.object(solvers, "_auto_temperature", return_value=1e-300):
+        with mock.patch.object(solvers, "_start_temperature", return_value=1e-300):
             result = simulated_annealing(
                 obj, cfg.bits_total, SolverConfig(kind="anneal", seed=5, max_iters=50,
                                                   restarts=1))
@@ -158,6 +158,53 @@ class TestSimulatedAnnealing:
         walk = obj.walk(result.best_bits)
         assert all(walk.peek_flip(i) >= result.best_value - 1e-15
                    for i in range(cfg.bits_total))
+
+    @staticmethod
+    def first_sweeps(obj, dim, cfg):
+        """The (flips, temp) of each restart's first anneal_sweep call."""
+        calls, walk_type = [], type(obj.walk(np.zeros(dim, np.uint8)))
+        sweep = walk_type.anneal_sweep
+
+        def spy(walk, flips, draws, temp, *args):
+            calls.append((list(flips), temp))
+            return sweep(walk, flips, draws, temp, *args)
+
+        with mock.patch.object(walk_type, "anneal_sweep", spy):
+            simulated_annealing(obj, dim, cfg)
+        return calls[::cfg.max_iters]
+
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_start_draws_nothing_and_never_calls_batch(self, quadratic):
+        # the start temperature comes from the walk at x0: no probe states are
+        # drawn or scored, so the first sweep's flips follow x0 in the stream
+        obj, cfg = random_instance(21, 6)
+        if quadratic:
+            obj = QuadraticObjective(QuboModel(dim=cfg.bits_total,
+                                               linear=np.linspace(-1.0, 1.0, cfg.bits_total),
+                                               pair_i=np.array([0, 2], np.int32),
+                                               pair_j=np.array([1, 5], np.int32),
+                                               pair_w=np.array([0.5, -2.0]), offset=0.0))
+        scfg = SolverConfig(kind="anneal", seed=9, max_iters=3, restarts=1)
+        with mock.patch.object(obj, "batch", side_effect=AssertionError("batch called")):
+            first = self.first_sweeps(obj, cfg.bits_total, scfg)
+        rng = np.random.default_rng(scfg.seed)
+        x0 = rng.integers(0, 2, size=cfg.bits_total, dtype=np.uint8)
+        assert first[0][0] == rng.integers(0, cfg.bits_total, size=cfg.bits_total).tolist()
+        # 10 times the spread of the single-flip changes at x0, by peek_flip
+        walk = obj.walk(x0)
+        changes = [walk.peek_flip(i) - walk.value for i in range(cfg.bits_total)]
+        assert first[0][1] == pytest.approx(10.0 * np.std(changes), rel=1e-12)
+
+    @pytest.mark.parametrize("linear", [[0.0] * 5, [1.0, math.nan, 2.0, 0.5, 3.0]])
+    def test_flat_or_nan_spread_starts_at_one(self, linear):
+        # a spread that is not > 0 (every change 0, or one NaN) gives 1.0
+        walk = QuadraticObjective(linear_model(linear)).walk(np.zeros(5, np.uint8))
+        assert solvers._start_temperature(walk) == 1.0
+
+    def test_flat_objective_anneals_from_one(self):
+        first = self.first_sweeps(QuadraticObjective(linear_model([0.0] * 5)), 5,
+                                  SolverConfig(kind="anneal", seed=2, max_iters=2, restarts=3))
+        assert [temp for _, temp in first] == [1.0] * 3
 
 
 class TestTabu:
