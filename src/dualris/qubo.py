@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -993,14 +992,15 @@ def _read_triplets(raw: BinaryIO, size: int) -> np.ndarray | int:
     ' ', ' ', '\n' in turn, one triple per line, and _triplet_columns parses
     those lines. The bytes after the last newline move to the front for the
     next block; a refused block is searched for its first line off the
-    layout (_first_off_layout). The rows go into an anonymous mapping sized
-    for the shortest line: pages never written are never resident, and the
-    whole mapping goes back to the system once the last view of it is
-    dropped. An array from malloc's heap can stay resident after the load
-    and raise the peak RSS of later work.
+    layout (_first_off_layout). The rows go into one array sized for the
+    shortest line. For a file of some MB, glibc's malloc maps that block on
+    its own, so pages never written are never resident, and freeing it raises
+    malloc's dynamic mmap and trim thresholds to its size: the multi-MB
+    temporaries of later QUBO builds and exports are then reused from the
+    heap instead of being returned to the system and faulted in again.
     """
     cap = size // _SHORTEST_LINE
-    body = np.frombuffer(mmap.mmap(-1, max(cap, 1) * _TRIPLET.itemsize), _TRIPLET)[:cap]
+    body = np.empty(cap, _TRIPLET)
     buf = np.full(8 + _LOAD_BLOCK, 48, np.uint8)
     words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
     rows = held = 0                        # lines parsed, bytes of a line carried over
