@@ -30,7 +30,7 @@ from .metrics import (
     snr,
 )
 from .qubo import ExactObjective, ObjectiveError, QuadraticObjective, build_qubo
-from .ris import CLASSICAL, QUANTUM, ChannelState, RisConfig, cascade_gains, levels_to_bits
+from .ris import CLASSICAL, QUANTUM, ChannelState, RisConfig, cascade_gains
 from .solvers import SolverConfig, SolverResult, band_levels, enforce_security, solve
 
 
@@ -307,8 +307,9 @@ def _fit_cascade_scale(cfg: RunConfig, cal: Calibration, a: CalibrationAnchors,
     unit * scale is the cascade it builds at that scale. The band sweep picks
     each band's levels from that band's inputs alone (band_sweep), so each
     scale re-sweeps the fitted band, and the other band is swept once per
-    fit. enforce_security is skipped: its fallback is the band sweep's own
-    bits. Residuals are kept by scale, since _bisect evaluates again the
+    fit. The metrics are scored at the swept levels (metrics_at), as
+    metrics_of scores them at their bits. enforce_security is skipped: its
+    fallback is the band sweep's own bits. Residuals are kept by scale, since _bisect evaluates again the
     bracket ends that the search below found.
     """
     band = 0 if name == "element_amp_scale" else 1       # 0 quantum, 1 classical
@@ -333,7 +334,7 @@ def _fit_cascade_scale(cfg: RunConfig, cal: Calibration, a: CalibrationAnchors,
             if other is None:
                 other = band_levels(*bands[1 - band])
             levels = (swept, other) if band == 0 else (other, swept)
-            residuals[scale] = residual_of(obj.metrics_of(levels_to_bits(*levels, ris_cfg)))
+            residuals[scale] = residual_of(obj.metrics_at(*levels))
         return residuals[scale]
 
     lo, hi = 1e-12, 1e-6

@@ -137,11 +137,14 @@ class ExactObjective:
             raise ValueError(f"expected bit vector of length {self.dim}")
         return bits_to_levels(x, self.cfg)
 
-    def totals_of(self, x: np.ndarray) -> tuple[complex, complex]:
-        lq, lc = self.levels_of(x)
-        tq = self.h0q + (self.uq * self._phasor_q[lq]).sum()
-        tc = self.h0c + (self.uc * self._phasor_c[lc]).sum()
+    def totals_at(self, levels_q: np.ndarray, levels_c: np.ndarray) -> tuple[complex, complex]:
+        """The band totals with each element at its level, quantum and classical."""
+        tq = self.h0q + (self.uq * self._phasor_q[levels_q]).sum()
+        tc = self.h0c + (self.uc * self._phasor_c[levels_c]).sum()
         return complex(tq), complex(tc)
+
+    def totals_of(self, x: np.ndarray) -> tuple[complex, complex]:
+        return self.totals_at(*self.levels_of(x))
 
     def value(self, x: np.ndarray) -> float:
         tq, tc = self.totals_of(x)
@@ -203,10 +206,14 @@ class ExactObjective:
         tq, _ = self.totals_of(x)
         return self.qber_from_total(abs(tq))
 
-    def metrics_of(self, x: np.ndarray) -> Metrics:
-        tq, tc = self.totals_of(x)
+    def metrics_at(self, levels_q: np.ndarray, levels_c: np.ndarray) -> Metrics:
+        """Link metrics with each element at its level (metrics_of at their bits)."""
+        tq, tc = self.totals_at(levels_q, levels_c)
         return link_metrics(self.direct_amp, abs(tq), abs(tc), self.optical, self.rf,
                             (self.alpha, self.beta), self.cal)
+
+    def metrics_of(self, x: np.ndarray) -> Metrics:
+        return self.metrics_at(*self.levels_of(x))
 
     def walk(self, x: np.ndarray) -> "ObjectiveWalk":
         return ObjectiveWalk(self, x)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import TWO_PI
 from .metrics import QBER_SECURITY_THRESHOLD
 from .qubo import ExactObjective, _product
 from .ris import levels_to_bits
@@ -414,16 +415,32 @@ def band_levels(h0: complex, u: np.ndarray, phasor: np.ndarray) -> np.ndarray:
     order. Among equal |T| the first assignment met wins; the sweep starts
     from the assignment in which every element sits before its earliest
     breakpoint.
+
+    The breakpoints equal np.mod(angle, 2 pi) bit for bit: the unwrapped
+    angles lie in (-pi, 3 pi), where x - 2 pi is exact (Sterbenz) and x + 2 pi
+    rounds as np.mod's fmod-then-add does. numpy's default argsort is tried
+    first; when its sorted angles strictly increase it is the one permutation
+    that sorts them, the stable one included, and on a tie or a NaN the stable
+    argsort decides.
     """
     k = len(phasor)
-    step = 2.0 * math.pi / k
-    breaks = np.mod(np.angle(u)[:, None] + step * (np.arange(k) + 0.5), 2.0 * math.pi)
+    step = TWO_PI / k
+    breaks = np.angle(u)[:, None] + step * (np.arange(k) + 0.5)
+    breaks -= TWO_PI * (breaks >= TWO_PI)
+    breaks += TWO_PI * (breaks < 0.0)
     # each element's earliest breakpoint moves it off the level it starts on
     start = np.argmin(breaks, axis=1)
-    elem, lev = np.divmod(np.argsort(breaks, axis=None, kind="stable"), k)
+    flat = breaks.ravel()
+    order = np.argsort(flat)
+    ordered = flat[order]
+    if not (ordered[1:] > ordered[:-1]).all():
+        order = np.argsort(flat, kind="stable")
+    elem, lev = np.divmod(order, k)
+    # per unit cascade, what a step from level l to l + 1 (mod K) adds to the total
+    advance = phasor[(np.arange(k) + 1) % k] - phasor
     totals = np.empty(elem.size + 1, dtype=complex)
     totals[0] = h0 + (u * phasor[start]).sum()
-    totals[1:] = totals[0] + np.cumsum(u[elem] * (phasor[(lev + 1) % k] - phasor[lev]))
+    totals[1:] = totals[0] + np.cumsum(u[elem] * advance[lev])
     first_best = int(np.argmax(np.abs(totals)))
     return (start + np.bincount(elem[:first_best], minlength=u.size)) % k
 

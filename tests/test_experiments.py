@@ -412,7 +412,7 @@ import contextlib, pickle, sys
 from numpy._core._multiarray_umath import __cpu_features__
 from dualris.cli import run_cli
 from dualris.qubo import QuadraticObjective, load_qubo
-from dualris.solvers import SolverConfig, block_coordinate_descent, simulated_annealing
+from dualris.solvers import SolverConfig, band_sweep, block_coordinate_descent, simulated_annealing
 
 
 def write_result(name, result):
@@ -429,12 +429,14 @@ for argv in (["sweep", "--no-timestamp"], ["histogram", "--no-timestamp"]):
 with open(out + "/calibrate.txt", "w") as fh, contextlib.redirect_stdout(fh):
     assert run_cli(["--config", out + "/run.ini", "calibrate"]) == 0
 with open(sys.argv[2], "rb") as fh:
-    write_result("bcd.txt", block_coordinate_descent(pickle.load(fh),
-                                                     SolverConfig(kind="bcd", max_iters=50)))
+    obj = pickle.load(fh)
+write_result("bcd.txt", block_coordinate_descent(obj, SolverConfig(kind="bcd", max_iters=50)))
 with open(sys.argv[3], "rb") as fh:
     exact, sweeps, restarts = pickle.load(fh)
 write_result("anneal_exact.txt", simulated_annealing(exact, exact.dim, SolverConfig(
     kind="anneal", seed=1, max_iters=sweeps, restarts=restarts)))
+with open(out + "/band_sweep.txt", "w") as fh:     # bits only: best_value is numpy's product
+    fh.write(repr([band_sweep(o).best_bits.tolist() for o in (obj, exact)]))
 model = load_qubo(sys.argv[4])
 write_result("anneal_quadratic.txt", simulated_annealing(
     QuadraticObjective(model), model.dim, SolverConfig(kind="anneal", seed=1, max_iters=20,
@@ -720,7 +722,9 @@ class TestCli:
         # candidate table was numpy's complex product. Nor did two anneals:
         # the exact walk at the solve workload's (45 deg, N = 4096) state and
         # the quadratic walk on the N = 64 model. Their start temperatures
-        # differ by ulps (numpy's log2 and sum), so this holds on this data
+        # differ by ulps (numpy's log2 and sum), so this holds on this data.
+        # Nor did the band sweep's bits at both states, though np.angle's
+        # breakpoints may differ by ulps and argsort is another algorithm
         from numpy._core._multiarray_umath import __cpu_features__
         if "X86_V3" not in __cpu_features__:
             pytest.skip("x86-64 dispatch levels only")
@@ -739,7 +743,7 @@ class TestCli:
             if level:              # the variable took effect: no AVX2 kernels in this child
                 assert has_avx2 == "False"
         for name in ("sweep.csv", "histogram.csv", "calibrate.txt", "bcd.txt",
-                     "anneal_exact.txt", "anneal_quadratic.txt"):
+                     "anneal_exact.txt", "anneal_quadratic.txt", "band_sweep.txt"):
             files = [tmp_path / str(level) / name for level in ("X86_V2", None)]
             assert files[0].read_bytes() == files[1].read_bytes(), name
 

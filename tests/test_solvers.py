@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dualris.channels import ComplexGain, OpticalParams, RfParams
+from dualris.channels import TWO_PI, ComplexGain, OpticalParams, RfParams
 from dualris.experiments import RunConfig, build_channel_state
 from dualris.metrics import BOLTZMANN, Calibration, CostWeights, field_gain_qber_array
 from dualris.qubo import ExactObjective, QuadraticObjective, QuboModel
@@ -508,6 +508,91 @@ def joint_scan_bcd(obj, max_iters):
         if not changed:
             break
     return levels_to_bits(lq, lc, obj.cfg), evaluations, trace
+
+
+def plain_band_levels(h0, u, phasor):
+    """solvers.band_levels with np.mod and the stable argsort alone (reference)."""
+    k = len(phasor)
+    step = 2.0 * math.pi / k
+    breaks = np.mod(np.angle(u)[:, None] + step * (np.arange(k) + 0.5), 2.0 * math.pi)
+    # each element's earliest breakpoint moves it off the level it starts on
+    start = np.argmin(breaks, axis=1)
+    elem, lev = np.divmod(np.argsort(breaks, axis=None, kind="stable"), k)
+    totals = np.empty(elem.size + 1, dtype=complex)
+    totals[0] = h0 + (u * phasor[start]).sum()
+    totals[1:] = totals[0] + np.cumsum(u[elem] * (phasor[(lev + 1) % k] - phasor[lev]))
+    first_best = int(np.argmax(np.abs(totals)))
+    return (start + np.bincount(elem[:first_best], minlength=u.size)) % k
+
+
+def unit_phasor(bits):
+    return np.exp(1j * TWO_PI * np.arange(1 << bits) / (1 << bits))
+
+
+def band_levels_and_sorts(monkeypatch, h0, u, phasor):
+    """solvers.band_levels(h0, u, phasor), and the kind of each argsort it ran."""
+    kinds, argsort = [], np.argsort
+
+    def spy(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "argsort", spy)
+        return solvers.band_levels(h0, u, phasor), kinds
+
+
+_H0 = 0.7 * np.exp(0.3j)
+_U = 0.2 * np.exp(1j * np.array([0.4, 2.9, -1.3, -2.2, 1.7]))
+# cascades at multiples of pi/4 behind a real one: at 2 bits, breakpoints land
+# on exactly 0 and 2 pi, and moving the tiny ones leaves every total as it is,
+# so the wrap of those breakpoints decides their levels
+_GRID = np.r_[0.2, 1e-30 * np.exp(1j * np.pi / 4 * np.arange(8))]
+FAST, CHECKED = [None], [None, "stable"]     # a strictly increasing sort, or a tie or NaN
+
+
+class TestBandLevels:
+    # the default argsort, accepted when its sorted breakpoints strictly
+    # increase, and the exact wrap give the reference's levels bit for bit
+
+    @pytest.mark.parametrize("h0,u,bits,sorts", [
+        (_H0, _U[[0, 1, 0, 0, 1, 2]], 2, CHECKED),             # duplicated cascades
+        (_H0, np.array([0, _U[0], 0, _U[3], 0]), 2, CHECKED),  # zero cascades
+        # the first maximum falls inside a run of equal breakpoints, where
+        # numpy's default argsort does not keep element order
+        (_H0, np.r_[0.2, np.zeros(20)], 8, CHECKED),
+        (1.0, _GRID, 2, CHECKED),
+        (_H0, 0.1 * np.exp(1j * np.pi / 4 * np.arange(8)), 3, CHECKED),
+        (_H0, np.array([_U[0], np.nan, _U[1]]), 2, CHECKED),
+        (_H0, np.array([_U[0], np.inf, _U[1]]), 2, FAST),      # angle(inf) is 0
+        (_H0, _U, 1, FAST), (_H0, _U, 2, FAST), (_H0, _U, 3, FAST), (_H0, _U, 8, FAST),
+        (_H0, _U[:1], 1, FAST), (_H0, _U[:1], 2, FAST), (_H0, _U[:1], 8, FAST),
+    ])
+    def test_equals_the_reference(self, monkeypatch, h0, u, bits, sorts):
+        with np.errstate(all="ignore"):
+            levels, kinds = band_levels_and_sorts(monkeypatch, h0, u, unit_phasor(bits))
+            assert np.array_equal(levels, plain_band_levels(h0, u, unit_phasor(bits)))
+        assert kinds == sorts
+
+    def test_grid_breakpoints_reach_both_ends(self):
+        x = np.angle(_GRID)[:, None] + np.pi / 2 * (np.arange(4) + 0.5)
+        assert (x == 0.0).any() and (x == TWO_PI).any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 300), st.integers(0, 2**32 - 1),
+           st.integers(0, 4), st.booleans())
+    def test_equals_the_reference_on_drawn_instances(self, bits, n, seed, grid, repeat):
+        # grid > 0 puts the phases on multiples of pi / 2^grid, repeat draws
+        # the cascades from a few values: both make equal breakpoints
+        rng = np.random.default_rng(seed)
+        phases = (rng.integers(0, 2 << grid, n) * (np.pi / (1 << grid)) if grid
+                  else rng.uniform(0, TWO_PI, n))
+        u = rng.uniform(0.0, 0.3, n) * np.exp(1j * phases)
+        if repeat:
+            u = u[rng.integers(0, max(1, n // 4), n)]
+        h0 = complex(*rng.normal(size=2))
+        assert np.array_equal(solvers.band_levels(h0, u, unit_phasor(bits)),
+                              plain_band_levels(h0, u, unit_phasor(bits)))
 
 
 class TestBandSweep:
