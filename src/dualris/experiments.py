@@ -329,10 +329,9 @@ def _fit_cascade_scale(cfg: RunConfig, cal: Calibration, a: CalibrationAnchors,
             problem = objective_problem(obj)
             if problem:
                 raise ObjectiveError(problem)
-            bands = ((obj.h0q, obj.uq, obj._phasor_q), (obj.h0c, obj.uc, obj._phasor_c))
-            swept = band_levels(*bands[band])
+            swept = band_levels(*obj.bands[band])
             if other is None:
-                other = band_levels(*bands[1 - band])
+                other = band_levels(*obj.bands[1 - band])
             levels = (swept, other) if band == 0 else (other, swept)
             residuals[scale] = residual_of(obj.metrics_at(*levels))
         return residuals[scale]

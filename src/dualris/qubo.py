@@ -107,9 +107,10 @@ class ExactObjective:
         baseline_snr = self.snr_coeff * abs(self.h0c) ** 2
         self.alpha, self.beta = resolve_weights(
             weights, current_snr=baseline_snr if baseline_snr > 0 else None)
-        # unit phasors per quantized level, shared by all evaluation paths
-        self._phasor_q = np.exp(1j * TWO_PI * np.arange(1 << self.bq) / (1 << self.bq))
-        self._phasor_c = np.exp(1j * TWO_PI * np.arange(1 << self.bc) / (1 << self.bc))
+        # per band, quantum first: (direct gain, cascades, unit phasor per level)
+        phasor_q = np.exp(1j * TWO_PI * np.arange(1 << self.bq) / (1 << self.bq))
+        phasor_c = np.exp(1j * TWO_PI * np.arange(1 << self.bc) / (1 << self.bc))
+        self.bands = ((self.h0q, self.uq, phasor_q), (self.h0c, self.uc, phasor_c))
 
     # -- scalar pieces ---------------------------------------------------
 
@@ -139,8 +140,9 @@ class ExactObjective:
 
     def totals_at(self, levels_q: np.ndarray, levels_c: np.ndarray) -> tuple[complex, complex]:
         """The band totals with each element at its level, quantum and classical."""
-        tq = self.h0q + (self.uq * self._phasor_q[levels_q]).sum()
-        tc = self.h0c + (self.uc * self._phasor_c[levels_c]).sum()
+        (h0q, uq, phasor_q), (h0c, uc, phasor_c) = self.bands
+        tq = h0q + (uq * phasor_q[levels_q]).sum()
+        tc = h0c + (uc * phasor_c[levels_c]).sum()
         return complex(tq), complex(tc)
 
     def totals_of(self, x: np.ndarray) -> tuple[complex, complex]:
@@ -162,8 +164,7 @@ class ExactObjective:
         buffer = np.empty((min(rows, len(xs)), self.n), complex)
         for lo in range(0, len(xs), rows):
             levels = bits_to_levels(xs[lo:lo + rows], self.cfg)
-            for out, h0, u, phasor, lev in zip((tq, tc), (self.h0q, self.h0c), (self.uq, self.uc),
-                                               (self._phasor_q, self._phasor_c), levels):
+            for out, (h0, u, phasor), lev in zip((tq, tc), self.bands, levels):
                 block = buffer[:len(lev)]
                 np.take(phasor, lev, out=block, mode="clip")   # "raise" would buffer out
                 np.multiply(u, block, out=block)
@@ -253,8 +254,7 @@ def _flip_table(obj: ExactObjective) -> tuple[list[complex], list[int], list[int
     in a walk's level list, quantum first.
     """
     table, base, elem, band, mask = [], [], [], [], []
-    for b, (u, phasor, bits) in enumerate(((obj.uq, obj._phasor_q, obj.bq),
-                                           (obj.uc, obj._phasor_c, obj.bc))):
+    for b, ((_, u, phasor), bits) in enumerate(zip(obj.bands, (obj.bq, obj.bc))):
         delta = _flip_deltas(u, phasor, bits)
         base += range(len(table), len(table) + delta.size, len(phasor))
         table += delta.ravel().tolist()
@@ -301,8 +301,9 @@ class ObjectiveWalk:
         so ExactObjective.screen_bound of the two bounds its error.
         """
         obj, levels = self.obj, np.array(self._levels)
-        tq = self._totals[0] + _flip_deltas(obj.uq, obj._phasor_q, obj.bq, levels[:obj.n]).ravel()
-        tc = self._totals[1] + _flip_deltas(obj.uc, obj._phasor_c, obj.bc, levels[obj.n:]).ravel()
+        (_, uq, phasor_q), (_, uc, phasor_c) = obj.bands
+        tq = self._totals[0] + _flip_deltas(uq, phasor_q, obj.bq, levels[:obj.n]).ravel()
+        tc = self._totals[1] + _flip_deltas(uc, phasor_c, obj.bc, levels[obj.n:]).ravel()
         nq = len(tq)
         with np.errstate(all="ignore"):
             new = np.concatenate(obj.terms(tq, tc))
@@ -435,8 +436,9 @@ def _surrogate(state: ChannelState, weights: CostWeights, cal: Calibration,
     levels0_q, levels0_c = obj.levels_of(bits0)         # raises on a wrong length
 
     # cascades rotated to the expansion phases, and the band totals there
-    uq0 = _product(obj.uq, obj._phasor_q[levels0_q])
-    uc0 = _product(obj.uc, obj._phasor_c[levels0_c])
+    (_, uq, phasor_q), (_, uc, phasor_c) = obj.bands
+    uq0 = _product(uq, phasor_q[levels0_q])
+    uc0 = _product(uc, phasor_c[levels0_c])
     tq0, tc0 = obj.h0q + uq0.sum(), obj.h0c + uc0.sum()
     pq0, pc0 = abs(tq0) ** 2, abs(tc0) ** 2
 

@@ -343,8 +343,7 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     # per-element candidate contributions, fixed for the whole run, in real
     # ufuncs so that they do not depend on numpy's dispatch; the screen reads
     # them level-major and the contributions in use per element
-    cand_q_arr = _product(obj.uq[:, None], obj._phasor_q)
-    cand_c_arr = _product(obj.uc[:, None], obj._phasor_c)
+    cand_q_arr, cand_c_arr = (_product(u[:, None], phasor) for _, u, phasor in obj.bands)
     cand_q, cand_c = cand_q_arr.tolist(), cand_c_arr.tolist()
     screen_q, screen_c = cand_q_arr.T.copy(), cand_c_arr.T.copy()
     cur_q, cur_c = cand_q_arr[:, 0].copy(), cand_c_arr[:, 0].copy()
@@ -461,10 +460,11 @@ def band_sweep(objective: ExactObjective) -> SolverResult:
     obj = objective
     if obj.dim == 0:
         return brute_force(obj, 0)
-    bits = levels_to_bits(band_levels(obj.h0q, obj.uq, obj._phasor_q),
-                          band_levels(obj.h0c, obj.uc, obj._phasor_c), obj.cfg)
-    evaluations = 2 + obj.n * (len(obj._phasor_q) + len(obj._phasor_c))
-    return _finalize(obj, bits, evaluations, [(evaluations, obj.value(bits))])
+    bits = levels_to_bits(*(band_levels(*band) for band in obj.bands), obj.cfg)
+    evaluations = 2 + obj.n * sum(len(phasor) for _, _, phasor in obj.bands)
+    result = _finalize(obj, bits, evaluations, [])
+    result.trace.append((evaluations, result.best_value))
+    return result
 
 
 def min_qber(objective: ExactObjective) -> float:

@@ -3,7 +3,10 @@ import hashlib
 import os
 import pickle
 import re
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,18 +386,35 @@ class TestCsvOutput:
                        for line in open(path).read().splitlines())
 
     def test_default_csv_digests(self, run_config, calibrated, sweep_result, tmp_path):
-        # the default seed-1 CSVs; a change that alters them on purpose updates
-        # these digests and records the old and new values
+        # the default seed-1 CSVs, written in process and by
+        # scripts/reproduce_results.py, whose files keep their timestamp line; a
+        # change that alters them on purpose updates these digests and records
+        # the old and new values
         cal = calibrated["cal"]
-        sweep, hist = str(tmp_path / "sweep.csv"), str(tmp_path / "histogram.csv")
-        write_sweep_csv(sweep, run_config, cal, sweep_result["rows"], with_timestamp=False)
-        write_histogram_csv(hist, run_config, cal, phase_histogram(run_config, cal),
-                            with_timestamp=False)
-        digest = {p: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (sweep, hist)}
-        assert digest[sweep] == ("f72476dbe1702a35db6845b001579db9"
-                                 "1843bf21e840bc3b3ac39bdb3d1c914e")
-        assert digest[hist] == ("633c977bafcc228cb2a860541fea2960"
-                                "574f14b7984908bb79df393015f572dc")
+        write_sweep_csv(str(tmp_path / "sweep.csv"), run_config, cal, sweep_result["rows"],
+                        with_timestamp=False)
+        write_histogram_csv(str(tmp_path / "histogram.csv"), run_config, cal,
+                            phase_histogram(run_config, cal), with_timestamp=False)
+        scripts = Path(__file__).parents[1] / "scripts"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(experiments.__file__).parents[1])]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        subprocess.run([sys.executable, str(scripts / "reproduce_results.py"),
+                        "--out", str(tmp_path / "script")], env=env, check=True,
+                       capture_output=True)
+        for out in (tmp_path, tmp_path / "script"):
+            digest = {}
+            for name in ("sweep.csv", "histogram.csv"):
+                lines = (out / name).read_bytes().splitlines(keepends=True)
+                body = b"".join(line for line in lines if not line.startswith(b"# timestamp:"))
+                digest[name] = hashlib.sha256(body).hexdigest()
+            assert digest["sweep.csv"] == ("f72476dbe1702a35db6845b001579db9"
+                                           "1843bf21e840bc3b3ac39bdb3d1c914e")
+            assert digest["histogram.csv"] == ("633c977bafcc228cb2a860541fea2960"
+                                               "574f14b7984908bb79df393015f572dc")
+        # the benchmark harness of record imports and parses its options
+        subprocess.run([sys.executable, str(scripts / "bench.py"), "--help"], env=env,
+                       check=True, capture_output=True)
 
     def test_no_partial_files_left(self, run_config, calibrated, sweep_result, tmp_path):
         write_sweep_csv(str(tmp_path / "ok.csv"), run_config, calibrated["cal"],

@@ -1087,8 +1087,8 @@ class TestWalkConsistency:
         with mock.patch.object(qubo, "_EXACT_BATCH_ELEMENTS", cap):
             got = obj.batch(xs)
         lq, lc = bits_to_levels(xs, cfg)
-        tq = obj.h0q + (obj.uq * obj._phasor_q[lq]).sum(axis=1)
-        tc = obj.h0c + (obj.uc * obj._phasor_c[lc]).sum(axis=1)
+        tq = obj.h0q + (obj.uq * obj.bands[0][2][lq]).sum(axis=1)
+        tc = obj.h0c + (obj.uc * obj.bands[1][2][lc]).sum(axis=1)
         eps_terms, log_terms = obj.terms(tq, tc)
         assert got.tobytes() == (eps_terms + log_terms).tobytes()
 
@@ -1108,7 +1108,7 @@ class TestWalkConsistency:
         # each entry equals the numpy scalar product u_n (phasor[new] - phasor[old]),
         # and so do the deltas at given levels, which peek_all reads
         table, base, elem, band, mask = qubo._flip_table(obj)
-        bands = [(obj.uq, obj._phasor_q, obj.bq), (obj.uc, obj._phasor_c, obj.bc)]
+        bands = [(u, phasor, width) for (_, u, phasor), width in zip(obj.bands, (obj.bq, obj.bc))]
         rng = np.random.default_rng(obj.n)
         levels = [rng.integers(0, len(phasor), obj.n) for _, phasor, _ in bands]
         at_levels = [qubo._flip_deltas(u, phasor, width, lev)

@@ -454,8 +454,8 @@ class TestBcd:
     @pytest.mark.parametrize("nan_in", ["value", "quantum total", "classical total"])
     def test_screen_never_clears_nan(self, nan_in):
         obj, _ = random_instance(4, 8)
-        cand_q = (obj.uq[:, None] * obj._phasor_q[None, :]).T.copy()
-        cand_c = (obj.uc[:, None] * obj._phasor_c[None, :]).T.copy()
+        cand_q = (obj.uq[:, None] * obj.bands[0][2][None, :]).T.copy()
+        cand_c = (obj.uc[:, None] * obj.bands[1][2][None, :]).T.copy()
         tq, tc = obj.totals_of(np.zeros(obj.dim, np.uint8))
         value = obj.cost_from_totals(tq, tc)
         tq, tc, value = (complex(math.nan, tq.imag) if nan_in == "quantum total" else tq,
@@ -482,8 +482,8 @@ def joint_scan_bcd(obj, max_iters):
 
     order_q, order_c = lex(obj.bq), lex(obj.bc)
 
-    cand_q = qubo._product(obj.uq[:, None], obj._phasor_q).tolist()
-    cand_c = qubo._product(obj.uc[:, None], obj._phasor_c).tolist()
+    cand_q = qubo._product(obj.uq[:, None], obj.bands[0][2]).tolist()
+    cand_c = qubo._product(obj.uc[:, None], obj.bands[1][2]).tolist()
     lq, lc = [0] * obj.n, [0] * obj.n
     tq = obj.h0q + sum(row[0] for row in cand_q)
     tc = obj.h0c + sum(row[0] for row in cand_c)
