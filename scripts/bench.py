@@ -284,6 +284,7 @@ def main(argv=None) -> int:
                 runs[checkout][workload].append(run)
                 print(f"round {r} {workload:<9} {checkout.name:<20} "
                       f"op_s {run['entry']['medians']['op_s']:.4g}  "
+                      f"peak_rss_mb {run['entry']['medians']['peak_rss_mb']:.4g}  "
                       f"failed {run['entry']['failed']}  wall {run['wall_s']:.1f} s  "
                       f"cpu {run['cpu_s']:.1f} s", flush=True)
         for position, checkout in enumerate(order):

@@ -20,7 +20,6 @@ from datetime import datetime, timezone
 from . import __version__
 from .channels import OpticalParams, RfParams
 from .experiments import (
-    CalibrationAnchors,
     CalibrationError,
     RunConfig,
     SweepSpec,
@@ -323,7 +322,7 @@ def run_cli(argv=None) -> int:
 
     try:
         try:
-            cal = calibrate(cfg, CalibrationAnchors())
+            cal = calibrate(cfg)
         except CalibrationError as exc:
             print(f"calibration failed: {exc}", file=sys.stderr)
             return EXIT_CALIBRATION
@@ -333,6 +332,9 @@ def run_cli(argv=None) -> int:
         return EXIT_CONFIG
     except ObjectiveError as exc:        # weights whose cost or QUBO surrogate overflows
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:           # an element count too large to allocate
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

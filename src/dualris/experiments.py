@@ -153,9 +153,13 @@ def build_channel_state(cfg: RunConfig, cal: Calibration, elevation_deg: float,
     return state, ris_cfg, geom
 
 
-def _bisect(fn, lo: float, hi: float, rel_tol: float = 1e-6, max_iter: int = 200,
-            what: str = "fit") -> float:
-    """Root of a monotone scalar function by bisection to relative tolerance."""
+_BISECT_REL_TOL = 1e-6
+_BISECT_MAX_ITER = 200
+
+
+def _bisect(fn, lo: float, hi: float, what: str = "fit") -> float:
+    """Root of a monotone scalar function by bisection to relative tolerance
+    _BISECT_REL_TOL, in at most _BISECT_MAX_ITER halvings."""
     f_lo, f_hi = fn(lo), fn(hi)
     if f_lo == 0.0:
         return lo
@@ -165,10 +169,10 @@ def _bisect(fn, lo: float, hi: float, rel_tol: float = 1e-6, max_iter: int = 200
         raise CalibrationError(
             f"{what}: no sign change on [{lo:g}, {hi:g}] "
             f"(f(lo)={f_lo:g}, f(hi)={f_hi:g})")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
-        if f_mid == 0.0 or (hi - lo) <= rel_tol * abs(mid):
+        if f_mid == 0.0 or (hi - lo) <= _BISECT_REL_TOL * abs(mid):
             return mid
         if f_lo * f_mid < 0:
             hi = mid
@@ -423,7 +427,6 @@ def histogram_problem(ris: RisConfig) -> str | None:
 
 
 def phase_histogram(cfg: RunConfig, cal: Calibration,
-                    att_levels: tuple[float, ...] | None = None,
                     elevation_deg: float = 45.0) -> dict[float, np.ndarray]:
     """Joint (optical, RF) phase-bin counts of the optimized RIS per Att level.
 
@@ -434,9 +437,8 @@ def phase_histogram(cfg: RunConfig, cal: Calibration,
     problem = histogram_problem(cfg.ris)
     if problem:
         raise ValueError(problem)
-    levels = att_levels if att_levels is not None else cfg.sweep.attenuation_levels
     grids: dict[float, np.ndarray] = {}
-    for att in levels:
+    for att in cfg.sweep.attenuation_levels:
         result, objective = solve_point(cfg, cal, elevation_deg,
                                         cfg.ris.n_elements, att)
         if not result.feasible:

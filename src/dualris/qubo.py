@@ -35,7 +35,6 @@ from .metrics import (
 from .ris import ChannelState, RisConfig, bits_to_levels, levels_to_bits
 
 _BATCH_ELEMENTS = 1 << 20     # cap on one (rows, pairs) temporary of QuadraticObjective.batch
-_EXACT_BATCH_ELEMENTS = 1 << 15   # cap on one (rows, N) temporary of ExactObjective.batch
 QUBO_MAX_PAIRS = 1 << 23      # build_qubo's cap; N = 1024 at 2 + 2 bits has 4.2M pairs
 # 32 units of roundoff (2^-53): the error bound of an array term against its
 # scalar term, relative to the terms and the weights (ExactObjective.screen_bound)
@@ -155,20 +154,11 @@ class ExactObjective:
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized value() over rows of a (m, dim) bit matrix.
 
-        The band totals are summed in row blocks of about _EXACT_BATCH_ELEMENTS
-        entries, all in one reused (rows, N) buffer. Each row's sum runs along a
-        contiguous axis, so it does not depend on the block size.
+        Each band total is one (m, N) product summed along its contiguous
+        element axis, so the caller's row count bounds the temporaries.
         """
-        tq, tc = np.empty(len(xs), complex), np.empty(len(xs), complex)
-        rows = max(1, _EXACT_BATCH_ELEMENTS // max(self.n, 1))
-        buffer = np.empty((min(rows, len(xs)), self.n), complex)
-        for lo in range(0, len(xs), rows):
-            levels = bits_to_levels(xs[lo:lo + rows], self.cfg)
-            for out, (h0, u, phasor), lev in zip((tq, tc), self.bands, levels):
-                block = buffer[:len(lev)]
-                np.take(phasor, lev, out=block, mode="clip")   # "raise" would buffer out
-                np.multiply(u, block, out=block)
-                out[lo:lo + rows] = h0 + block.sum(axis=1)
+        tq, tc = (h0 + (u * phasor[lev]).sum(axis=1)
+                  for (h0, u, phasor), lev in zip(self.bands, bits_to_levels(xs, self.cfg)))
         eps_terms, log_terms = self.terms(tq, tc)
         return eps_terms + log_terms          # a + (-b) is bitwise a - b
 
@@ -482,7 +472,6 @@ class QuadraticObjective:
     def __init__(self, model: QuboModel):
         self.model = model
         self.dim = model.dim
-        self._adjacency: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._neighbours: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def value(self, x: np.ndarray) -> float:
@@ -520,27 +509,16 @@ class QuadraticObjective:
             quad = t.sum(axis=0)
         return out + quad
 
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Neighbour lists in CSR form: (indptr, neighbour, weight).
-
-        Bit i's neighbours and pair weights are neighbour[indptr[i]:indptr[i + 1]]
-        and weight[...], in the order of the pairs that name i.
-        """
-        if self._adjacency is None:
+    def neighbours(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per bit i, views of its (neighbour, weight) entries, in the order of
+        the pairs that name i, into one CSR build of the neighbour lists."""
+        if self._neighbours is None:
             m = self.model
             ends = np.column_stack([m.pair_i, m.pair_j]).ravel()
             others = np.column_stack([m.pair_j, m.pair_i]).ravel()
             order = np.argsort(ends, kind="stable")
-            indptr = np.zeros(self.dim + 1, np.int64)
-            np.cumsum(np.bincount(ends, minlength=self.dim), out=indptr[1:])
-            self._adjacency = (indptr, others[order], np.repeat(m.pair_w, 2)[order])
-        return self._adjacency
-
-    def neighbours(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per bit i, views of its (neighbour, weight) entries of adjacency()."""
-        if self._neighbours is None:
-            indptr, neighbour, weight = self.adjacency()
-            bounds = indptr.tolist()
+            neighbour, weight = others[order], np.repeat(m.pair_w, 2)[order]
+            bounds = [0, *np.cumsum(np.bincount(ends, minlength=self.dim)).tolist()]
             self._neighbours = [(neighbour[lo:hi], weight[lo:hi])
                                 for lo, hi in zip(bounds, bounds[1:])]
         return self._neighbours

@@ -38,6 +38,9 @@ from .ris import levels_to_bits
 
 RNG_ALGORITHM = "numpy-pcg64"
 BRUTE_FORCE_MAX_BITS = 24
+# rows per brute-force batch: the one bound on the (rows, N) temporaries of
+# ExactObjective.batch; QuadraticObjective.batch chunks its pairs as well
+BRUTE_FORCE_ROWS = 1 << 12
 # below this many bits, tabu's numpy screen costs more than scoring every flip
 TABU_SCREEN_MIN_DIM = 64
 # anneal's last temperature over its first: every restart cools geometrically
@@ -122,18 +125,21 @@ def _finalize(objective, bits: np.ndarray | None, evaluations: int,
                         evaluations=evaluations, trace=trace)
 
 
-def _enumerate_codes(dim: int, chunk: int = 1 << 15):
-    """Yield (codes, bit-matrix) chunks in lexicographic bit-vector order."""
+def _enumerate_bits(dim: int):
+    """Yield bit matrices of BRUTE_FORCE_ROWS rows in lexicographic bit-vector order."""
     shifts = np.arange(dim - 1, -1, -1, dtype=np.uint32)  # x_0 is most significant
     total = 1 << dim
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        yield codes, bits
+    for start in range(0, total, BRUTE_FORCE_ROWS):
+        codes = np.arange(start, min(start + BRUTE_FORCE_ROWS, total), dtype=np.uint32)
+        yield ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
 def brute_force(objective, dim: int) -> SolverResult:
-    """Exhaustive minimum over all 2^dim bit vectors (oracle for small instances)."""
+    """Exhaustive minimum over all 2^dim bit vectors (oracle for small instances).
+
+    The vectors are scored BRUTE_FORCE_ROWS at a time, and the trace gains an
+    entry after each batch that improves the best value.
+    """
     if dim > BRUTE_FORCE_MAX_BITS:
         raise ValueError(
             f"brute force refused: dim {dim} exceeds the hard cap of "
@@ -146,7 +152,7 @@ def brute_force(objective, dim: int) -> SolverResult:
         val = objective.value(empty)
         return SolverResult(best_bits=empty, best_value=val, evaluations=1,
                             trace=[(0, val)])
-    for codes, bits in _enumerate_codes(dim):
+    for bits in _enumerate_bits(dim):
         vals = objective.batch(bits)
         evaluations += len(vals)
         k = int(np.argmin(vals))      # first minimum = lexicographically smallest

@@ -581,6 +581,21 @@ class TestCli:
         assert argv[-2] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("ini,argv", [
+        ("", ["link-budget", "--elevation", "45", "--n", str(10**15)]),
+        ("", ["optimize", "--elevation", "45", "--n", str(10**15)]),
+        (f"[ris]\nn_elements = {10**15}\n", ["histogram", "--no-timestamp"]),
+    ])
+    def test_unallocatable_element_count_exits_config(self, tmp_path, capsys, ini, argv):
+        # the first array of N = 10^15 floats needs 7.11 PiB, beyond a process's
+        # address space, so numpy refuses it at once without touching memory
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        assert run_cli(["--config", str(cfg), *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: Unable to allocate 7.11 PiB")
+        assert err.count("\n") == 1
+
     HUGE_BETA = "[weights]\nalpha = 1\nbeta = 1e308\n[solver]\nkind = tabu\nobjective = quadratic\n"
     HUGE_EXACT_BETA = "[weights]\nalpha = 1\nbeta = 1e308\n[solver]\nkind = anneal\n"
 

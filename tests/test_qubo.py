@@ -827,10 +827,10 @@ class TestQuadraticObjective:
 
     def test_adjacency_matches_loop_reference(self, model_n64):
         model = model_n64[2]
-        indptr, neighbour, weight = QuadraticObjective(model).adjacency()
-        for i, ref in enumerate(_loop_adjacency(model)):
-            lo, hi = indptr[i], indptr[i + 1]
-            assert list(zip(neighbour[lo:hi].tolist(), weight[lo:hi].tolist())) == ref
+        views = QuadraticObjective(model).neighbours()
+        assert len(views) == model.dim
+        for (neighbour, weight), ref in zip(views, _loop_adjacency(model)):
+            assert list(zip(neighbour.tolist(), weight.tolist())) == ref
 
     def test_flips_match_loop_reference_exactly(self):
         # a hand-built model may list a pair twice; both terms reach the sums
@@ -1076,16 +1076,14 @@ class TestWalkConsistency:
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 40), st.integers(1, 3), st.integers(1, 3), st.integers(0, 50),
-           st.sampled_from([1, 7, 64, 1 << 15]), st.integers(0, 2**32 - 1))
-    def test_exact_batch_equals_inline_reference(self, n, bq, bc, rows, cap, seed):
-        # one reused block buffer, in one to many row blocks, against fresh
-        # temporaries per band; brute force and expansion_error read these
-        # values, and coordinate descent's screen shares their terms
+           st.integers(0, 2**32 - 1))
+    def test_exact_batch_equals_inline_reference(self, n, bq, bc, rows, seed):
+        # against a per-band inline expression; brute force and expansion_error
+        # read these values, and coordinate descent's screen shares their terms
         state, cal, cfg = make_instance(seed=seed % 17, n=n, bq=bq, bc=bc)
         obj = ExactObjective(state, CostWeights(), cal, OPT, RF, cfg)
         xs = np.random.default_rng(seed).integers(0, 2, size=(rows, obj.dim), dtype=np.uint8)
-        with mock.patch.object(qubo, "_EXACT_BATCH_ELEMENTS", cap):
-            got = obj.batch(xs)
+        got = obj.batch(xs)
         lq, lc = bits_to_levels(xs, cfg)
         tq = obj.h0q + (obj.uq * obj.bands[0][2][lq]).sum(axis=1)
         tc = obj.h0c + (obj.uc * obj.bands[1][2][lc]).sum(axis=1)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -88,6 +89,19 @@ class TestBruteForce:
     def test_hard_cap(self):
         with pytest.raises(ValueError):
             brute_force(QuadraticObjective(linear_model([0.0] * 25)), 25)
+
+    def test_peak_memory_is_one_row_batch(self):
+        # 2^16 vectors in batches of BRUTE_FORCE_ROWS: a batch's temporaries
+        # (bits, levels, each band's complex products and terms) take about
+        # 270 bytes a row, so the peak follows the batch, not the 2^16 rows
+        obj = oracle.campaign_instance(1003, 4)
+        tracemalloc.start()
+        try:
+            brute_force(obj, obj.dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * solvers.BRUTE_FORCE_ROWS
 
 
 @pytest.mark.parametrize("kind,dim", [("anneal", 4), ("tabu", 4), ("tabu", 64), ("brute", 4)])
