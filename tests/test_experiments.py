@@ -585,7 +585,7 @@ class TestCli:
         ("", ["link-budget", "--elevation", "45", "--n", str(10**15)]),
         ("", ["optimize", "--elevation", "45", "--n", str(10**15)]),
         (f"[ris]\nn_elements = {10**15}\n", ["histogram", "--no-timestamp"]),
-    ])
+    ], ids=["link-budget", "optimize", "histogram"])
     def test_unallocatable_element_count_exits_config(self, tmp_path, capsys, ini, argv):
         # the first array of N = 10^15 floats needs 7.11 PiB, beyond a process's
         # address space, so numpy refuses it at once without touching memory
