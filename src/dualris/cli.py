@@ -330,7 +330,7 @@ def run_cli(argv=None) -> int:
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ObjectiveError as exc:        # weights whose cost or QUBO surrogate overflows
+    except ObjectiveError as exc:        # a cost, cascade or QUBO surrogate that overflows
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:           # an element count too large to allocate

@@ -131,7 +131,8 @@ def build_channel_state(cfg: RunConfig, cal: Calibration, elevation_deg: float,
     """Direct gains plus calibration-scaled cascades for one sweep point.
 
     att scales every deterministic loss factor (both bands, direct and cascade
-    paths) by a single linear power factor.
+    paths) by a single linear power factor. Raises ObjectiveError when a
+    cascade gain overflows, as a far too short RIS-to-ground segment makes it.
     """
     theta = math.radians(elevation_deg)
     geom = link_geometry(theta, cfg.geometry)
@@ -144,12 +145,15 @@ def build_channel_state(cfg: RunConfig, cal: Calibration, elevation_deg: float,
     seed = derived_seed(cfg.seed, elevation_deg, n_elements)
     cq = cascade_gains(QUANTUM, ris_cfg, geom, cfg.optical, seed)
     cc = cascade_gains(CLASSICAL, ris_cfg, geom, cfg.rf, seed)
-    state = ChannelState(
-        direct_quantum=hq,
-        direct_classical=hc,
-        cascade_quantum=cq * (cal.element_amp_scale * amp_scale),
-        cascade_classical=cc * (cal.rf_element_scale * amp_scale),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):        # refused below
+        cq = cq * (cal.element_amp_scale * amp_scale)
+        cc = cc * (cal.rf_element_scale * amp_scale)
+    if not (np.isfinite(cq).all() and np.isfinite(cc).all()):
+        raise ObjectiveError(
+            f"the RIS cascade gains are not finite (ris_to_ground_km = "
+            f"{ris_cfg.ris_to_ground_km:g}, element_gain = {ris_cfg.element_gain:g})")
+    state = ChannelState(direct_quantum=hq, direct_classical=hc,
+                         cascade_quantum=cq, cascade_classical=cc)
     return state, ris_cfg, geom
 
 

@@ -61,6 +61,9 @@ class CostWeights:
             raise ValueError("qber_threshold must lie in (0, 0.11]")
         if self.snr_target <= 0:
             raise ValueError("snr_target must be positive")
+        if not 1.0 + self.snr_target > 1.0:       # the weights divide by log2(1 + snr*)
+            raise ValueError(f"snr_target = {self.snr_target:g} is too small: "
+                             "log2(1 + snr_target) rounds to 0")
         if self.beta_o < 0:
             raise ValueError("beta_o must be non-negative")
         if self.mode not in ("static", "swing"):

@@ -47,7 +47,7 @@ def qubo_pairs(n: int, bits_q: int, bits_c: int) -> int:
 
 
 class ObjectiveError(ValueError):
-    """The cost at these weights is not finite everywhere."""
+    """The cost is not finite everywhere: at these weights, or on this channel."""
 
 
 class SurrogateError(ObjectiveError):
@@ -171,6 +171,26 @@ class ExactObjective:
         eps = field_gain_qber_array(np.abs(tq), self.direct_amp, self.eps_base, self.p_dark)
         gamma = self.snr_coeff * np.abs(tc) ** 2
         return self.alpha * eps, -self.beta * np.log2(1.0 + gamma)
+
+    def exact_terms(self, tq: np.ndarray, tc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """quantum_term and classical_term over arrays of band totals, bit for bit.
+
+        np.hypot is libm's hypot, as abs(complex) is, on every numpy dispatch
+        level (numpy's abs is not), gamma is spelled as in classical_term, and
+        the log is math.log2 per value (np.log2 may use other kernels). A term
+        is NaN where its scalar term may raise or round otherwise: |T_Q| not
+        finite (abs overflows), a gain |T_Q| / |h_Q| of 0, inf or NaN, or
+        below the 1e-300 floor of field_gain_qber_array, or 1 + gamma not > 0.
+        """
+        with np.errstate(all="ignore"):
+            amp = np.hypot(tq.real, tq.imag)
+            gain = amp / self.direct_amp
+            eps = field_gain_qber_array(amp, self.direct_amp, self.eps_base, self.p_dark)
+            eps[~((amp <= 0.0) | ((gain >= 1e-300) & (gain < math.inf)))] = math.nan
+            arg = 1.0 + self.snr_coeff * (tc.real * tc.real + tc.imag * tc.imag)
+            arg[~(arg > 0.0)] = math.nan          # math.log2 raises there; NaN passes
+            logs = np.fromiter(map(math.log2, arg.ravel().tolist()), float, arg.size)
+            return self.alpha * eps, -self.beta * logs.reshape(arg.shape)
 
     def screen_bound(self, *parts: np.ndarray | float) -> np.ndarray:
         """SCREEN_TOL (sum of |part| + alpha p_dark + beta): how far a sum of

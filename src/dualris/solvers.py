@@ -289,7 +289,7 @@ def _lex_level_order(bits: int) -> list[int]:
     return sorted(range(1 << bits), key=lambda l: tuple((l >> k) & 1 for k in range(bits)))
 
 
-SCREEN_BLOCK = 256       # elements the screen scores per numpy pass
+SCREEN_BLOCK = 256       # elements a first-sweep block or the screen scores per numpy pass
 
 
 def _unclearable(obj: ExactObjective, cand_q: np.ndarray, cand_c: np.ndarray,
@@ -309,6 +309,63 @@ def _unclearable(obj: ExactObjective, cand_q: np.ndarray, cand_c: np.ndarray,
         return ~(value - (mq + mc) + slack <= 1e-12 * abs(value))
 
 
+def _verified_prefix(obj: ExactObjective, cand_q: np.ndarray, cand_c: np.ndarray,
+                     hint_q: np.ndarray, hint_c: np.ndarray, tq: complex, tc: complex,
+                     value: float):
+    """The longest prefix of a block's element visits that a guess reproduces.
+
+    cand_q, cand_c hold the block's candidate contributions as (K, B) arrays
+    with their rows in _lex_level_order, and every element of the block sits
+    at level 0, row 0, as in the first sweep; see block_coordinate_descent.
+    The guessed rows are hint_q, hint_c for the block's first elements, and
+    per band the row whose contribution points most along the total without
+    the element's own for the rest. Returns the prefix length p, the offsets
+    of the elements that the prefix changes, their new rows and values, the
+    totals and value after the prefix, and the rows decided after p, which
+    hint the next block.
+    """
+    cur_q, cur_c = cand_q[0], cand_c[0]
+    with np.errstate(all="ignore"):     # a non-finite result is never accepted
+        guess = []
+        for t, cand, cur, hint in ((tq, cand_q, cur_q, hint_q), (tc, cand_c, cur_c, hint_c)):
+            base = t - cur
+            rows = np.argmax(base.real * cand.real + base.imag * cand.imag, axis=0)
+            rows[:hint.size] = hint
+            guess.append(rows)
+        guess_q, guess_c = guess
+        moves = (guess_q != 0) | (guess_c != 0)
+        moved = np.flatnonzero(moves)
+        before = np.cumsum(moves) - moves         # guessed changes before each element
+        # the totals after each guessed change, built as the visits build
+        # them: t - old, then + new; a no-change adds nothing, not even 0
+        after = []
+        for t, cand, cur, rows in ((tq, cand_q, cur_q, guess_q), (tc, cand_c, cur_c, guess_c)):
+            steps = np.empty(1 + 2 * moved.size, complex)
+            steps[0] = t
+            steps[1::2] = -cur[moved]
+            steps[2::2] = cand[rows[moved], moved]
+            after.append(np.add.accumulate(steps)[::2])
+        pre_q, pre_c = after[0][before], after[1][before]
+        # each element's visit at those totals, scored as the scalar visit
+        eps_terms, log_terms = obj.exact_terms((pre_q - cur_q) + cand_q,
+                                               (pre_c - cur_c) + cand_c)
+        pick_q, pick_c = np.argmin(eps_terms, axis=0), np.argmin(log_terms, axis=0)
+        cols = np.arange(pick_q.size)
+        pick = eps_terms[pick_q, cols] + log_terms[pick_c, cols]
+        values = np.concatenate(([value], pick[moved]))
+        run = values[before]                      # the value before each element
+        change = (run - pick > 1e-12 * np.abs(run)) & ((pick_q != 0) | (pick_c != 0))
+        done_q, done_c = pick_q * change, pick_c * change
+        # argmin takes the first NaN, so a NaN term, or a non-finite total,
+        # makes pick non-finite; within the prefix, run is a finite pick too
+        match = (done_q == guess_q) & (done_c == guess_c) & np.isfinite(pick)
+    p = int(np.argmin(match)) if not match.all() else match.size
+    k = int(np.searchsorted(moved, p))            # the guessed changes in the prefix
+    return (p, moved[:k], guess_q[moved[:k]], guess_c[moved[:k]], pick[moved[:k]],
+            complex(after[0][k]), complex(after[1][k]), float(values[k]),
+            done_q[p + 1:], done_c[p + 1:])
+
+
 def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> SolverResult:
     """Element-wise exact descent over all joint per-element phase options.
 
@@ -320,22 +377,43 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     _lex_level_order; evaluations still counts every joint pair. Stops when
     a full sweep makes no change or after max_iters sweeps.
 
-    Screening. A visit changes element n only if value - (eq + ec) >
-    1e-12 |value|, where eq and ec are its smallest quantum and classical
-    terms at the current totals. From the second sweep on (the first, from all
-    zeros, changes most elements), the next SCREEN_BLOCK elements are scored
-    at once in numpy (ExactObjective.terms) as mq, mc, and the screen clears
-    element n when value - (mq + mc) + ExactObjective.screen_bound(value, mq,
-    mc) <= 1e-12 |value|. A cleared element is skipped but still adds its
-    joint pairs to evaluations; the others get the scalar visit in order. An
-    accepted change moves the totals, so screening restarts at the next
-    element. Skipping never changes a result: the candidate totals
-    (t - cur_n) + u_n phasor[l] come from the same values through complex add
-    and subtract, which act per component, so they equal the scalar visit's
-    bit for bit, and screen_bound covers the terms' errors, their sum and the
-    subtraction from value. So a cleared element is always one whose scalar
-    visit would be rejected. NaN, from an infinite or overflowing weight, is
-    never cleared.
+    A visit changes element n only if value - (eq + ec) > 1e-12 |value|,
+    where eq and ec are its smallest quantum and classical terms at the
+    current totals. Numpy scores the next SCREEN_BLOCK elements at once; each
+    sweep's result, evaluations and trace equal those of scalar visits in
+    order, bit for bit.
+
+    First sweep: guess, verify, accept a prefix. From all zeros the first
+    sweep changes most elements, so _verified_prefix guesses each element's
+    levels: the decisions that the previous block scored for it, else per band
+    the level that maximizes Re(conj(t - cur_n) u_n phasor[l]). One
+    np.add.accumulate per band over the guessed changes alone, each as
+    t - old, then + new, gives the totals that the scalar visits would hold
+    before each element, if every earlier guess is right. Complex add and
+    subtract act per component and accumulate adds in order, so these
+    totals equal the scalar visits' bit for bit; adding + 0 for an unchanged
+    element would not, as -0.0 + 0 is +0.0. ExactObjective.exact_terms scores
+    every candidate at those totals as quantum_term and classical_term do;
+    the first argmin in _lex_level_order and the 1e-12 test at the running
+    value then give each element's decision. The block accepts the longest
+    prefix whose decisions equal the guesses: all its totals and values are
+    then the scalar ones. The element that ends the prefix has an exact
+    pre-state, and gets the scalar visit; the next block starts after it. A
+    non-finite total, term or value ends the prefix too, and once the value
+    is not finite the sweep visits element by element.
+
+    Later sweeps: screen. The screen scores the next SCREEN_BLOCK elements
+    with ExactObjective.terms as mq, mc, and clears element n when value -
+    (mq + mc) + ExactObjective.screen_bound(value, mq, mc) <= 1e-12 |value|.
+    A cleared element is skipped but still adds its joint pairs to
+    evaluations; the others get the scalar visit in order. An accepted change
+    moves the totals, so screening restarts at the next element. Skipping
+    never changes a result: the candidate totals (t - cur_n) + u_n phasor[l]
+    come from the same values through complex add and subtract, so they
+    equal the scalar visit's bit for bit, and screen_bound covers the terms'
+    errors, their sum and the subtraction from value. So a cleared element is
+    always one whose scalar visit would be rejected. NaN, from an infinite or
+    overflowing weight, is never cleared.
     """
     if not isinstance(objective, ExactObjective):
         raise TypeError("block coordinate descent needs the exact objective")
@@ -347,11 +425,12 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     order_q, order_c = _lex_level_order(obj.bq), _lex_level_order(obj.bc)
     joint = len(order_q) * len(order_c)
     # per-element candidate contributions, fixed for the whole run, in real
-    # ufuncs so that they do not depend on numpy's dispatch; the screen reads
-    # them level-major and the contributions in use per element
+    # ufuncs so that they do not depend on numpy's dispatch; the blocks read
+    # them level-major, rows in _lex_level_order, and the contributions in use
     cand_q_arr, cand_c_arr = (_product(u[:, None], phasor) for _, u, phasor in obj.bands)
     cand_q, cand_c = cand_q_arr.tolist(), cand_c_arr.tolist()
-    screen_q, screen_c = cand_q_arr.T.copy(), cand_c_arr.T.copy()
+    lex_q, lex_c = np.array(order_q), np.array(order_c)
+    screen_q, screen_c = cand_q_arr.T[lex_q], cand_c_arr.T[lex_c]
     cur_q, cur_c = cand_q_arr[:, 0].copy(), cand_c_arr[:, 0].copy()
 
     levels_q, levels_c = [0] * obj.n, [0] * obj.n
@@ -360,18 +439,34 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     value = qterm(tq) + cterm(tc)
     evaluations = 1
     trace: list[tuple[int, float]] = [(evaluations, value)]
+    hint = (np.zeros(0, int), np.zeros(0, int))     # the first sweep's guesses
 
     for sweep in range(cfg.max_iters):
         changed = False
         n = 0                       # elements before n are visited or skipped
         while n < obj.n:
+            hi = min(n + SCREEN_BLOCK, obj.n)
             if sweep:
-                hi = min(n + SCREEN_BLOCK, obj.n)
                 todo = (n + np.flatnonzero(_unclearable(
                     obj, screen_q[:, n:hi], screen_c[:, n:hi], cur_q[n:hi], cur_c[n:hi],
                     tq, tc, value))).tolist()
+            elif math.isfinite(value):
+                p, moved, new_q, new_c, vals, tq, tc, value, *hint = _verified_prefix(
+                    obj, screen_q[:, n:hi], screen_c[:, n:hi], *hint, tq, tc, value)
+                new_q, new_c = lex_q[new_q], lex_c[new_c]
+                for j, lq, lc, val in zip(moved.tolist(), new_q.tolist(), new_c.tolist(),
+                                          vals.tolist()):
+                    levels_q[n + j], levels_c[n + j] = lq, lc
+                    trace.append((evaluations + joint * (j + 1), val))
+                cur_q[n + moved], cur_c[n + moved] = (cand_q_arr[n + moved, new_q],
+                                                      cand_c_arr[n + moved, new_c])
+                changed = changed or moved.size > 0
+                evaluations += joint * p
+                n += p
+                hi = min(n + 1, hi)             # the element that ended the prefix, if any
+                todo = range(n, hi)
             else:
-                hi, todo = obj.n, range(n, obj.n)
+                todo = range(n, hi)
             for m in todo:
                 evaluations += joint * (m - n)          # the skipped elements
                 n = m + 1

@@ -423,12 +423,14 @@ class TestCsvOutput:
 
 
 # runs sweep, histogram and calibrate through the CLI into argv[1], BCD on the
-# objective pickled at argv[2], an anneal on the (objective, sweeps, restarts)
-# pickled at argv[3] and one on the QUBO file argv[4], writes calibrate's
-# output and the solver results there too, and prints whether numpy dispatches
-# to AVX2 (x86-64-v3) kernels
+# objective pickled at argv[2], an anneal and BCD on the (objective, sweeps,
+# restarts) pickled at argv[3] and an anneal on the QUBO file argv[4], writes
+# calibrate's output and the solver results there too, checks that np.hypot
+# rounds as abs(complex) on drawn totals (ExactObjective.exact_terms relies on
+# it), and prints whether numpy dispatches to AVX2 (x86-64-v3) kernels
 _DISPATCH_CHILD = """
 import contextlib, pickle, sys
+import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 from dualris.cli import run_cli
 from dualris.qubo import QuadraticObjective, load_qubo
@@ -455,6 +457,11 @@ with open(sys.argv[3], "rb") as fh:
     exact, sweeps, restarts = pickle.load(fh)
 write_result("anneal_exact.txt", simulated_annealing(exact, exact.dim, SolverConfig(
     kind="anneal", seed=1, max_iters=sweeps, restarts=restarts)))
+write_result("bcd_exact.txt", block_coordinate_descent(exact, SolverConfig(kind="bcd")))
+rng = np.random.default_rng(5)
+re, im = rng.standard_normal((2, 200000)) * 10.0 ** rng.uniform(-150, 150, (2, 200000))
+assert np.hypot(re, im).tolist() == [abs(complex(a, b))
+                                     for a, b in zip(re.tolist(), im.tolist())]
 with open(out + "/band_sweep.txt", "w") as fh:     # bits only: best_value is numpy's product
     fh.write(repr([band_sweep(o).best_bits.tolist() for o in (obj, exact)]))
 model = load_qubo(sys.argv[4])
@@ -599,6 +606,24 @@ class TestCli:
     HUGE_BETA = "[weights]\nalpha = 1\nbeta = 1e308\n[solver]\nkind = tabu\nobjective = quadratic\n"
     HUGE_EXACT_BETA = "[weights]\nalpha = 1\nbeta = 1e308\n[solver]\nkind = anneal\n"
 
+    @pytest.mark.parametrize("argv", [["optimize", "--elevation", "20", "--n", "8"],
+                                      ["qubo-export", "--n", "4"], ["calibrate"]])
+    def test_overflowing_cascade_prints_one_line(self, tmp_path, argv):
+        # a 5e-324 km ground segment overflows the cascade gains; four lines
+        # of numpy RuntimeWarning came before the config error, so the CLI
+        # runs in its own process, where stderr holds every line it prints
+        cfg = tmp_path / "near.ini"
+        cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n[ris]\nris_to_ground_km = 5e-324\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(experiments.__file__).parents[1])]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-m", "dualris.cli", "--config", str(cfg),
+                              *argv], env=env, capture_output=True, text=True)
+        assert run.returncode == EXIT_CONFIG
+        assert run.stderr.startswith("config error: the RIS cascade gains are not finite")
+        assert run.stderr.count("\n") == 1
+        assert os.listdir(tmp_path) == ["near.ini"]
+
     @pytest.mark.parametrize("ini,argv", [
         ("[sweep]\nris_sizes = 0,1.5\n", ["sweep"]),
         ("[sweep]\nris_sizes = 0:3:1.5\n", ["sweep"]),
@@ -655,6 +680,11 @@ class TestCli:
         (HUGE_EXACT_BETA, ["sweep"]),
         (HUGE_EXACT_BETA, ["histogram"]),
         (HUGE_EXACT_BETA, ["calibrate"]),      # its fits solve points with these weights
+        # log2(1 + snr_target) is 0, and the static weights divided by it
+        ("[weights]\nsnr_target = 1e-300\n", ["optimize", "--elevation", "20", "--n", "8"]),
+        ("[weights]\nsnr_target = 5e-324\n", ["optimize", "--elevation", "20", "--n", "8"]),
+        ("[weights]\nsnr_target = 1e-17\n", ["link-budget", "--elevation", "45", "--n", "8"]),
+        ("[weights]\nmode = swing\nsnr_target = 1e-300\n", ["calibrate"]),
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"
@@ -754,10 +784,12 @@ class TestCli:
     def test_same_csvs_and_bcd_under_pre_avx2_dispatch(self, tmp_path, model_n64):
         # the pinned CSVs, calibrate's output and coordinate descent do not
         # depend on numpy's SIMD kernels; BCD on this instance did while its
-        # candidate table was numpy's complex product. Nor did two anneals:
-        # the exact walk at the solve workload's (45 deg, N = 4096) state and
-        # the quadratic walk on the N = 64 model. Their start temperatures
-        # differ by ulps (numpy's log2 and sum), so this holds on this data.
+        # candidate table was numpy's complex product, nor does it at the
+        # solve workload's (45 deg, N = 4096) state, whose first sweep scores
+        # its blocks exactly (np.hypot, math.log2). Nor did two anneals: the
+        # exact walk at that state and the quadratic walk on the N = 64
+        # model. Their start temperatures differ by ulps (numpy's log2 and
+        # sum), so this holds on this data.
         # Nor did the band sweep's bits at both states, though np.angle's
         # breakpoints may differ by ulps and argsort is another algorithm
         from numpy._core._multiarray_umath import __cpu_features__
@@ -778,7 +810,8 @@ class TestCli:
             if level:              # the variable took effect: no AVX2 kernels in this child
                 assert has_avx2 == "False"
         for name in ("sweep.csv", "histogram.csv", "calibrate.txt", "bcd.txt",
-                     "anneal_exact.txt", "anneal_quadratic.txt", "band_sweep.txt"):
+                     "anneal_exact.txt", "bcd_exact.txt", "anneal_quadratic.txt",
+                     "band_sweep.txt"):
             files = [tmp_path / str(level) / name for level in ("X86_V2", None)]
             assert files[0].read_bytes() == files[1].read_bytes(), name
 

@@ -988,6 +988,39 @@ class TestAnnealSweep:
         assert got.evaluations == 3
 
 
+class TestExactTerms:
+    @pytest.mark.parametrize("weights", [CostWeights(), CostWeights(alpha=2.0, beta=1e300)])
+    def test_equal_to_the_scalar_terms_or_nan(self, weights):
+        # bit for bit where not NaN, NaN wherever a scalar term raises, and
+        # not NaN at moderate totals; the specials pair 0, -0, subnormals,
+        # near-overflow parts (abs overflows), inf and NaN
+        state, cal, cfg = make_instance(seed=3, n=4)
+        obj = ExactObjective(state, weights, cal, OPT, RF, cfg)
+        rng = np.random.default_rng(7)
+        drawn = rng.standard_normal((2, 4000)) * 10.0 ** rng.uniform(-320, 308, (2, 4000))
+        special = [0.0, -0.0, 5e-324, 1e-300, 1.0, 1e308, 1.7e308, math.inf, -math.inf,
+                   math.nan]
+        totals = np.empty(drawn.shape[1] + len(special) ** 2, complex)
+        totals.real = np.concatenate([drawn[0], np.repeat(special, len(special))])
+        totals.imag = np.concatenate([drawn[1], np.tile(special, len(special))])
+        totals = totals.reshape(2, -1)
+        eps_terms, log_terms = obj.exact_terms(totals, totals)
+        moderate = 0
+        for t, eq, ec in zip(totals.ravel().tolist(), eps_terms.ravel().tolist(),
+                             log_terms.ravel().tolist()):
+            assert math.isnan(ec) or ec.hex() == obj.classical_term(t).hex()
+            try:
+                scalar = obj.quantum_term(t)
+            except (OverflowError, ZeroDivisionError):
+                assert math.isnan(eq)
+                continue
+            assert math.isnan(eq) or eq.hex() == scalar.hex()
+            if 1e-200 < abs(t) < 1e200:
+                moderate += 1
+                assert not math.isnan(eq) and not math.isnan(ec)
+        assert moderate > 2000
+
+
 class TestWalkConsistency:
     @settings(deadline=None, max_examples=25)
     @given(st.integers(min_value=0, max_value=10**6))

@@ -478,6 +478,110 @@ class TestBcd:
         keep = solvers._unclearable(obj, cand_q, cand_c, cand_q[0], cand_c[0], tq, tc, value)
         assert keep.all()
 
+    @pytest.mark.parametrize("n", [1, 2, SCREEN_BLOCK - 1, SCREEN_BLOCK, SCREEN_BLOCK + 1,
+                                   600])
+    @pytest.mark.parametrize("bits", [(1, 1), (2, 2), (2, 3), (3, 1)])
+    def test_block_first_sweep_equals_the_element_visits(self, bits, n):
+        # drawn cascades, some of them zero, and few distinct ones, which tie
+        obj, cfg = random_instance(1000 * n + 10 * bits[0] + bits[1], n, bits=bits)
+        rng = np.random.default_rng(n)
+        uq, uc = obj.uq.copy(), obj.uc.copy()
+        zero = rng.random(n) < 0.3
+        uq[zero] = 0
+        uc[zero[::-1]] = 0
+        for cascades in ((obj.uq, obj.uc), (uq, uc),
+                         (rng.choice(obj.uq[:3], n), rng.choice(obj.uc[:2], n))):
+            state = dataclasses.replace(obj.state, cascade_quantum=cascades[0],
+                                        cascade_classical=cascades[1])
+            self.check_element_visits(ExactObjective(state, CostWeights(), obj.cal, OPT, RF,
+                                                     cfg))
+
+    @pytest.mark.parametrize("weights", ["infinite beta", "overflowing beta", "zero alpha",
+                                         "tiny beta", "QBER clamp"])
+    @pytest.mark.parametrize("n", [SCREEN_BLOCK + 1, 600])
+    def test_block_first_sweep_equals_the_element_visits_at_edge_weights(self, weights, n):
+        # zero alpha ties every quantum term, a tiny beta rejects the changes
+        # of the classical band alone, and the clamp ties quantum terms too
+        obj, cfg = random_instance(n, n, amp_hi=1.0 if weights == "QBER clamp" else 0.3)
+        _, tc = obj.totals_of(np.zeros(cfg.bits_total, np.uint8))
+        beta = {"infinite beta": math.inf,
+                "overflowing beta": 1.7e308 / math.log2(1.0 + obj.snr_coeff * abs(tc) ** 2),
+                "zero alpha": 1.0, "tiny beta": 1e-15}.get(weights)
+        if beta is not None:
+            alpha = 0.0 if weights == "zero alpha" else 1.0
+            obj = ExactObjective(obj.state, CostWeights(alpha=alpha, beta=beta), obj.cal,
+                                 OPT, RF, cfg)
+        self.check_element_visits(obj)
+
+    @pytest.mark.parametrize("instance", ["benchmark state", "zero alpha"])
+    def test_block_first_sweep_accepts_long_prefixes(self, instance):
+        # the blocks take nearly every element in few rounds, and the result
+        # is still the element visits': at the benchmark's (45 deg, N = 4096)
+        # state, and where every quantum term ties, so that the first guesses
+        # are often wrong and the previous block's decisions must hint them
+        if instance == "benchmark state":
+            cfg, cal = RunConfig(seed=workloads.STATE_SEED), workloads.pinned_calibration()
+            state, ris_cfg, _ = build_channel_state(cfg, cal, 45.0, 4096)
+            obj = ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
+        else:
+            obj, cfg = random_instance(5, 4096)
+            obj = ExactObjective(obj.state, CostWeights(alpha=0.0, beta=1.0), obj.cal, OPT,
+                                 RF, cfg)
+        prefixes = []
+
+        def spy(*args):
+            out = verified_prefix(*args)
+            prefixes.append(out[0])
+            return out
+
+        verified_prefix = solvers._verified_prefix
+        with mock.patch.object(solvers, "_verified_prefix", spy):
+            self.check_element_visits(obj, max_iters=1)
+        assert sum(prefixes) > 0.98 * 4096 and len(prefixes) < 64
+
+    def test_verified_prefix_ends_at_a_nan_term(self):
+        # a NaN term, where the scalar term may raise or round otherwise,
+        # ends the prefix even where the guess and the decision agree
+        obj, cfg = random_instance(8, 64)
+        lex = [np.array(solvers._lex_level_order(b)) for b in (cfg.bits_quantum,
+                                                               cfg.bits_classical)]
+        cand_q, cand_c = (qubo._product(u[:, None], phasor).T[order]
+                          for (_, u, phasor), order in zip(obj.bands, lex))
+        tq, tc = (h0 + sum(cand[0].tolist()) for (h0, _, _), cand in zip(obj.bands,
+                                                                         (cand_q, cand_c)))
+        value = obj.cost_from_totals(tq, tc)
+        # the first sweep's own decisions, as rows, verify the whole block
+        first = block_coordinate_descent(obj, SolverConfig(kind="bcd", max_iters=1))
+        rows_q, rows_c = (np.argsort(order)[levels]
+                          for order, levels in zip(lex, obj.levels_of(first.best_bits)))
+        assert solvers._verified_prefix(obj, cand_q, cand_c, rows_q, rows_c, tq, tc,
+                                        value)[0] == 64
+        j = int(np.flatnonzero(rows_q)[-1])       # a changed element, guessed unchanged
+        rows_q[j] = rows_c[j] = 0
+        exact_terms = obj.exact_terms
+
+        def nan_at_j(tq, tc):
+            eps_terms, log_terms = exact_terms(tq, tc)
+            eps_terms[:, j] = math.nan
+            return eps_terms, log_terms
+
+        with mock.patch.object(obj, "exact_terms", nan_at_j):
+            assert solvers._verified_prefix(obj, cand_q, cand_c, rows_q, rows_c, tq, tc,
+                                            value)[0] == j
+
+    @staticmethod
+    def check_element_visits(obj, max_iters=50):
+        """The descent equals the one whose first sweep visits element by element."""
+        scfg = SolverConfig(kind="bcd", max_iters=max_iters)
+        result = block_coordinate_descent(obj, scfg)
+        with mock.patch.object(solvers, "_verified_prefix", no_prefix):
+            every = block_coordinate_descent(obj, scfg)
+        assert np.array_equal(result.best_bits, every.best_bits)
+        assert (result.evaluations, result.trace) == (every.evaluations, every.trace)
+        assert float(result.best_value).hex() == float(every.best_value).hex()
+        assert all(float(a[1]).hex() == float(b[1]).hex()
+                   for a, b in zip(result.trace, every.trace))
+
     @staticmethod
     def check_joint_scan(obj):
         result = block_coordinate_descent(obj, SolverConfig(kind="bcd", max_iters=50))
@@ -486,6 +590,13 @@ class TestBcd:
         assert (result.evaluations, result.trace) == (evaluations, trace)
         assert result.best_value == obj.value(bits)
         return result
+
+
+def no_prefix(obj, cand_q, cand_c, hint_q, hint_c, tq, tc, value):
+    """solvers._verified_prefix accepting no element: every first-sweep
+    element then gets the scalar visit, one at a time."""
+    none = np.zeros(0, int)
+    return 0, none, none, none, np.zeros(0), tq, tc, value, none, none
 
 
 def joint_scan_bcd(obj, max_iters):
