@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .geometry import LinkGeometry
 
 TWO_PI = 2.0 * math.pi
+BOLTZMANN = 1.380649e-23  # J/K
 
 
 def wrap_phase(phase_rad: float) -> float:
@@ -53,6 +54,10 @@ class OpticalParams:
         for name in ("wavelength_m", "beam_divergence_rad", "rx_aperture_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("wavelength_m", "beam_divergence_rad"):    # the gains divide by its square
+            value = getattr(self, name)
+            if not value * value > 0.0:
+                raise ValueError(f"{name} = {value:g} is too small: its square underflows to 0")
         if self.jitter_rad < 0:
             raise ValueError("jitter_rad must be non-negative")
         if not 0.0 <= self.dark_count_prob <= 1e-3:
@@ -85,6 +90,10 @@ class RfParams:
                      "rx_gain", "tx_power_w", "sys_temp_k", "bandwidth_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not BOLTZMANN * self.sys_temp_k * self.bandwidth_hz > 0.0:     # snr divides by it
+            raise ValueError("the noise power k_B sys_temp_k bandwidth_hz underflows to 0 "
+                             f"(sys_temp_k = {self.sys_temp_k:g}, "
+                             f"bandwidth_hz = {self.bandwidth_hz:g})")
         if not 2.0 <= self.carrier_ghz <= 4.0:
             raise ValueError("carrier_ghz must lie in the S band [2, 4] GHz")
         if self.rain_rate_mm_h < 0:

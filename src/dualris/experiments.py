@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import OpticalParams, RfParams, optical_direct_gain, rf_direct_gain
+from .channels import ComplexGain, OpticalParams, RfParams, optical_direct_gain, rf_direct_gain
 from .geometry import GeometryParams, LinkGeometry, link_geometry
 from .metrics import (
     Calibration,
@@ -125,6 +125,13 @@ def derived_seed(master_seed: int, elevation_deg: float, n_elements: int) -> int
     return int(seq.generate_state(1)[0])
 
 
+def _direct_gains(cfg: RunConfig, elevation_deg: float
+                  ) -> tuple[LinkGeometry, ComplexGain, ComplexGain]:
+    """The link geometry and the optical and RF direct gains at an elevation."""
+    geom = link_geometry(math.radians(elevation_deg), cfg.geometry)
+    return geom, optical_direct_gain(cfg.optical, geom), rf_direct_gain(cfg.rf, geom)
+
+
 def build_channel_state(cfg: RunConfig, cal: Calibration, elevation_deg: float,
                         n_elements: int, att: float = 1.0
                         ) -> tuple[ChannelState, RisConfig, LinkGeometry]:
@@ -134,10 +141,7 @@ def build_channel_state(cfg: RunConfig, cal: Calibration, elevation_deg: float,
     paths) by a single linear power factor. Raises ObjectiveError when a
     cascade gain overflows, as a far too short RIS-to-ground segment makes it.
     """
-    theta = math.radians(elevation_deg)
-    geom = link_geometry(theta, cfg.geometry)
-    hq = optical_direct_gain(cfg.optical, geom)
-    hc = rf_direct_gain(cfg.rf, geom)
+    geom, hq, hc = _direct_gains(cfg, elevation_deg)
     amp_scale = math.sqrt(att)
     hq = replace(hq, amplitude=hq.amplitude * amp_scale)
     hc = replace(hc, amplitude=hc.amplitude * amp_scale)
@@ -185,14 +189,6 @@ def _bisect(fn, lo: float, hi: float, what: str = "fit") -> float:
     return 0.5 * (lo + hi)
 
 
-def _direct_amplitudes(cfg: RunConfig, elevation_deg: float) -> tuple[float, float]:
-    theta = math.radians(elevation_deg)
-    geom = link_geometry(theta, cfg.geometry)
-    hq = optical_direct_gain(cfg.optical, geom)
-    hc = rf_direct_gain(cfg.rf, geom)
-    return hq.amplitude, hc.amplitude
-
-
 def solve_point(cfg: RunConfig, cal: Calibration, elevation_deg: float,
                 n_elements: int, att: float = 1.0,
                 solver: SolverConfig | None = None
@@ -233,8 +229,7 @@ def calibrate(cfg: RunConfig, anchors: CalibrationAnchors | None = None) -> Cali
     pd = cfg.optical.dark_count_prob
 
     # step 1: RF gain offset against the low-elevation SNR anchor
-    _, hc_low = _direct_amplitudes(cfg, a.snr_deg)
-    base_snr = snr(cfg.rf, hc_low, 0.0)
+    base_snr = snr(cfg.rf, _direct_gains(cfg, a.snr_deg)[2].amplitude, 0.0)
     if base_snr <= 0.0:
         raise CalibrationError("baseline RF channel has zero power; "
                                "cannot fit the SNR anchor")
@@ -244,8 +239,7 @@ def calibrate(cfg: RunConfig, anchors: CalibrationAnchors | None = None) -> Cali
 
     # step 2: QBER anchors; for a candidate reference power the low anchor
     # fixes the visibility, the high anchor supplies the residual
-    hq_low, _ = _direct_amplitudes(cfg, a.low_deg)
-    hq_high, _ = _direct_amplitudes(cfg, a.high_deg)
+    hq_low, hq_high = (_direct_gains(cfg, e)[1].amplitude for e in (a.low_deg, a.high_deg))
     target_low = 1.0 - 2.0 * (a.qber_low - pd)
     if target_low <= 0:
         raise CalibrationError("low QBER anchor above 50%")
@@ -297,7 +291,7 @@ def calibrate(cfg: RunConfig, anchors: CalibrationAnchors | None = None) -> Cali
         lambda m: m.skr_bits_s / base_skr - (1.0 + a.skr_gain_high))
 
     # step 5: RF cascade scale against the optimized SNR-gain anchor
-    _, hc_high = _direct_amplitudes(cfg, a.high_deg)
+    hc_high = _direct_gains(cfg, a.high_deg)[2].amplitude
     base_snr_high = snr(cfg.rf, hc_high, cal.rf_gain_offset_db)
     return _fit_cascade_scale(
         cfg, cal, a, "rf_element_scale",
@@ -315,10 +309,11 @@ def _fit_cascade_scale(cfg: RunConfig, cal: Calibration, a: CalibrationAnchors,
     unit * scale is the cascade it builds at that scale. The band sweep picks
     each band's levels from that band's inputs alone (band_sweep), so each
     scale re-sweeps the fitted band, and the other band is swept once per
-    fit. The metrics are scored at the swept levels (metrics_at), as
-    metrics_of scores them at their bits. enforce_security is skipped: its
-    fallback is the band sweep's own bits. Residuals are kept by scale, since _bisect evaluates again the
-    bracket ends that the search below found.
+    fit. The metrics are link_metrics at the totals of the swept levels, as
+    metrics_of scores them at the totals of their bits. enforce_security is
+    skipped: its fallback is the band sweep's own bits. Residuals are kept by
+    scale, since _bisect evaluates again the bracket ends that the search
+    below found.
     """
     band = 0 if name == "element_amp_scale" else 1       # 0 quantum, 1 classical
     fitted = ("cascade_quantum", "cascade_classical")[band]
@@ -341,7 +336,7 @@ def _fit_cascade_scale(cfg: RunConfig, cal: Calibration, a: CalibrationAnchors,
             if other is None:
                 other = band_levels(*obj.bands[1 - band])
             levels = (swept, other) if band == 0 else (other, swept)
-            residuals[scale] = residual_of(obj.metrics_at(*levels))
+            residuals[scale] = residual_of(link_metrics(obj, *obj.totals_at(*levels)))
         return residuals[scale]
 
     lo, hi = 1e-12, 1e-6
@@ -354,11 +349,10 @@ def evaluate_point(cfg: RunConfig, cal: Calibration, elevation_deg: float,
                    n_elements: int, att: float = 1.0
                    ) -> tuple[SweepRow, SolverResult | None, ExactObjective | None]:
     """Metrics for one sweep point, with the result and objective it solved (None at N = 0)."""
-    if n_elements == 0:
-        state, _, _ = build_channel_state(cfg, cal, elevation_deg, 0, att)
-        m = link_metrics(state.direct_quantum.amplitude, state.direct_quantum.amplitude,
-                         state.direct_classical.amplitude, cfg.optical, cfg.rf,
-                         cfg.weights, cal)
+    if n_elements == 0:            # the direct path is the one assignment
+        state, ris_cfg, _ = build_channel_state(cfg, cal, elevation_deg, 0, att)
+        direct = ExactObjective(state, cfg.weights, cal, cfg.optical, cfg.rf, ris_cfg)
+        m = link_metrics(direct, direct.h0q, direct.h0c)
         row = SweepRow(elevation_deg, 0, m.snr_db, m.ber, m.qber, m.skr_bits_s,
                        m.cost, m.qber <= QBER_SECURITY_THRESHOLD, 0)
         return row, None, None

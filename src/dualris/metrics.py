@@ -1,4 +1,4 @@
-"""Receiver performance metrics and the joint scalar cost.
+"""Receiver performance metrics and the weights of the joint scalar cost.
 
 The textbook forms (`qber` affine in a caller-supplied normalized
 transmittance, `skr` from the binary entropy) are driven by a `Calibration`
@@ -6,17 +6,21 @@ whose constants pin the model to published Micius benchmark values: a fitted
 effective visibility stands in for the turbulence-degraded one, the normalized
 transmittance saturates as r / (1 + r) so that both elevation anchors are
 reachable, and the RIS field-amplitude gain divides the residual error rate.
+link_metrics reads every metric at an ExactObjective's band totals, so the
+reported cost is the objective's own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import OpticalParams, RfParams
+from .channels import BOLTZMANN, RfParams
 
-BOLTZMANN = 1.380649e-23  # J/K
+if TYPE_CHECKING:
+    from .qubo import ExactObjective
 
 QBER_SECURITY_THRESHOLD = 0.11
 
@@ -167,14 +171,6 @@ def resolve_weights(cw: CostWeights, current_snr: float | None = None) -> tuple[
     return static_weights(cw)
 
 
-def cost(eps: float, snr_linear: float, weights: tuple[float, float]) -> float:
-    """Scalar objective alpha * qber - beta * log2(1 + snr)."""
-    if snr_linear < 0:
-        raise ValueError("snr must be non-negative")
-    alpha, beta = weights
-    return alpha * eps - beta * math.log2(1.0 + snr_linear)
-
-
 # --- calibrated pipeline -----------------------------------------------------
 
 def normalized_transmittance(power_ratio: float) -> float:
@@ -217,35 +213,25 @@ def field_gain_qber_array(total_amp: np.ndarray, direct_amp: float, eps_base: fl
     return np.clip(eps, 0.0, eps_hi)
 
 
-def calibrated_qber(direct_amp: float, total_amp: float, cal: Calibration,
-                    p_dark: float) -> float:
-    """field_gain_qber at the calibrated baseline QBER of the direct channel."""
-    return field_gain_qber(total_amp, direct_amp,
-                           calibrated_baseline_qber(direct_amp, cal, p_dark), p_dark)
-
-
 def calibrated_raw_rate(total_amp: float, cal: Calibration) -> float:
     """Raw key rate: raw_rate_scale per unit normalized field amplitude."""
     return cal.raw_rate_scale * total_amp / math.sqrt(cal.h_ref_sq)
 
 
-def link_metrics(direct_q_amp: float, total_q_amp: float, total_c_amp: float,
-                 optical: OpticalParams, rf: RfParams,
-                 weights: CostWeights | tuple[float, float], cal: Calibration) -> Metrics:
-    """All receiver metrics for one (calibrated) channel realization.
+def link_metrics(objective: ExactObjective, tq: complex, tc: complex) -> Metrics:
+    """All receiver metrics at the band totals tq, tc of objective.
 
-    weights is an (alpha, beta) pair already resolved, or CostWeights to
-    resolve at this realization's SNR.
+    QBER, gamma and cost are the objective's own terms at those totals, so
+    the cost is the value the solvers minimize, bit for bit.
     """
-    gamma = snr(rf, total_c_amp, cal.rf_gain_offset_db)
-    eps = calibrated_qber(direct_q_amp, total_q_amp, cal, optical.dark_count_prob)
-    raw = calibrated_raw_rate(total_q_amp, cal)
-    w = weights if isinstance(weights, tuple) else resolve_weights(
-        weights, current_snr=gamma if gamma > 0 else None)
+    amp_q = abs(tq)
+    eps = objective.qber_from_total(amp_q)
+    gamma = objective.snr_coeff * (tc.real * tc.real + tc.imag * tc.imag)
+    raw = calibrated_raw_rate(amp_q, objective.cal)
     return Metrics(
         snr_linear=gamma,
         ber=ber_qpsk(gamma),
         qber=eps,
-        skr_bits_s=skr(raw, eps, optical.ec_inefficiency),
-        cost=cost(eps, gamma, w),
+        skr_bits_s=skr(raw, eps, objective.optical.ec_inefficiency),
+        cost=objective.cost_from_totals(tq, tc),
     )

@@ -89,7 +89,6 @@ class ExactObjective:
         self.state = state
         self.cal = cal
         self.optical = optical
-        self.rf = rf
         self.cfg = cfg
         self.n = cfg.n_elements
         self.bq = cfg.bits_quantum
@@ -103,7 +102,8 @@ class ExactObjective:
         self.p_dark = optical.dark_count_prob
         self.eps_base = calibrated_baseline_qber(self.direct_amp, cal, self.p_dark)
         self.snr_coeff = snr(rf, 1.0, cal.rf_gain_offset_db)     # SNR per unit |T_C|^2
-        baseline_snr = self.snr_coeff * abs(self.h0c) ** 2
+        baseline_snr = self.snr_coeff * (self.h0c.real * self.h0c.real
+                                         + self.h0c.imag * self.h0c.imag)
         self.alpha, self.beta = resolve_weights(
             weights, current_snr=baseline_snr if baseline_snr > 0 else None)
         # per band, quantum first: (direct gain, cascades, unit phasor per level)
@@ -169,7 +169,7 @@ class ExactObjective:
         and math.log2, by a few ulps.
         """
         eps = field_gain_qber_array(np.abs(tq), self.direct_amp, self.eps_base, self.p_dark)
-        gamma = self.snr_coeff * np.abs(tc) ** 2
+        gamma = self.snr_coeff * (tc.real * tc.real + tc.imag * tc.imag)
         return self.alpha * eps, -self.beta * np.log2(1.0 + gamma)
 
     def exact_terms(self, tq: np.ndarray, tc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,14 +217,8 @@ class ExactObjective:
         tq, _ = self.totals_of(x)
         return self.qber_from_total(abs(tq))
 
-    def metrics_at(self, levels_q: np.ndarray, levels_c: np.ndarray) -> Metrics:
-        """Link metrics with each element at its level (metrics_of at their bits)."""
-        tq, tc = self.totals_at(levels_q, levels_c)
-        return link_metrics(self.direct_amp, abs(tq), abs(tc), self.optical, self.rf,
-                            (self.alpha, self.beta), self.cal)
-
     def metrics_of(self, x: np.ndarray) -> Metrics:
-        return self.metrics_at(*self.levels_of(x))
+        return link_metrics(self, *self.totals_of(x))
 
     def walk(self, x: np.ndarray) -> "ObjectiveWalk":
         return ObjectiveWalk(self, x)

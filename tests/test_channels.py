@@ -196,3 +196,17 @@ def test_param_validation():
         OpticalParams(jitter_rad=-1e-6)
     with pytest.raises(ValueError):
         RfParams(carrier_ghz=5.0)
+
+
+def test_divisors_that_underflow_are_refused():
+    # the antenna gains divide by the square, and snr by k_B T B; the smallest
+    # values whose divisor stays > 0 still build
+    for name in ("wavelength_m", "beam_divergence_rad"):
+        with pytest.raises(ValueError, match=name):
+            OpticalParams(**{name: 1e-300})
+        params = OpticalParams(**{name: 1e-150})
+        assert optical_tx_gain(params) > 0 and optical_rx_gain(params) > 0
+    for name in ("sys_temp_k", "bandwidth_hz"):
+        with pytest.raises(ValueError, match=name):
+            RfParams(**{name: 5e-324})
+    RfParams(sys_temp_k=1e-300)

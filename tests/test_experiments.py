@@ -228,6 +228,23 @@ class TestSweep:
                 assert row.dsnr_db > 0.0
                 assert row.dqber_pp > 0.0
 
+    def test_cost_is_the_value_the_solver_minimized(self, run_config, calibrated,
+                                                    sweep_result):
+        # bit for bit on every row: a RIS row's cost is its result's value, and
+        # a baseline row's is the cost at the direct totals
+        cal = calibrated["cal"]
+        for row in sweep_result["rows"]:
+            e, n = row.elevation_deg, row.n_elements
+            if n == 0:
+                state, ris_cfg, _ = build_channel_state(run_config, cal, e, 0)
+                obj = ExactObjective(state, run_config.weights, cal, run_config.optical,
+                                     run_config.rf, ris_cfg)
+                assert row.cost.hex() == obj.cost_from_totals(obj.h0q, obj.h0c).hex()
+                continue
+            _, result, obj = evaluate_point(run_config, cal, e, n)
+            assert row.cost.hex() == result.best_value.hex()
+            assert row.cost.hex() == obj.value(result.best_bits).hex()
+
     def test_delta_requires_baseline(self, sweep_result):
         ris_only = [r for r in sweep_result["rows"] if r.n_elements > 0]
         with pytest.raises(ValueError):
@@ -408,8 +425,8 @@ class TestCsvOutput:
                 lines = (out / name).read_bytes().splitlines(keepends=True)
                 body = b"".join(line for line in lines if not line.startswith(b"# timestamp:"))
                 digest[name] = hashlib.sha256(body).hexdigest()
-            assert digest["sweep.csv"] == ("f72476dbe1702a35db6845b001579db9"
-                                           "1843bf21e840bc3b3ac39bdb3d1c914e")
+            assert digest["sweep.csv"] == ("12701dbc55cc3225d12d15f5d19437ee"
+                                           "820dca7603f2d0e51ff2c3df1e962732")
             assert digest["histogram.csv"] == ("633c977bafcc228cb2a860541fea2960"
                                                "574f14b7984908bb79df393015f572dc")
         # the benchmark harness of record imports and parses its options
@@ -685,6 +702,14 @@ class TestCli:
         ("[weights]\nsnr_target = 5e-324\n", ["optimize", "--elevation", "20", "--n", "8"]),
         ("[weights]\nsnr_target = 1e-17\n", ["link-budget", "--elevation", "45", "--n", "8"]),
         ("[weights]\nmode = swing\nsnr_target = 1e-300\n", ["calibrate"]),
+        # divisors that underflow to 0 divided by zero: k_B T B in snr, and the
+        # squares in the optical antenna gains
+        *[(f"[{section}]\n{key} = {raw}\n", ["link-budget", "--elevation", "45", "--n", "16"])
+          for section, key, raws in (("rf", "sys_temp_k", ("5e-324",)),
+                                     ("rf", "bandwidth_hz", ("5e-324",)),
+                                     ("optical", "wavelength_m", ("1e-300", "5e-324")),
+                                     ("optical", "beam_divergence_rad", ("1e-300", "5e-324")))
+          for raw in raws],
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dualris.channels import RfParams
+from dualris.channels import ComplexGain, OpticalParams, RfParams
 from dualris.metrics import (
     BOLTZMANN,
     Calibration,
@@ -12,10 +12,9 @@ from dualris.metrics import (
     ber_qpsk,
     binary_entropy,
     calibrated_baseline_qber,
-    calibrated_qber,
-    cost,
     field_gain_qber,
     field_gain_qber_array,
+    link_metrics,
     normalized_transmittance,
     qber,
     resolve_weights,
@@ -24,6 +23,24 @@ from dualris.metrics import (
     static_weights,
     swing_weights,
 )
+from dualris.qubo import ExactObjective
+from dualris.ris import ChannelState, RisConfig
+
+CAL = Calibration(raw_rate_scale=100.0, effective_visibility=0.98, h_ref_sq=1e-4)
+P_DARK = 1e-5
+
+
+def direct_objective(weights=CostWeights()):
+    """A zero-element objective on a direct path of amplitude 0.05 in each band."""
+    state = ChannelState(ComplexGain(0.05, 0.0), ComplexGain(0.05, 0.0))
+    return ExactObjective(state, weights, CAL, OpticalParams(dark_count_prob=P_DARK),
+                          RfParams(), RisConfig(n_elements=0))
+
+
+def totals_near(obj, eps, gamma):
+    """Real band totals at which obj's QBER is eps and its SNR gamma, to a few ulps."""
+    gain = (obj.eps_base - obj.p_dark) / (eps - obj.p_dark)
+    return complex(gain * obj.direct_amp), complex(math.sqrt(gamma / obj.snr_coeff))
 
 
 class TestSnr:
@@ -158,29 +175,44 @@ class TestWeights:
 
 
 class TestCost:
+    """The cost of link_metrics, which is the objective's cost_from_totals."""
+
     def test_balanced_at_thresholds(self):
-        w = static_weights(CostWeights(qber_threshold=0.011, snr_target=100.0))
-        f = cost(0.011, 100.0, w)
-        assert abs(f) <= 1e-6 * 0.011   # both terms cancel at the design point
+        cw = CostWeights(qber_threshold=0.011, snr_target=100.0)
+        obj = direct_objective(cw)
+        assert (obj.alpha, obj.beta) == static_weights(cw)
+        m = link_metrics(obj, *totals_near(obj, 0.011, 100.0))
+        assert abs(m.cost) <= 1e-6 * 0.011   # both terms cancel at the design point
 
     def test_zero_snr(self):
-        assert cost(0.02, 0.0, (1.0, 0.5)) == pytest.approx(0.02)
+        obj = direct_objective(CostWeights(alpha=1.0, beta=0.5))
+        tq, _ = totals_near(obj, 0.02, 1.0)
+        m = link_metrics(obj, tq, 0j)
+        assert m.snr_linear == 0.0
+        assert m.cost == m.qber == pytest.approx(0.02)
 
     def test_representative_point(self):
-        w = static_weights(CostWeights())
-        assert cost(0.007, 398.0, w) == pytest.approx(-0.007274508183564826, rel=1e-9)
+        obj = direct_objective()
+        m = link_metrics(obj, *totals_near(obj, 0.007, 398.0))
+        assert m.cost == pytest.approx(-0.007274508183564826, rel=1e-9)
 
-    @given(st.floats(min_value=0.0, max_value=0.2), st.floats(min_value=0.0, max_value=0.19),
+    # the field gain keeps the QBER above p_dark, so eps starts just above it
+    @given(st.floats(min_value=2e-5, max_value=0.2), st.floats(min_value=0.0, max_value=0.19),
            st.floats(min_value=0.1, max_value=1e4))
     def test_partial_signs(self, eps, d_eps, gamma):
-        w = static_weights(CostWeights())
-        assert cost(eps + d_eps + 1e-9, gamma, w) > cost(eps, gamma, w) - 1e-15
-        assert cost(eps, gamma * 1.01 + 1e-9, w) < cost(eps, gamma, w) + 1e-15
+        obj = direct_objective()
+
+        def cost(e, g):
+            tq, tc = totals_near(obj, e, g)
+            value = obj.cost_from_totals(tq, tc)
+            assert link_metrics(obj, tq, tc).cost == value
+            return value
+
+        assert cost(eps + d_eps + 1e-9, gamma) > cost(eps, gamma) - 1e-15
+        assert cost(eps, gamma * 1.01 + 1e-9) < cost(eps, gamma) + 1e-15
 
 
 class TestCalibratedPipeline:
-    CAL = Calibration(raw_rate_scale=100.0, effective_visibility=0.98, h_ref_sq=1e-4)
-
     def test_saturation_bounds(self):
         assert normalized_transmittance(0.0) == 0.0
         assert 0.0 < normalized_transmittance(100.0) < 1.0
@@ -188,23 +220,24 @@ class TestCalibratedPipeline:
             normalized_transmittance(-1.0)
 
     def test_unit_gain_reduces_to_baseline(self):
-        base = calibrated_baseline_qber(0.05, self.CAL, 1e-5)
-        assert calibrated_qber(0.05, 0.05, self.CAL, 1e-5) == pytest.approx(base, rel=1e-12)
+        base = calibrated_baseline_qber(0.05, CAL, P_DARK)
+        obj = direct_objective()
+        assert link_metrics(obj, obj.h0q, obj.h0c).qber == pytest.approx(base, rel=1e-12)
 
     def test_field_gain_divides_residual(self):
-        base = calibrated_baseline_qber(0.05, self.CAL, 1e-5)
-        eps = calibrated_qber(0.05, 0.10, self.CAL, 1e-5)
-        assert eps == pytest.approx((base - 1e-5) / 2.0 + 1e-5, rel=1e-12)
+        base = calibrated_baseline_qber(0.05, CAL, P_DARK)
+        eps = link_metrics(direct_objective(), 0.10 + 0j, 0j).qber
+        assert eps == pytest.approx((base - P_DARK) / 2.0 + P_DARK, rel=1e-12)
 
     def test_dead_channel_clamps(self):
-        assert calibrated_qber(0.05, 0.0, self.CAL, 1e-5) == 0.5 + 1e-5
+        assert link_metrics(direct_objective(), 0j, 0j).qber == 0.5 + P_DARK
 
     def test_misalignment_raises_qber(self):
-        base = calibrated_baseline_qber(0.05, self.CAL, 1e-5)
-        assert calibrated_qber(0.05, 0.03, self.CAL, 1e-5) > base
+        base = calibrated_baseline_qber(0.05, CAL, P_DARK)
+        assert link_metrics(direct_objective(), 0.03 + 0j, 0j).qber > base
 
     def test_scalar_and_array_maps_agree_bit_for_bit(self):
-        base = calibrated_baseline_qber(0.05, self.CAL, 1e-5)
+        base = calibrated_baseline_qber(0.05, CAL, 1e-5)
         # dead channel, deep misalignment (upper clamp), ordinary gains
         amps = np.array([0.0, 1e-9, 0.003, 0.03, 0.05, 0.0731, 0.5, 12.0])
         scalar = [field_gain_qber(a, 0.05, base, 1e-5) for a in amps]
@@ -213,6 +246,6 @@ class TestCalibratedPipeline:
         assert array.tolist() == scalar
 
     def test_nan_amplitude_stays_nan_in_both_maps(self):
-        base = calibrated_baseline_qber(0.05, self.CAL, 1e-5)
+        base = calibrated_baseline_qber(0.05, CAL, 1e-5)
         assert math.isnan(field_gain_qber(math.nan, 0.05, base, 1e-5))
         assert np.isnan(field_gain_qber_array(np.array([math.nan]), 0.05, base, 1e-5)).all()

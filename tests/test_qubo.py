@@ -1021,6 +1021,23 @@ class TestExactTerms:
         assert moderate > 2000
 
 
+class TestMetricsOf:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(0, 8), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from([0.05, 0.25, 1.0]), st.sampled_from(["static", "swing"]))
+    def test_cost_and_snr_are_the_objective_terms(self, seed, n, bq, bc, amp, mode):
+        # the metrics' cost is the value the solvers score, and their SNR is
+        # kappa (re^2 + im^2) of the classical total, both bit for bit
+        state, cal, cfg = make_instance(seed=seed, n=n, bq=bq, bc=bc, amp=amp)
+        obj = ExactObjective(state, CostWeights(mode=mode), cal, OPT, RF, cfg)
+        x = np.random.default_rng(seed).integers(0, 2, cfg.bits_total, dtype=np.uint8)
+        m = obj.metrics_of(x)
+        _, tc = obj.totals_of(x)
+        assert m.cost.hex() == obj.value(x).hex()
+        assert m.snr_linear.hex() == (obj.snr_coeff * (tc.real * tc.real
+                                                       + tc.imag * tc.imag)).hex()
+
+
 class TestWalkConsistency:
     @settings(deadline=None, max_examples=25)
     @given(st.integers(min_value=0, max_value=10**6))
