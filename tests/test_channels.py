@@ -199,8 +199,8 @@ def test_param_validation():
 
 
 def test_divisors_that_underflow_are_refused():
-    # the antenna gains divide by the square, and snr by k_B T B; the smallest
-    # values whose divisor stays > 0 still build
+    # the antenna gains divide by the square, and snr by k_B T B; values whose
+    # divisor stays > 0 still build
     for name in ("wavelength_m", "beam_divergence_rad"):
         with pytest.raises(ValueError, match=name):
             OpticalParams(**{name: 1e-300})
