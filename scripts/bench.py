@@ -51,6 +51,14 @@ With two checkouts, the second one's file also holds this table as
 comparison: the first checkout's source sha256 (against_source_sha256) and
 per row the workload (or tier1, or the CLI command's first word), metric,
 both medians, rounds, wins and losses of the second, and sign_test_p.
+With two checkouts, each round also runs SETUP_PAIRS pairs of fresh-process
+`perfbench/setup_probe.py` set-ups per workload: one probe of each checkout,
+back to back, with the checkout that goes first alternating from pair to
+pair. The two probes of a pair see the same host, while setup_s, the median
+of one run's five probes, drifts with the host. The second file's setup_pairs
+section holds per workload each pair's round, both set-up times (imports plus
+inputs) and their ratio, second over first, and the median ratio, the pairs
+the second won and lost, and sign_test_p; the closing table prints the same.
 """
 from __future__ import annotations
 
@@ -77,6 +85,7 @@ CLI_COMMANDS = ("calibrate", "link-budget --elevation 45 --n 512",
                 "optimize --elevation 45 --n 512", "sweep", "histogram",
                 "qubo-export --n 128")
 CLI_RUNS = 3                     # cold starts per command, checkout and round
+SETUP_PAIRS = 5                  # set-up probe pairs per workload and round
 QUAD_GAP_ROW = re.compile(r"^\s+quadratic_anneal_gap\s+relative\s+(\S+)", re.M)
 
 
@@ -161,6 +170,26 @@ def run_cli(checkout: Path, command: str, round_: int, position: int) -> dict:
         raise RuntimeError(f"{checkout}: dualris {command} exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
     return {"round": round_, "position_in_round": position, "wall_s": wall, "cpu_s": cpu}
+
+
+def probe_setup(checkout: Path, workload: str, seed: int) -> float:
+    """One fresh-process set-up of the checkout's setup_probe.py: imports plus inputs."""
+    argv = [sys.executable, "perfbench/setup_probe.py", workload, str(seed)]
+    with tempfile.TemporaryDirectory(prefix="bench-setup-") as tmp:
+        done, _, _ = timed_child(argv + [tmp], checkout, Path("src"))
+    if done.returncode != 0:
+        raise RuntimeError(f"{checkout}: {' '.join(argv)} exited {done.returncode}:\n"
+                           f"{done.stderr[-2000:]}")
+    times = json.loads(done.stdout.strip().splitlines()[-1])
+    return times["import_s"] + times["inputs_s"]
+
+
+def setup_pair_summary(pairs: list[dict]) -> dict:
+    """Median ratio, the second's wins and losses and sign_test_p of one workload's pairs."""
+    ratios = [p["ratio"] for p in pairs]
+    wins, losses = sum(x < 1.0 for x in ratios), sum(x > 1.0 for x in ratios)
+    return {"pairs": pairs, "median_ratio": statistics.median(ratios), "wins": wins,
+            "losses": losses, "sign_test_p": sign_test_p(wins, losses)}
 
 
 def run_entry(run: dict, seed: int, position: int) -> dict:
@@ -274,6 +303,7 @@ def main(argv=None) -> int:
     runs = {c: {w: [] for w in WORKLOADS} for c in checkouts}
     tier1 = {c: [] for c in checkouts}
     cli = {c: {command: [] for command in CLI_COMMANDS} for c in checkouts}
+    setup_pairs = {w: [] for w in WORKLOADS}
     for r in range(args.rounds):
         seed = args.seed + r
         order = checkouts if r % 2 == 0 else checkouts[::-1]
@@ -287,6 +317,17 @@ def main(argv=None) -> int:
                       f"peak_rss_mb {run['entry']['medians']['peak_rss_mb']:.4g}  "
                       f"failed {run['entry']['failed']}  wall {run['wall_s']:.1f} s  "
                       f"cpu {run['cpu_s']:.1f} s", flush=True)
+        for workload in WORKLOADS if len(checkouts) == 2 else ():
+            for k in range(SETUP_PAIRS):
+                times = {c: probe_setup(c, workload, seed)
+                         for c in (order if k % 2 == 0 else order[::-1])}
+                first, second = (times[c] for c in checkouts)
+                setup_pairs[workload].append({
+                    "round": r, "first_ran_first": next(iter(times)) == checkouts[0],
+                    "first_s": first, "second_s": second, "ratio": second / first})
+            ratios = [p["ratio"] for p in setup_pairs[workload][-SETUP_PAIRS:]]
+            print(f"round {r} {'setup':<9} {workload:<20} second/first "
+                  + " ".join(f"{x:.3f}" for x in ratios), flush=True)
         for position, checkout in enumerate(order):
             t1 = run_tier1(checkout, position)
             tier1[checkout].append(t1)
@@ -305,6 +346,9 @@ def main(argv=None) -> int:
         first, second = docs.values()
         second["comparison"] = {"against_source_sha256": first["source_sha256"],
                                 "rows": rows}
+        second["setup_pairs"] = {
+            "against_source_sha256": first["source_sha256"], "pairs_per_round": SETUP_PAIRS,
+            "workloads": {w: setup_pair_summary(p) for w, p in setup_pairs.items()}}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for c, doc in docs.items():
@@ -321,6 +365,12 @@ def main(argv=None) -> int:
         if "wins" in row:
             line += f"  {row['wins']}/{row['rounds']:<10} {row['sign_test_p']:.4f}"
         print(line)
+    if len(docs) == 2:
+        print(f"\n{'workload':<12} {'setup pairs':<12} {'median ratio':>14}"
+              "  wins of 2nd  sign-test p")
+        for workload, pairs in second["setup_pairs"]["workloads"].items():
+            print(f"{workload:<12} {len(pairs['pairs']):<12} {pairs['median_ratio']:>14.4f}"
+                  f"  {pairs['wins']}/{len(pairs['pairs']):<10} {pairs['sign_test_p']:.4f}")
     return 0
 
 

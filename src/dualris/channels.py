@@ -54,10 +54,18 @@ class OpticalParams:
         for name in ("wavelength_m", "beam_divergence_rad", "rx_aperture_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("wavelength_m", "beam_divergence_rad"):    # the gains divide by its square
-            value = getattr(self, name)
-            if not value * value > 0.0:
-                raise ValueError(f"{name} = {value:g} is too small: its square underflows to 0")
+        tx, rx = optical_tx_gain(self), optical_rx_gain(self)
+        for what, gain, names in (
+                ("tx gain", tx, ("beam_divergence_rad",)),
+                ("rx gain", rx, ("rx_aperture_m", "wavelength_m")),
+                ("tx gain times rx gain", tx * rx,
+                 ("beam_divergence_rad", "rx_aperture_m", "wavelength_m")),
+                ("mean pointing gain", mean_pointing_gain(self),
+                 ("jitter_rad", "beam_divergence_rad"))):
+            if not 0.0 < gain < math.inf:
+                fields = ", ".join(f"{name} = {getattr(self, name):g}" for name in names)
+                raise ValueError(f"the optical {what} is {gain:g}; it must be finite and > 0 "
+                                 f"({fields})")
         if self.jitter_rad < 0:
             raise ValueError("jitter_rad must be non-negative")
         if not 0.0 <= self.dark_count_prob <= 1e-3:
@@ -100,14 +108,21 @@ class RfParams:
             raise ValueError("rain_rate_mm_h must be non-negative")
 
 
+def _over_square(num: float, x: float) -> float:
+    """num / x^2 without raising: inf where x^2 underflows to 0."""
+    square = x * x
+    return num / square if square > 0.0 else math.inf
+
+
 def optical_tx_gain(params: OpticalParams) -> float:
     """Laser directivity gain 4*pi / theta_div^2."""
-    return 4.0 * math.pi / params.beam_divergence_rad**2
+    return _over_square(4.0 * math.pi, params.beam_divergence_rad)
 
 
 def optical_rx_gain(params: OpticalParams) -> float:
     """Receiver telescope gain pi * D_r^2 / lambda^2."""
-    return math.pi * params.rx_aperture_m**2 / params.wavelength_m**2
+    return _over_square(math.pi * (params.rx_aperture_m * params.rx_aperture_m),
+                        params.wavelength_m)
 
 
 def optical_direct_gain(params: OpticalParams, geom: LinkGeometry) -> ComplexGain:

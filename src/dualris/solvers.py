@@ -373,47 +373,48 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     Sweeps elements in index order from the all-zero configuration. The cost
     is a quantum term plus a classical term, so the best of the 2^b_Q * 2^b_C
     joint phase pairs of an element pairs the first strict argmin of its
-    2^b_Q quantum terms with that of its 2^b_C classical terms, both in
-    _lex_level_order; evaluations still counts every joint pair. Stops when
-    a full sweep makes no change or after max_iters sweeps.
+    2^b_Q quantum terms with that of its 2^b_C classical terms; evaluations
+    still counts every joint pair. Stops when a full sweep makes no change or
+    after max_iters sweeps.
 
-    A visit changes element n only if value - (eq + ec) > 1e-12 |value|,
-    where eq and ec are its smallest quantum and classical terms at the
-    current totals. Numpy scores the next SCREEN_BLOCK elements at once; each
-    sweep's result, evaluations and trace equal those of scalar visits in
-    order, bit for bit.
+    One (K, N) table per band holds the candidates: row r, column n is
+    u_n phasor[l] at the r-th level l of _lex_level_order, so row 0 is level
+    0 and the first argmin over rows is the lexicographic one. Each element
+    keeps its current row and contribution cur_n; levels are read from the
+    rows at the end. A visit scores column n at the totals (t - cur_n) +
+    table[r, n] and changes n only if value - (eq + ec) > 1e-12 |value|, eq
+    and ec being its smallest terms, and their rows are new. When value is
+    +-inf or NaN, value - (eq + ec) is +-inf or NaN and never exceeds
+    1e-12 |value|, so a sweep ends once the value is not finite, adding the
+    joint pairs of each element it did not visit. Numpy scores SCREEN_BLOCK
+    elements at once; each sweep's result, evaluations and trace equal those
+    of scalar visits in order, bit for bit.
 
-    First sweep: guess, verify, accept a prefix. From all zeros the first
-    sweep changes most elements, so _verified_prefix guesses each element's
-    levels: the decisions that the previous block scored for it, else per band
-    the level that maximizes Re(conj(t - cur_n) u_n phasor[l]). One
-    np.add.accumulate per band over the guessed changes alone, each as
-    t - old, then + new, gives the totals that the scalar visits would hold
-    before each element, if every earlier guess is right. Complex add and
-    subtract act per component and accumulate adds in order, so these
-    totals equal the scalar visits' bit for bit; adding + 0 for an unchanged
-    element would not, as -0.0 + 0 is +0.0. ExactObjective.exact_terms scores
-    every candidate at those totals as quantum_term and classical_term do;
-    the first argmin in _lex_level_order and the 1e-12 test at the running
-    value then give each element's decision. The block accepts the longest
-    prefix whose decisions equal the guesses: all its totals and values are
-    then the scalar ones. The element that ends the prefix has an exact
-    pre-state, and gets the scalar visit; the next block starts after it. A
-    non-finite total, term or value ends the prefix too, and once the value
-    is not finite the sweep visits element by element.
+    First sweep: guess, verify, accept a prefix. From all zeros most elements
+    change, so _verified_prefix guesses each element's rows: the decisions
+    that the previous block scored for it, else per band the row that
+    maximizes Re(conj(t - cur_n) table[r, n]). One np.add.accumulate per
+    band over the guessed changes alone, each as t - old, then + new, gives
+    the totals that the scalar visits would hold before each element, if
+    every earlier guess is right. Complex add and subtract act per component
+    and accumulate adds in order, so these totals equal the scalar visits'
+    bit for bit; adding + 0 for an unchanged element would not, as -0.0 + 0
+    is +0.0. ExactObjective.exact_terms scores the table at those totals as
+    quantum_term and classical_term do, and the first argmin and the 1e-12
+    test give each element's decision. The block accepts the longest prefix
+    whose decisions equal the guesses and whose values are finite; the
+    element that ends it has an exact pre-state and gets the scalar visit.
 
-    Later sweeps: screen. The screen scores the next SCREEN_BLOCK elements
+    Later sweeps: screen. The screen scores the next SCREEN_BLOCK columns
     with ExactObjective.terms as mq, mc, and clears element n when value -
     (mq + mc) + ExactObjective.screen_bound(value, mq, mc) <= 1e-12 |value|.
-    A cleared element is skipped but still adds its joint pairs to
-    evaluations; the others get the scalar visit in order. An accepted change
-    moves the totals, so screening restarts at the next element. Skipping
-    never changes a result: the candidate totals (t - cur_n) + u_n phasor[l]
-    come from the same values through complex add and subtract, so they
-    equal the scalar visit's bit for bit, and screen_bound covers the terms'
-    errors, their sum and the subtraction from value. So a cleared element is
-    always one whose scalar visit would be rejected. NaN, from an infinite or
-    overflowing weight, is never cleared.
+    A cleared element is skipped but still adds its joint pairs; the others
+    get the scalar visit in order, and an accepted change moves the totals,
+    so screening restarts at the next element. The screen's candidate totals
+    come from the same table through complex add and subtract, so they equal
+    the scalar visit's bit for bit, and screen_bound covers the terms'
+    errors, their sum and the subtraction from value: a cleared element's
+    scalar visit would be rejected. NaN is never cleared.
     """
     if not isinstance(objective, ExactObjective):
         raise TypeError("block coordinate descent needs the exact objective")
@@ -422,20 +423,17 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
         return brute_force(obj, 0)
 
     qterm, cterm = obj.quantum_term, obj.classical_term
-    order_q, order_c = _lex_level_order(obj.bq), _lex_level_order(obj.bc)
-    joint = len(order_q) * len(order_c)
-    # per-element candidate contributions, fixed for the whole run, in real
-    # ufuncs so that they do not depend on numpy's dispatch; the blocks read
-    # them level-major, rows in _lex_level_order, and the contributions in use
-    cand_q_arr, cand_c_arr = (_product(u[:, None], phasor) for _, u, phasor in obj.bands)
-    cand_q, cand_c = cand_q_arr.tolist(), cand_c_arr.tolist()
-    lex_q, lex_c = np.array(order_q), np.array(order_c)
-    screen_q, screen_c = cand_q_arr.T[lex_q], cand_c_arr.T[lex_c]
-    cur_q, cur_c = cand_q_arr[:, 0].copy(), cand_c_arr[:, 0].copy()
+    lex_q, lex_c = np.array(_lex_level_order(obj.bq)), np.array(_lex_level_order(obj.bc))
+    joint = lex_q.size * lex_c.size
+    # fixed for the whole run, in real ufuncs so that they do not depend on
+    # numpy's dispatch
+    table_q, table_c = (_product(u, phasor[lex, None])
+                        for (_, u, phasor), lex in zip(obj.bands, (lex_q, lex_c)))
+    rows_q, rows_c = np.zeros(obj.n, int), np.zeros(obj.n, int)
+    cur_q, cur_c = table_q[0].copy(), table_c[0].copy()
 
-    levels_q, levels_c = [0] * obj.n, [0] * obj.n
-    tq = obj.h0q + sum(row[0] for row in cand_q)
-    tc = obj.h0c + sum(row[0] for row in cand_c)
+    tq = obj.h0q + sum(table_q[0].tolist())
+    tc = obj.h0c + sum(table_c[0].tolist())
     value = qterm(tq) + cterm(tc)
     evaluations = 1
     trace: list[tuple[int, float]] = [(evaluations, value)]
@@ -445,56 +443,53 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
         changed = False
         n = 0                       # elements before n are visited or skipped
         while n < obj.n:
+            if not math.isfinite(value):            # no visit can change an element
+                evaluations += joint * (obj.n - n)
+                break
             hi = min(n + SCREEN_BLOCK, obj.n)
             if sweep:
                 todo = (n + np.flatnonzero(_unclearable(
-                    obj, screen_q[:, n:hi], screen_c[:, n:hi], cur_q[n:hi], cur_c[n:hi],
+                    obj, table_q[:, n:hi], table_c[:, n:hi], cur_q[n:hi], cur_c[n:hi],
                     tq, tc, value))).tolist()
-            elif math.isfinite(value):
+            else:
                 p, moved, new_q, new_c, vals, tq, tc, value, *hint = _verified_prefix(
-                    obj, screen_q[:, n:hi], screen_c[:, n:hi], *hint, tq, tc, value)
-                new_q, new_c = lex_q[new_q], lex_c[new_c]
-                for j, lq, lc, val in zip(moved.tolist(), new_q.tolist(), new_c.tolist(),
-                                          vals.tolist()):
-                    levels_q[n + j], levels_c[n + j] = lq, lc
-                    trace.append((evaluations + joint * (j + 1), val))
-                cur_q[n + moved], cur_c[n + moved] = (cand_q_arr[n + moved, new_q],
-                                                      cand_c_arr[n + moved, new_c])
+                    obj, table_q[:, n:hi], table_c[:, n:hi], *hint, tq, tc, value)
+                trace += zip((evaluations + joint * (moved + 1)).tolist(), vals.tolist())
+                moved = n + moved
+                rows_q[moved], rows_c[moved] = new_q, new_c
+                cur_q[moved], cur_c[moved] = table_q[new_q, moved], table_c[new_c, moved]
                 changed = changed or moved.size > 0
                 evaluations += joint * p
                 n += p
                 hi = min(n + 1, hi)             # the element that ended the prefix, if any
                 todo = range(n, hi)
-            else:
-                todo = range(n, hi)
             for m in todo:
                 evaluations += joint * (m - n)          # the skipped elements
                 n = m + 1
-                row_q, row_c = cand_q[m], cand_c[m]
-                lq_cur, lc_cur = levels_q[m], levels_c[m]
-                base_tq, base_tc = tq - row_q[lq_cur], tc - row_c[lc_cur]
-                eps_terms = [qterm(base_tq + row_q[lq]) for lq in order_q]
-                log_terms = [cterm(base_tc + row_c[lc]) for lc in order_c]
+                col_q, col_c = table_q[:, m].tolist(), table_c[:, m].tolist()
+                row_q, row_c = int(rows_q[m]), int(rows_c[m])
+                base_tq, base_tc = tq - col_q[row_q], tc - col_c[row_c]
+                eps_terms = [qterm(base_tq + c) for c in col_q]
+                log_terms = [cterm(base_tc + c) for c in col_c]
                 eq, ec = min(eps_terms), min(log_terms)      # min keeps the first of equals
-                pick_q, pick_c = order_q[eps_terms.index(eq)], order_c[log_terms.index(ec)]
-                pick_val = eq + ec
+                pick_q, pick_c = eps_terms.index(eq), log_terms.index(ec)
                 evaluations += joint
                 # require a real improvement: re-summed totals carry float dust
-                if value - pick_val > 1e-12 * abs(value) and (pick_q, pick_c) != (lq_cur, lc_cur):
-                    tq, tc = base_tq + row_q[pick_q], base_tc + row_c[pick_c]
-                    levels_q[m], levels_c[m] = pick_q, pick_c
-                    cur_q[m], cur_c[m] = row_q[pick_q], row_c[pick_c]
-                    value = pick_val
+                if value - (eq + ec) > 1e-12 * abs(value) and (pick_q, pick_c) != (row_q, row_c):
+                    tq, tc = base_tq + col_q[pick_q], base_tc + col_c[pick_c]
+                    rows_q[m], rows_c[m] = pick_q, pick_c
+                    cur_q[m], cur_c[m] = col_q[pick_q], col_c[pick_c]
+                    value = eq + ec
                     changed = True
                     trace.append((evaluations, value))
-                    if sweep:
-                        break               # the totals moved: screen again from m + 1
+                    break           # the totals moved: the next screen or block starts at m + 1
             else:
                 evaluations += joint * (hi - n)
                 n = hi
         if not changed:
             break
-    return _finalize(obj, levels_to_bits(levels_q, levels_c, obj.cfg), evaluations, trace)
+    return _finalize(obj, levels_to_bits(lex_q[rows_q], lex_c[rows_c], obj.cfg), evaluations,
+                     trace)
 
 
 def band_levels(h0: complex, u: np.ndarray, phasor: np.ndarray) -> np.ndarray:

@@ -710,6 +710,15 @@ class TestCli:
                                      ("optical", "wavelength_m", ("1e-300", "5e-324")),
                                      ("optical", "beam_divergence_rad", ("1e-300", "5e-324")))
           for raw in raws],
+        # optical gains that are not finite and > 0: the product of the two
+        # antenna gains, one of them or the mean pointing gain; each raised
+        # OverflowError, a math domain error or failed the QBER's range check
+        *[(f"[optical]\n{key} = {raw}\n", ["link-budget", "--elevation", "45", "--n", "16"])
+          for key, raws in (("wavelength_m", ("1e-150", "1e-160", "1e300")),
+                            ("beam_divergence_rad", ("1e-150", "1e300")),
+                            ("rx_aperture_m", ("1e300", "1e-300")),
+                            ("jitter_rad", ("1e300",)))
+          for raw in raws],
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"

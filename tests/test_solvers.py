@@ -28,6 +28,7 @@ from dualris.solvers import (
     trace_csv_lines,
 )
 from perfbench import oracle, workloads
+from test_qubo import _digest
 
 OPT = OpticalParams()
 RF = RfParams()
@@ -568,6 +569,29 @@ class TestBcd:
         with mock.patch.object(obj, "exact_terms", nan_at_j):
             assert solvers._verified_prefix(obj, cand_q, cand_c, rows_q, rows_c, tq, tc,
                                             value)[0] == j
+
+    @pytest.mark.parametrize("weights,n,digest", [
+        ("infinite beta", SCREEN_BLOCK + 1,
+         "39ae2de3c1f7ac4379d8565b3235fd68ce7db0e0efb00a276d44cf4b439aa748"),
+        ("infinite beta", 600,
+         "dc21d2e0b153dccb44a0b5743425a7957ab13f6e2a201bd5f50cb5f9fcd61cf5"),
+        ("overflowing beta", SCREEN_BLOCK + 1,
+         "225b56df81d775a78f055199fa692ef0557785ddc7188e63419de9651b7da556"),
+        ("overflowing beta", 600,
+         "42252796270e5e7493ff60911e22af513c9601275cfebb666e0f5d13593d8a1c"),
+    ])
+    def test_results_pinned_once_the_value_is_not_finite(self, weights, n, digest):
+        # bits, value, evaluations and trace, as pinned when every element
+        # after a non-finite value still got its scalar visit: the skipped
+        # elements must add exactly the joint pairs that those visits counted
+        obj, cfg = random_instance(n, n)
+        _, tc = obj.totals_of(np.zeros(cfg.bits_total, np.uint8))
+        beta = (math.inf if weights == "infinite beta"
+                else 1.7e308 / math.log2(1.0 + obj.snr_coeff * abs(tc) ** 2))
+        obj = ExactObjective(obj.state, CostWeights(alpha=1.0, beta=beta), obj.cal, OPT, RF,
+                             cfg)
+        result = block_coordinate_descent(obj, SolverConfig(kind="bcd", max_iters=50))
+        assert _digest(result) == digest
 
     @staticmethod
     def check_element_visits(obj, max_iters=50):
