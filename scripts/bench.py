@@ -47,10 +47,17 @@ per-round medians of each checkout and, with two checkouts, in how many
 rounds the second was faster than the first, with the exact two-sided
 sign-test p-value over the rounds that differ (sign_test_p): how often two
 checkouts of equal speed would split those rounds at least as unevenly.
+With two checkouts, each workload row also gives the ratio of the second
+median to the first, the metric's bound from the end_to_end list of
+BENCHMARK.json beside this script, and past_bound: whether the second is
+worse than the first by more than the bound (ratio - 1 > bound for a
+lower-is-better metric). The table ends with a line naming the rows past
+their bound, or "none". This is a guide for reading a run, not a verdict.
 With two checkouts, the second one's file also holds this table as
 comparison: the first checkout's source sha256 (against_source_sha256) and
 per row the workload (or tier1, or the CLI command's first word), metric,
-both medians, rounds, wins and losses of the second, and sign_test_p.
+both medians, rounds, wins and losses of the second, and sign_test_p, plus
+ratio, bound and past_bound on the workload rows.
 With two checkouts, each round also runs SETUP_PAIRS pairs of fresh-process
 `perfbench/setup_probe.py` set-ups per workload: one probe of each checkout,
 back to back, with the checkout that goes first alternating from pair to
@@ -87,6 +94,7 @@ CLI_COMMANDS = ("calibrate", "link-budget --elevation 45 --n 512",
 CLI_RUNS = 3                     # cold starts per command, checkout and round
 SETUP_PAIRS = 5                  # set-up probe pairs per workload and round
 QUAD_GAP_ROW = re.compile(r"^\s+quadratic_anneal_gap\s+relative\s+(\S+)", re.M)
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def parse_args(argv):
@@ -271,10 +279,18 @@ def round_medians(entries: list[dict], name: str, rounds: int) -> list[float]:
             for r in range(rounds)]
 
 
+def end_to_end_bounds() -> dict[str, dict]:
+    """BENCHMARK.json's end_to_end entries by metric name: bound and better."""
+    return {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
 def comparison_rows(docs: list[dict], rounds: int) -> list[dict]:
     """The closing table: per workload and metric, the Tier-1 times and each
     CLI command's times, the median of each checkout's per-round values and,
-    with two checkouts, the rounds the second won and lost and sign_test_p."""
+    with two checkouts, the rounds the second won and lost and sign_test_p,
+    and on the workload rows the ratio of the medians, second over first,
+    the metric's bound and past_bound."""
+    bounds = end_to_end_bounds() if len(docs) == 2 else {}
     rows = [(workload, name, [[e["medians"][name] for e in doc["workloads"][workload]["runs"]]
                               for doc in docs])
             for workload in WORKLOADS for name in METRICS]
@@ -293,6 +309,12 @@ def comparison_rows(docs: list[dict], rounds: int) -> list[dict]:
             losses = sum(b > a for a, b in zip(*per))
             row.update(rounds=len(per[0]), wins=wins, losses=losses,
                        sign_test_p=sign_test_p(wins, losses))
+            if workload in WORKLOADS:
+                first, second = row["medians"]
+                ratio = second / first if first else math.inf
+                gate = bounds[name]
+                worse = ratio - 1.0 if gate["better"] == "lower" else 1.0 - ratio
+                row.update(ratio=ratio, bound=gate["bound"], past_bound=worse > gate["bound"])
         table.append(row)
     return table
 
@@ -358,14 +380,19 @@ def main(argv=None) -> int:
 
     print(f"\n{'workload':<12} {'metric':<12} " + " ".join(
         f"{doc['source_sha256'][:12]:>14}" for doc in docs.values())
-          + ("  wins of 2nd  sign-test p" if len(docs) == 2 else ""))
+          + ("  wins of 2nd  sign-test p   ratio  bound  past" if len(docs) == 2 else ""))
     for row in rows:
         line = f"{row['workload']:<12} {row['metric']:<12} " + " ".join(
             f"{m:>14.5g}" for m in row["medians"])
         if "wins" in row:
-            line += f"  {row['wins']}/{row['rounds']:<10} {row['sign_test_p']:.4f}"
+            line += f"  {row['wins']}/{row['rounds']:<10} {row['sign_test_p']:<11.4f}"
+        if "ratio" in row:
+            mark = "yes" if row["past_bound"] else "no"
+            line += f" {row['ratio']:>7.4f}  {row['bound']:<5g}  {mark}"
         print(line)
     if len(docs) == 2:
+        past = [f"{row['workload']} {row['metric']}" for row in rows if row.get("past_bound")]
+        print("past their bound: " + (", ".join(past) or "none"))
         print(f"\n{'workload':<12} {'setup pairs':<12} {'median ratio':>14}"
               "  wins of 2nd  sign-test p")
         for workload, pairs in second["setup_pairs"]["workloads"].items():

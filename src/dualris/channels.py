@@ -1,4 +1,5 @@
-"""Direct (non-RIS) channel gains for the quantum optical and classical RF links.
+"""The link model of the quantum optical and classical RF bands: direct gains
+and the per-band factors that the RIS cascades share.
 
 Amplitude gains follow the Friis convention: antenna/telescope gains are folded
 into the channel amplitude exactly once, so receiver-side formulas must not
@@ -125,21 +126,6 @@ def optical_rx_gain(params: OpticalParams) -> float:
                         params.wavelength_m)
 
 
-def optical_direct_gain(params: OpticalParams, geom: LinkGeometry) -> ComplexGain:
-    """Direct quantum channel amplitude at mean fading.
-
-    (lambda / 4 pi d) * sqrt(Gt Gr) * exp(-kappa d_atm / 2) * sqrt(h_pe), with
-    h_pe the mean pointing gain and the carrier propagation phase 2 pi d / lambda.
-    """
-    d_m = geom.slant_range_km * 1e3
-    friis = params.wavelength_m / (4.0 * math.pi * d_m)
-    gains = math.sqrt(optical_tx_gain(params) * optical_rx_gain(params))
-    atm = math.exp(-params.atten_per_km * geom.atm_path_km / 2.0)
-    fade = math.sqrt(mean_pointing_gain(params))
-    phase = TWO_PI * d_m / params.wavelength_m
-    return ComplexGain(friis * gains * atm * fade, wrap_phase(phase))
-
-
 def ionospheric_loss(params: RfParams) -> float:
     """Ionospheric power loss factor from TEC and scintillation index.
 
@@ -164,20 +150,47 @@ def rf_atmospheric_loss(params: RfParams, geom: LinkGeometry) -> float:
     return math.exp(-params.atten_per_km * geom.atm_path_km)
 
 
-def rf_direct_gain(params: RfParams, geom: LinkGeometry) -> ComplexGain:
-    """Direct S-band channel amplitude.
+def friis_amplitude(wavelength_m: float, distance_m: float) -> float:
+    """Free-space amplitude lambda / (4 pi d) of one path segment."""
+    return wavelength_m / (4.0 * math.pi * distance_m)
 
-    (lambda / 4 pi d) * sqrt(Gt Gr) * sqrt(L_atm L_ion L_rain), with the
-    carrier propagation phase 2 pi d / lambda.
+
+def band_factors(params: OpticalParams | RfParams, geom: LinkGeometry
+                 ) -> tuple[float, float, float]:
+    """(tx gain, rx gain, satellite-side path amplitude) of one band at geom.
+
+    The one link model of both bands: the direct path and each RIS cascade are
+    Friis amplitudes times these factors. The path amplitude is
+    exp(-kappa d_atm / 2) for the optical band and sqrt(L_atm L_ion L_rain)
+    for the RF band.
     """
+    if isinstance(params, OpticalParams):
+        return (optical_tx_gain(params), optical_rx_gain(params),
+                math.exp(-params.atten_per_km * geom.atm_path_km / 2.0))
+    return (params.tx_gain, params.rx_gain,
+            math.sqrt(rf_atmospheric_loss(params, geom)
+                      * ionospheric_loss(params)
+                      * rain_loss(params, geom)))
+
+
+def _direct_gain(params: OpticalParams | RfParams, geom: LinkGeometry,
+                 fade: float) -> ComplexGain:
+    """friis(d) sqrt(Gt Gr) path fade, with the carrier propagation phase 2 pi d / lambda."""
     d_m = geom.slant_range_km * 1e3
-    friis = params.wavelength_m / (4.0 * math.pi * d_m)
-    gains = math.sqrt(params.tx_gain * params.rx_gain)
-    losses = math.sqrt(rf_atmospheric_loss(params, geom)
-                       * ionospheric_loss(params)
-                       * rain_loss(params, geom))
-    phase = TWO_PI * d_m / params.wavelength_m
-    return ComplexGain(friis * gains * losses, wrap_phase(phase))
+    tx, rx, path = band_factors(params, geom)
+    amplitude = friis_amplitude(params.wavelength_m, d_m) * math.sqrt(tx * rx) * path * fade
+    return ComplexGain(amplitude, TWO_PI * d_m / params.wavelength_m)
+
+
+def optical_direct_gain(params: OpticalParams, geom: LinkGeometry) -> ComplexGain:
+    """Direct quantum channel at mean fading: the fade is sqrt(h_pe), with h_pe
+    the mean pointing gain."""
+    return _direct_gain(params, geom, math.sqrt(mean_pointing_gain(params)))
+
+
+def rf_direct_gain(params: RfParams, geom: LinkGeometry) -> ComplexGain:
+    """Direct S-band channel (no fade)."""
+    return _direct_gain(params, geom, 1.0)
 
 
 def mean_pointing_gain(params: OpticalParams) -> float:

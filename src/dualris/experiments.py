@@ -9,6 +9,7 @@ perturbs existing rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -30,7 +31,7 @@ from .metrics import (
     snr,
 )
 from .qubo import ExactObjective, ObjectiveError, QuadraticObjective, build_qubo
-from .ris import CLASSICAL, QUANTUM, ChannelState, RisConfig, cascade_gains
+from .ris import ChannelState, RisConfig, cascade_gains
 from .solvers import SolverConfig, SolverResult, band_levels, enforce_security, solve
 
 
@@ -127,9 +128,24 @@ def derived_seed(master_seed: int, elevation_deg: float, n_elements: int) -> int
 
 def _direct_gains(cfg: RunConfig, elevation_deg: float
                   ) -> tuple[LinkGeometry, ComplexGain, ComplexGain]:
-    """The link geometry and the optical and RF direct gains at an elevation."""
-    geom = link_geometry(math.radians(elevation_deg), cfg.geometry)
-    return geom, optical_direct_gain(cfg.optical, geom), rf_direct_gain(cfg.rf, geom)
+    """The link geometry and the optical and RF direct gains at an elevation.
+
+    Raises ObjectiveError when the link model fails there, or when a direct
+    amplitude's square (the power every metric reads) is not finite.
+    """
+    try:
+        geom = link_geometry(math.radians(elevation_deg), cfg.geometry)
+        hq, hc = optical_direct_gain(cfg.optical, geom), rf_direct_gain(cfg.rf, geom)
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        problem = f"{type(exc).__name__}: {exc}"
+    else:
+        if math.isfinite(hq.amplitude * hq.amplitude) \
+                and math.isfinite(hc.amplitude * hc.amplitude):
+            return geom, hq, hc
+        problem = (f"the direct amplitudes {hq.amplitude:g} (optical) and "
+                   f"{hc.amplitude:g} (RF) do not square to finite powers")
+    raise ObjectiveError(f"the link model fails at elevation {elevation_deg:g} deg "
+                         f"({problem}); check the [geometry], [optical] and [rf] values")
 
 
 def build_channel_state(cfg: RunConfig, cal: Calibration, elevation_deg: float,
@@ -138,8 +154,9 @@ def build_channel_state(cfg: RunConfig, cal: Calibration, elevation_deg: float,
     """Direct gains plus calibration-scaled cascades for one sweep point.
 
     att scales every deterministic loss factor (both bands, direct and cascade
-    paths) by a single linear power factor. Raises ObjectiveError when a
-    cascade gain overflows, as a far too short RIS-to-ground segment makes it.
+    paths) by a single linear power factor. Raises ObjectiveError when the
+    link model fails (_direct_gains) or a cascade gain overflows, as a far too
+    short RIS-to-ground segment makes it.
     """
     geom, hq, hc = _direct_gains(cfg, elevation_deg)
     amp_scale = math.sqrt(att)
@@ -147,8 +164,8 @@ def build_channel_state(cfg: RunConfig, cal: Calibration, elevation_deg: float,
     hc = replace(hc, amplitude=hc.amplitude * amp_scale)
     ris_cfg = replace(cfg.ris, n_elements=n_elements)
     seed = derived_seed(cfg.seed, elevation_deg, n_elements)
-    cq = cascade_gains(QUANTUM, ris_cfg, geom, cfg.optical, seed)
-    cc = cascade_gains(CLASSICAL, ris_cfg, geom, cfg.rf, seed)
+    cq = cascade_gains(ris_cfg, geom, cfg.optical, seed)
+    cc = cascade_gains(ris_cfg, geom, cfg.rf, seed)
     with np.errstate(over="ignore", invalid="ignore"):        # refused below
         cq = cq * (cal.element_amp_scale * amp_scale)
         cc = cc * (cal.rf_element_scale * amp_scale)
@@ -240,6 +257,13 @@ def calibrate(cfg: RunConfig, anchors: CalibrationAnchors | None = None) -> Cali
     # step 2: QBER anchors; for a candidate reference power the low anchor
     # fixes the visibility, the high anchor supplies the residual
     hq_low, hq_high = (_direct_gains(cfg, e)[1].amplitude for e in (a.low_deg, a.high_deg))
+    # the fit's bracket reaches 12 decades below the power, so a power that is
+    # 0 or subnormal leaves no positive reference power to divide by
+    power = min(hq_low * hq_low, hq_high * hq_high)
+    if power < sys.float_info.min:
+        raise CalibrationError(f"baseline optical channel power {power:g} at {a.low_deg:g} "
+                               f"or {a.high_deg:g} deg is below the normal float range; "
+                               "cannot fit the QBER anchors")
     target_low = 1.0 - 2.0 * (a.qber_low - pd)
     if target_low <= 0:
         raise CalibrationError("low QBER anchor above 50%")

@@ -11,17 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (
-    ComplexGain,
-    OpticalParams,
-    RfParams,
-    TWO_PI,
-    ionospheric_loss,
-    optical_tx_gain,
-    optical_rx_gain,
-    rain_loss,
-    rf_atmospheric_loss,
-)
+from .channels import ComplexGain, OpticalParams, RfParams, TWO_PI, band_factors, friis_amplitude
 from .geometry import LinkGeometry
 
 QUANTUM = "quantum"
@@ -126,35 +116,25 @@ def element_phase_offsets(cfg: RisConfig, band: str, seed: int) -> np.ndarray:
     return TWO_PI * (perm + jitter) / n
 
 
-def cascade_gains(band: str, cfg: RisConfig, geom: LinkGeometry,
+def cascade_gains(cfg: RisConfig, geom: LinkGeometry,
                   band_params: OpticalParams | RfParams, seed: int) -> np.ndarray:
-    """Per-element cascade gains g_n (complex array of length N).
+    """Per-element cascade gains g_n (complex array of length N) of the band
+    that band_params describes.
 
-    Each element contributes a two-segment Friis amplitude: satellite->RIS over
-    the slant range (carrying the band's atmospheric factor) and RIS->ground
-    over the short ground segment (lossless), times the unit-cell gain. The
+    Each element contributes a two-segment Friis amplitude from the band's
+    factors (band_factors): satellite->RIS over the slant range, with the tx
+    gain and the satellite-side path amplitude, and RIS->ground over the short
+    ground segment (lossless), with the rx gain; times the unit-cell gain. The
     phase is the element's offset psi_n drawn from seed. Absolute scale is
     pinned later by calibration.
     """
-    if band not in _BAND_CODE:
-        raise ValueError(f"unknown band {band!r}")
     n = cfg.n_elements
     if n == 0:
         return np.zeros(0, dtype=complex)
-    d1_m = geom.slant_range_km * 1e3
-    d2_m = cfg.ris_to_ground_km * 1e3
+    tx, rx, path = band_factors(band_params, geom)
     lam = band_params.wavelength_m
-    if band == QUANTUM:
-        seg1 = (lam / (4.0 * math.pi * d1_m)) * math.sqrt(optical_tx_gain(band_params))
-        seg1 *= math.exp(-band_params.atten_per_km * geom.atm_path_km / 2.0)
-        seg2 = (lam / (4.0 * math.pi * d2_m)) * math.sqrt(optical_rx_gain(band_params))
-    else:
-        seg1 = (lam / (4.0 * math.pi * d1_m)) * math.sqrt(band_params.tx_gain)
-        seg1 *= math.sqrt(rf_atmospheric_loss(band_params, geom)
-                          * ionospheric_loss(band_params)
-                          * rain_loss(band_params, geom))
-        seg2 = (lam / (4.0 * math.pi * d2_m)) * math.sqrt(band_params.rx_gain)
+    seg1 = friis_amplitude(lam, geom.slant_range_km * 1e3) * math.sqrt(tx) * path
+    seg2 = friis_amplitude(lam, cfg.ris_to_ground_km * 1e3) * math.sqrt(rx)
     amp = seg1 * seg2 * cfg.element_gain
-    psi = element_phase_offsets(cfg, band, seed)
-    return amp * np.exp(1j * psi)
-
+    band = QUANTUM if isinstance(band_params, OpticalParams) else CLASSICAL
+    return amp * np.exp(1j * element_phase_offsets(cfg, band, seed))

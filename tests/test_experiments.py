@@ -732,6 +732,37 @@ class TestCli:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["edge.ini"]
 
+    # each ended in a traceback: the link model overflowed (OverflowError, or
+    # an RF amplitude whose square is inf) or took the phase of an infinite
+    # ratio (math domain error), or calibration step 2 divided by, or took the
+    # log10 of, an optical power of 0 or a power whose reference bracket underflows
+    @pytest.mark.parametrize("section,key,raw,code", [
+        *[(section, key, raw, EXIT_CONFIG)
+          for section, key, raws in (("geometry", "earth_radius_km", ("1e300", "1.7e308")),
+                                     ("geometry", "sat_altitude_km", ("1e300", "1.7e308")),
+                                     ("rf", "wavelength_m", ("1e300", "1.7e308", "5e-324")),
+                                     ("rf", "ref_freq_ghz", ("1e300", "1.7e308")),
+                                     ("rf", "rain_rate_mm_h", ("1e300", "1.7e308")))
+          for raw in raws],
+        *[("optical", key, raw, EXIT_CALIBRATION)
+          for key, raws in (("atten_per_km", ("100", "1000", "1e300")),
+                            ("beam_divergence_rad", ("1e150",)),
+                            ("rx_aperture_m", ("1e-160",)))
+          for raw in raws],
+    ])
+    def test_link_model_failure_exits_with_one_line(self, tmp_path, capsys, section, key,
+                                                    raw, code):
+        cfg = tmp_path / "edge.ini"
+        cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n[{section}]\n{key} = {raw}\n")
+        argv = ["--config", str(cfg), "link-budget", "--elevation", "45", "--n", "16"]
+        assert run_cli(argv) == code
+        err = capsys.readouterr().err
+        prefix = "config error: the link model" if code == EXIT_CONFIG else \
+            "calibration failed: baseline optical channel power"
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["edge.ini"]
+
     # every value the removed settings once parsed or refused: the optional
     # float's none and 2.5, the out-of-range temperatures, the non-finite
     # floats, and a two-trial and a negative sweep

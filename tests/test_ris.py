@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualris.channels import ComplexGain, OpticalParams, RfParams
+from dualris.channels import (
+    ComplexGain,
+    OpticalParams,
+    RfParams,
+    optical_direct_gain,
+    rf_direct_gain,
+)
 from dualris.geometry import GeometryParams, link_geometry
 from dualris.ris import (
     CLASSICAL,
@@ -113,19 +119,19 @@ class TestDecode:
 class TestCascades:
     def test_empty(self):
         cfg = RisConfig(n_elements=0)
-        assert cascade_gains(QUANTUM, cfg, GEOM, OpticalParams(), 7).size == 0
+        assert cascade_gains(cfg, GEOM, OpticalParams(), 7).size == 0
 
     def test_transparent_surface(self):
         cfg = RisConfig(n_elements=4, element_gain=0.0)
-        g = cascade_gains(QUANTUM, cfg, GEOM, OpticalParams(), 7)
+        g = cascade_gains(cfg, GEOM, OpticalParams(), 7)
         assert np.allclose(np.abs(g), 0.0)
 
     def test_deterministic_per_seed(self):
         cfg = RisConfig(n_elements=16)
-        a = cascade_gains(CLASSICAL, cfg, GEOM, RfParams(), 99)
-        b = cascade_gains(CLASSICAL, cfg, GEOM, RfParams(), 99)
+        a = cascade_gains(cfg, GEOM, RfParams(), 99)
+        b = cascade_gains(cfg, GEOM, RfParams(), 99)
         assert np.array_equal(a, b)
-        c = cascade_gains(CLASSICAL, cfg, GEOM, RfParams(), 100)
+        c = cascade_gains(cfg, GEOM, RfParams(), 100)
         assert not np.array_equal(a, c)
 
     def test_bands_get_distinct_offsets(self):
@@ -142,12 +148,8 @@ class TestCascades:
 
     def test_amplitudes_equal_across_elements(self):
         cfg = RisConfig(n_elements=8)
-        g = cascade_gains(QUANTUM, cfg, GEOM, OpticalParams(), 7)
+        g = cascade_gains(cfg, GEOM, OpticalParams(), 7)
         assert np.allclose(np.abs(g), np.abs(g)[0])
-
-    def test_unknown_band(self):
-        with pytest.raises(ValueError):
-            cascade_gains("thz", RisConfig(n_elements=1), GEOM, RfParams(), 7)
 
 
 class TestIndependence:
@@ -160,8 +162,8 @@ class TestIndependence:
         cfg = RisConfig(n_elements=4)
         state = ChannelState(
             ComplexGain(1.0, 0.3), ComplexGain(1.0, 1.2),
-            cascade_gains(QUANTUM, cfg, GEOM, OpticalParams(), 7) * 1e12,
-            cascade_gains(CLASSICAL, cfg, GEOM, RfParams(), 7) * 10.0)
+            cascade_gains(cfg, GEOM, OpticalParams(), 7) * 1e12,
+            cascade_gains(cfg, GEOM, RfParams(), 7) * 10.0)
         cal = Calibration(raw_rate_scale=1.0, effective_visibility=0.98,
                           h_ref_sq=1.0)
         obj = ExactObjective(state, CostWeights(), cal, OpticalParams(),
@@ -184,3 +186,66 @@ class TestIndependence:
         with pytest.raises(ValueError):
             ChannelState(ComplexGain(1, 0), ComplexGain(1, 0),
                          np.zeros(3, complex), np.zeros(2, complex))
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+class TestLinkModelBits:
+    """The direct gains and both cascades, bit for bit, against the link model
+    written out term by term, in the operand order of the products."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.builds(OpticalParams, wavelength_m=_floats(400e-9, 2e-6),
+                     atten_per_km=_floats(0.0, 1.0), beam_divergence_rad=_floats(1e-6, 1e-3),
+                     rx_aperture_m=_floats(0.05, 2.0), jitter_rad=_floats(0.0, 5e-6)),
+           st.builds(RfParams, wavelength_m=_floats(0.05, 0.5), atten_per_km=_floats(0.0, 0.05),
+                     carrier_ghz=_floats(2.0, 4.0), tec_units=_floats(0.0, 100.0),
+                     scint_index=_floats(0.0, 1.0), ref_freq_ghz=_floats(0.5, 2.0),
+                     rain_rate_mm_h=st.one_of(st.just(0.0), _floats(0.1, 100.0)),
+                     rain_k=_floats(1e-5, 1e-2), rain_alpha=_floats(0.5, 1.5),
+                     tx_gain=_floats(0.1, 1e3), rx_gain=_floats(0.1, 1e3)),
+           st.builds(GeometryParams, earth_radius_km=_floats(6000.0, 7000.0),
+                     sat_altitude_km=_floats(300.0, 2000.0), atm_height_km=_floats(0.0, 20.0),
+                     rain_height_km=_floats(0.0, 5.0)),
+           _floats(5.0, 90.0),
+           st.builds(RisConfig, n_elements=st.integers(0, 16), element_gain=_floats(0.0, 10.0),
+                     ris_to_ground_km=_floats(0.01, 5.0)),
+           st.integers(0, 2**32 - 1))
+    def test_gains_equal_the_formulas(self, opt, rf, geo, elevation_deg, cfg, seed):
+        geom = link_geometry(math.radians(elevation_deg), geo)
+        d_m = geom.slant_range_km * 1e3
+        d2_m = cfg.ris_to_ground_km * 1e3
+
+        # optical: laser and telescope gains, exp(-kappa d_atm / 2), sqrt(h_pe)
+        tx_q = 4.0 * math.pi / (opt.beam_divergence_rad * opt.beam_divergence_rad)
+        rx_q = math.pi * (opt.rx_aperture_m * opt.rx_aperture_m) / (
+            opt.wavelength_m * opt.wavelength_m)
+        path_q = math.exp(-opt.atten_per_km * geom.atm_path_km / 2.0)
+        ratio = opt.jitter_rad / opt.beam_divergence_rad
+        fade = math.sqrt(1.0 / (1.0 + 2.0 * ratio * ratio))
+        # RF: the configured gains and sqrt(L_atm L_ion L_rain)
+        f = rf.carrier_ghz
+        i_db = (0.0265 * rf.tec_units / f**2
+                + 0.018 * rf.scint_index * rf.ref_freq_ghz**1.5 / f**1.5)
+        l_rain = 1.0 if rf.rain_rate_mm_h == 0.0 else math.exp(
+            -(rf.rain_k * rf.rain_rate_mm_h**rf.rain_alpha) * geom.rain_path_km)
+        path_c = math.sqrt(math.exp(-rf.atten_per_km * geom.atm_path_km)
+                           * 10.0 ** (-i_db / 10.0) * l_rain)
+
+        for band, params, got, tx, rx, path, fade_ in (
+                (QUANTUM, opt, optical_direct_gain(opt, geom), tx_q, rx_q, path_q, fade),
+                (CLASSICAL, rf, rf_direct_gain(rf, geom), rf.tx_gain, rf.rx_gain, path_c, 1.0)):
+            lam = params.wavelength_m
+            amp = lam / (4.0 * math.pi * d_m) * math.sqrt(tx * rx) * path * fade_
+            phase = math.fmod(2.0 * math.pi * d_m / lam, 2.0 * math.pi)
+            assert (got.amplitude.hex(), got.phase_rad.hex()) == (amp.hex(), phase.hex())
+
+            seg1 = lam / (4.0 * math.pi * d_m) * math.sqrt(tx) * path
+            seg2 = lam / (4.0 * math.pi * d2_m) * math.sqrt(rx)
+            want = seg1 * seg2 * cfg.element_gain * np.exp(
+                1j * element_phase_offsets(cfg, band, seed))
+            g = cascade_gains(cfg, geom, params, seed)
+            assert [(z.real.hex(), z.imag.hex()) for z in g.tolist()] == \
+                [(z.real.hex(), z.imag.hex()) for z in want.tolist()]
