@@ -50,8 +50,8 @@ checkouts of equal speed would split those rounds at least as unevenly.
 With two checkouts, each workload row also gives the ratio of the second
 median to the first, the metric's bound from the end_to_end list of
 BENCHMARK.json beside this script, and past_bound: whether the second is
-worse than the first by more than the bound (ratio - 1 > bound for a
-lower-is-better metric). The table ends with a line naming the rows past
+worse than the first by more than the bound (ratio - 1 > bound; every
+end_to_end metric is lower-is-better). The table ends with a line naming the rows past
 their bound, or "none". This is a guide for reading a run, not a verdict.
 With two checkouts, the second one's file also holds this table as
 comparison: the first checkout's source sha256 (against_source_sha256) and
@@ -279,9 +279,9 @@ def round_medians(entries: list[dict], name: str, rounds: int) -> list[float]:
             for r in range(rounds)]
 
 
-def end_to_end_bounds() -> dict[str, dict]:
-    """BENCHMARK.json's end_to_end entries by metric name: bound and better."""
-    return {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+def end_to_end_bounds() -> dict[str, float]:
+    """BENCHMARK.json's end_to_end bound of each metric."""
+    return {m["name"]: m["bound"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
 
 
 def comparison_rows(docs: list[dict], rounds: int) -> list[dict]:
@@ -312,9 +312,8 @@ def comparison_rows(docs: list[dict], rounds: int) -> list[dict]:
             if workload in WORKLOADS:
                 first, second = row["medians"]
                 ratio = second / first if first else math.inf
-                gate = bounds[name]
-                worse = ratio - 1.0 if gate["better"] == "lower" else 1.0 - ratio
-                row.update(ratio=ratio, bound=gate["bound"], past_bound=worse > gate["bound"])
+                bound = bounds[name]       # every end_to_end metric is lower-is-better
+                row.update(ratio=ratio, bound=bound, past_bound=ratio - 1.0 > bound)
         table.append(row)
     return table
 
