@@ -39,36 +39,37 @@ class ComplexGain:
         return self.amplitude * complex(math.cos(self.phase_rad), math.sin(self.phase_rad))
 
 
+# Link factors that the calibration absorbs, fixed at the simulation parameter
+# table's values. Each multiplies a band's direct path, its cascades or both by
+# one constant, which the fitted h_ref_sq, element_amp_scale, rf_gain_offset_db
+# and rf_element_scale cancel, so none of them is a config key.
+OPTICAL_TX_GAIN = 4.0 * math.pi / (10e-6 * 10e-6)    # laser directivity 4 pi / theta_div^2
+_JITTER_RATIO = 2e-6 / 10e-6                          # sigma_j / theta_div
+MEAN_POINTING_GAIN = 1.0 / (1.0 + 2.0 * _JITTER_RATIO * _JITTER_RATIO)
+# I_ion = 0.0265 TEC / f^2 + 0.018 S4 f_ref^1.5 / f^1.5 dB at f = 2 GHz,
+# TEC = 10 TECU, S4 = 0.3 and f_ref = 1 GHz, as a linear power factor
+IONOSPHERIC_LOSS = 10.0 ** (-(0.0265 * 10.0 / 2.0**2
+                              + 0.018 * 0.3 * 1.0**1.5 / 2.0**1.5) / 10.0)
+RX_APERTURE_M = 0.3                                   # receiver telescope diameter D_r
+
+
 @dataclass(frozen=True)
 class OpticalParams:
     """Quantum (850 nm) link parameters."""
 
     wavelength_m: float = 850e-9
     atten_per_km: float = 0.046          # linear per-km power coefficient (~0.2 dB/km)
-    beam_divergence_rad: float = 10e-6
-    rx_aperture_m: float = 0.3
-    jitter_rad: float = 2e-6
     dark_count_prob: float = 1e-5
     ec_inefficiency: float = 1.1
 
     def __post_init__(self) -> None:
-        for name in ("wavelength_m", "beam_divergence_rad", "rx_aperture_m"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        tx, rx = optical_tx_gain(self), optical_rx_gain(self)
-        for what, gain, names in (
-                ("tx gain", tx, ("beam_divergence_rad",)),
-                ("rx gain", rx, ("rx_aperture_m", "wavelength_m")),
-                ("tx gain times rx gain", tx * rx,
-                 ("beam_divergence_rad", "rx_aperture_m", "wavelength_m")),
-                ("mean pointing gain", mean_pointing_gain(self),
-                 ("jitter_rad", "beam_divergence_rad"))):
+        if self.wavelength_m <= 0:
+            raise ValueError("wavelength_m must be positive")
+        rx = optical_rx_gain(self)
+        for what, gain in (("rx gain", rx), ("tx gain times rx gain", OPTICAL_TX_GAIN * rx)):
             if not 0.0 < gain < math.inf:
-                fields = ", ".join(f"{name} = {getattr(self, name):g}" for name in names)
                 raise ValueError(f"the optical {what} is {gain:g}; it must be finite and > 0 "
-                                 f"({fields})")
-        if self.jitter_rad < 0:
-            raise ValueError("jitter_rad must be non-negative")
+                                 f"(wavelength_m = {self.wavelength_m:g})")
         if not 0.0 <= self.dark_count_prob <= 1e-3:
             raise ValueError("dark_count_prob must be in [0, 1e-3]")
         if self.ec_inefficiency < 1.0:
@@ -81,60 +82,30 @@ class RfParams:
 
     wavelength_m: float = 0.15
     atten_per_km: float = 0.0046         # linear per-km power coefficient (~0.02 dB/km)
-    carrier_ghz: float = 2.0
-    tec_units: float = 10.0              # TECU
-    scint_index: float = 0.3             # S4
-    ref_freq_ghz: float = 1.0
     rain_rate_mm_h: float = 0.0
     rain_k: float = 3e-4
     rain_alpha: float = 1.1
-    tx_gain: float = 1.0                 # linear; absolute scale is set by calibration
-    rx_gain: float = 1.0
     tx_power_w: float = 10.0
     sys_temp_k: float = 290.0
     bandwidth_hz: float = 1e8
 
     def __post_init__(self) -> None:
-        for name in ("wavelength_m", "carrier_ghz", "ref_freq_ghz", "tx_gain",
-                     "rx_gain", "tx_power_w", "sys_temp_k", "bandwidth_hz"):
+        for name in ("wavelength_m", "tx_power_w", "sys_temp_k", "bandwidth_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not BOLTZMANN * self.sys_temp_k * self.bandwidth_hz > 0.0:     # snr divides by it
             raise ValueError("the noise power k_B sys_temp_k bandwidth_hz underflows to 0 "
                              f"(sys_temp_k = {self.sys_temp_k:g}, "
                              f"bandwidth_hz = {self.bandwidth_hz:g})")
-        if not 2.0 <= self.carrier_ghz <= 4.0:
-            raise ValueError("carrier_ghz must lie in the S band [2, 4] GHz")
         if self.rain_rate_mm_h < 0:
             raise ValueError("rain_rate_mm_h must be non-negative")
 
 
-def _over_square(num: float, x: float) -> float:
-    """num / x^2 without raising: inf where x^2 underflows to 0."""
-    square = x * x
-    return num / square if square > 0.0 else math.inf
-
-
-def optical_tx_gain(params: OpticalParams) -> float:
-    """Laser directivity gain 4*pi / theta_div^2."""
-    return _over_square(4.0 * math.pi, params.beam_divergence_rad)
-
-
 def optical_rx_gain(params: OpticalParams) -> float:
-    """Receiver telescope gain pi * D_r^2 / lambda^2."""
-    return _over_square(math.pi * (params.rx_aperture_m * params.rx_aperture_m),
-                        params.wavelength_m)
-
-
-def ionospheric_loss(params: RfParams) -> float:
-    """Ionospheric power loss factor from TEC and scintillation index.
-
-    I_ion = 0.0265 TEC / f^2 + 0.018 S4 f_ref^1.5 / f^1.5 (dB), returned linear.
-    """
-    f = params.carrier_ghz
-    i_db = (0.0265 * params.tec_units / f**2
-            + 0.018 * params.scint_index * params.ref_freq_ghz**1.5 / f**1.5)
-    return 10.0 ** (-i_db / 10.0)
+    """Receiver telescope gain pi * D_r^2 / lambda^2, without raising: inf where
+    lambda^2 underflows to 0."""
+    square = params.wavelength_m * params.wavelength_m
+    return math.pi * (RX_APERTURE_M * RX_APERTURE_M) / square if square > 0.0 else math.inf
 
 
 def rain_loss(params: RfParams, geom: LinkGeometry) -> float:
@@ -160,16 +131,16 @@ def band_factors(params: OpticalParams | RfParams, geom: LinkGeometry
     """(tx gain, rx gain, satellite-side path amplitude) of one band at geom.
 
     The one link model of both bands: the direct path and each RIS cascade are
-    Friis amplitudes times these factors. The path amplitude is
-    exp(-kappa d_atm / 2) for the optical band and sqrt(L_atm L_ion L_rain)
-    for the RF band.
+    Friis amplitudes times these factors. The optical gains are the laser's
+    OPTICAL_TX_GAIN and the telescope's pi D_r^2 / lambda^2; the S-band antennas
+    are isotropic (gain 1). The path amplitude is exp(-kappa d_atm / 2) for the
+    optical band and sqrt(L_atm L_ion L_rain) for the RF band.
     """
     if isinstance(params, OpticalParams):
-        return (optical_tx_gain(params), optical_rx_gain(params),
+        return (OPTICAL_TX_GAIN, optical_rx_gain(params),
                 math.exp(-params.atten_per_km * geom.atm_path_km / 2.0))
-    return (params.tx_gain, params.rx_gain,
-            math.sqrt(rf_atmospheric_loss(params, geom)
-                      * ionospheric_loss(params)
+    return (1.0, 1.0,
+            math.sqrt(rf_atmospheric_loss(params, geom) * IONOSPHERIC_LOSS
                       * rain_loss(params, geom)))
 
 
@@ -184,16 +155,11 @@ def _direct_gain(params: OpticalParams | RfParams, geom: LinkGeometry,
 
 def optical_direct_gain(params: OpticalParams, geom: LinkGeometry) -> ComplexGain:
     """Direct quantum channel at mean fading: the fade is sqrt(h_pe), with h_pe
-    the mean pointing gain."""
-    return _direct_gain(params, geom, math.sqrt(mean_pointing_gain(params)))
+    the mean pointing gain 1 / (1 + 2 sigma_j^2 / theta_div^2)."""
+    return _direct_gain(params, geom, math.sqrt(MEAN_POINTING_GAIN))
 
 
 def rf_direct_gain(params: RfParams, geom: LinkGeometry) -> ComplexGain:
     """Direct S-band channel (no fade)."""
     return _direct_gain(params, geom, 1.0)
 
-
-def mean_pointing_gain(params: OpticalParams) -> float:
-    """Deterministic mean pointing loss 1 / (1 + 2 sigma_j^2 / theta_div^2)."""
-    ratio = params.jitter_rad / params.beam_divergence_rad
-    return 1.0 / (1.0 + 2.0 * ratio * ratio)

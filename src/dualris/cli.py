@@ -275,10 +275,16 @@ def _bad_number(opts: dict) -> str | None:
 
 
 def _size_problem(cfg: RunConfig, command: str, n: int | None) -> str | None:
-    """Why the command would exceed the brute-force bit cap or the QUBO pair cap, or None."""
+    """Why the command's N elements cannot be indexed, or would exceed the
+    brute-force bit cap or the QUBO pair cap, or None."""
     n = {"sweep": max(cfg.sweep.ris_sizes), "histogram": cfg.ris.n_elements,
          "optimize": n, "link-budget": n, "qubo-export": n}.get(command, 0)
     bq, bc = cfg.ris.bits_quantum, cfg.ris.bits_classical
+    # numpy sizes an array by a signed index; the complex cascades take 16
+    # bytes per element, and the bit vector at most 16 (a uint8 per bit)
+    if 16 * n > sys.maxsize:
+        return (f"N = {n} elements cannot be indexed: their {16 * n} bytes of "
+                f"cascade gains exceed {sys.maxsize}")
     bits, pairs = n * (bq + bc), qubo_pairs(n, bq, bc)
     if command != "qubo-export" and cfg.solver.kind == "brute" and bits > BRUTE_FORCE_MAX_BITS:
         return (f"solver kind 'brute' refuses N = {n}: {bits} bits exceed its cap of "

@@ -59,7 +59,13 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete run description; defaults mirror the simulation parameter table."""
+    """Complete run description; defaults mirror the simulation parameter table.
+
+    The table's values that only scale a band's direct path or its cascades by
+    a constant, which the calibration absorbs, are module constants instead of
+    fields: channels.OPTICAL_TX_GAIN, MEAN_POINTING_GAIN, IONOSPHERIC_LOSS and
+    RX_APERTURE_M, and ris.RIS_TO_GROUND_M.
+    """
 
     geometry: GeometryParams = field(default_factory=GeometryParams)
     optical: OpticalParams = field(default_factory=OpticalParams)
@@ -155,8 +161,8 @@ def build_channel_state(cfg: RunConfig, cal: Calibration, elevation_deg: float,
 
     att scales every deterministic loss factor (both bands, direct and cascade
     paths) by a single linear power factor. Raises ObjectiveError when the
-    link model fails (_direct_gains) or a cascade gain overflows, as a far too
-    short RIS-to-ground segment makes it.
+    link model fails (_direct_gains) or a cascade gain overflows, as a huge
+    [rf] wavelength_m makes it.
     """
     geom, hq, hc = _direct_gains(cfg, elevation_deg)
     amp_scale = math.sqrt(att)
@@ -171,8 +177,7 @@ def build_channel_state(cfg: RunConfig, cal: Calibration, elevation_deg: float,
         cc = cc * (cal.rf_element_scale * amp_scale)
     if not (np.isfinite(cq).all() and np.isfinite(cc).all()):
         raise ObjectiveError(
-            f"the RIS cascade gains are not finite (ris_to_ground_km = "
-            f"{ris_cfg.ris_to_ground_km:g}, element_gain = {ris_cfg.element_gain:g})")
+            "the RIS cascade gains are not finite; check the [optical] and [rf] values")
     state = ChannelState(direct_quantum=hq, direct_classical=hc,
                          cascade_quantum=cq, cascade_classical=cc)
     return state, ris_cfg, geom

@@ -19,6 +19,9 @@ CLASSICAL = "classical"
 _BAND_CODE = {QUANTUM: 0, CLASSICAL: 1}
 # each band keeps 2^bits phase levels per element in tables; the paper uses 2
 MAX_BITS_PER_BAND = 8
+# the RIS->ground segment, 0.5 km; its Friis amplitude scales every cascade of
+# a band by one constant, which the calibration absorbs
+RIS_TO_GROUND_M = 0.5 * 1e3
 
 
 @dataclass(frozen=True)
@@ -28,8 +31,6 @@ class RisConfig:
     n_elements: int = 512
     bits_quantum: int = 2
     bits_classical: int = 2
-    element_gain: float = 1.0            # linear gain per unit cell
-    ris_to_ground_km: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n_elements < 0:
@@ -37,11 +38,6 @@ class RisConfig:
         if not (1 <= self.bits_quantum <= MAX_BITS_PER_BAND
                 and 1 <= self.bits_classical <= MAX_BITS_PER_BAND):
             raise ValueError(f"phase resolutions need 1 to {MAX_BITS_PER_BAND} bits per band")
-        # zero gain means a transparent surface, useful for baselines
-        if self.element_gain < 0:
-            raise ValueError("element_gain must be non-negative")
-        if not self.ris_to_ground_km > 0:
-            raise ValueError("ris_to_ground_km must be positive")
 
     @property
     def bits_total(self) -> int:
@@ -123,10 +119,10 @@ def cascade_gains(cfg: RisConfig, geom: LinkGeometry,
 
     Each element contributes a two-segment Friis amplitude from the band's
     factors (band_factors): satellite->RIS over the slant range, with the tx
-    gain and the satellite-side path amplitude, and RIS->ground over the short
-    ground segment (lossless), with the rx gain; times the unit-cell gain. The
-    phase is the element's offset psi_n drawn from seed. Absolute scale is
-    pinned later by calibration.
+    gain and the satellite-side path amplitude, and RIS->ground over
+    RIS_TO_GROUND_M (lossless), with the rx gain; the unit cells are
+    isotropic. The phase is the element's offset psi_n drawn from seed.
+    Absolute scale is pinned later by calibration.
     """
     n = cfg.n_elements
     if n == 0:
@@ -134,7 +130,7 @@ def cascade_gains(cfg: RisConfig, geom: LinkGeometry,
     tx, rx, path = band_factors(band_params, geom)
     lam = band_params.wavelength_m
     seg1 = friis_amplitude(lam, geom.slant_range_km * 1e3) * math.sqrt(tx) * path
-    seg2 = friis_amplitude(lam, cfg.ris_to_ground_km * 1e3) * math.sqrt(rx)
-    amp = seg1 * seg2 * cfg.element_gain
+    seg2 = friis_amplitude(lam, RIS_TO_GROUND_M) * math.sqrt(rx)
+    amp = seg1 * seg2
     band = QUANTUM if isinstance(band_params, OpticalParams) else CLASSICAL
     return amp * np.exp(1j * element_phase_offsets(cfg, band, seed))

@@ -373,9 +373,12 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     Sweeps elements in index order from the all-zero configuration. The cost
     is a quantum term plus a classical term, so the best of the 2^b_Q * 2^b_C
     joint phase pairs of an element pairs the first strict argmin of its
-    2^b_Q quantum terms with that of its 2^b_C classical terms; evaluations
-    still counts every joint pair. Stops when a full sweep makes no change or
-    after max_iters sweeps.
+    2^b_Q quantum terms with that of its 2^b_C classical terms. Stops when a
+    full sweep makes no change or after max_iters sweeps. Evaluations count
+    by position: each element of each sweep started costs its joint pairs,
+    whether it is visited, screened, accepted in a prefix or skipped, so the
+    count once element m of sweep s (both from 0) is done is
+    1 + joint (s N + m + 1), and the final count is 1 + joint N sweeps.
 
     One (K, N) table per band holds the candidates: row r, column n is
     u_n phasor[l] at the r-th level l of _lex_level_order, so row 0 is level
@@ -385,10 +388,9 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     table[r, n] and changes n only if value - (eq + ec) > 1e-12 |value|, eq
     and ec being its smallest terms, and their rows are new. When value is
     +-inf or NaN, value - (eq + ec) is +-inf or NaN and never exceeds
-    1e-12 |value|, so a sweep ends once the value is not finite, adding the
-    joint pairs of each element it did not visit. Numpy scores SCREEN_BLOCK
-    elements at once; each sweep's result, evaluations and trace equal those
-    of scalar visits in order, bit for bit.
+    1e-12 |value|, so a sweep ends once the value is not finite. Numpy
+    scores SCREEN_BLOCK elements at once; each sweep's result, evaluations
+    and trace equal those of scalar visits in order, bit for bit.
 
     First sweep: guess, verify, accept a prefix. From all zeros most elements
     change, so _verified_prefix guesses each element's rows: the decisions
@@ -408,9 +410,9 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     Later sweeps: screen. The screen scores the next SCREEN_BLOCK columns
     with ExactObjective.terms as mq, mc, and clears element n when value -
     (mq + mc) + ExactObjective.screen_bound(value, mq, mc) <= 1e-12 |value|.
-    A cleared element is skipped but still adds its joint pairs; the others
-    get the scalar visit in order, and an accepted change moves the totals,
-    so screening restarts at the next element. The screen's candidate totals
+    A cleared element is skipped; the others get the scalar visit in order,
+    and an accepted change moves the totals, so screening restarts at the
+    next element. The screen's candidate totals
     come from the same table through complex add and subtract, so they equal
     the scalar visit's bit for bit, and screen_bound covers the terms'
     errors, their sum and the subtraction from value: a cleared element's
@@ -435,16 +437,17 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
     tq = obj.h0q + sum(table_q[0].tolist())
     tc = obj.h0c + sum(table_c[0].tolist())
     value = qterm(tq) + cterm(tc)
-    evaluations = 1
-    trace: list[tuple[int, float]] = [(evaluations, value)]
+    trace: list[tuple[int, float]] = [(1, value)]
     hint = (np.zeros(0, int), np.zeros(0, int))     # the first sweep's guesses
 
+    sweeps = 0
     for sweep in range(cfg.max_iters):
+        sweeps = sweep + 1
+        before = 1 + joint * obj.n * sweep      # the count before element 0 of this sweep
         changed = False
         n = 0                       # elements before n are visited or skipped
         while n < obj.n:
             if not math.isfinite(value):            # no visit can change an element
-                evaluations += joint * (obj.n - n)
                 break
             hi = min(n + SCREEN_BLOCK, obj.n)
             if sweep:
@@ -454,17 +457,15 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
             else:
                 p, moved, new_q, new_c, vals, tq, tc, value, *hint = _verified_prefix(
                     obj, table_q[:, n:hi], table_c[:, n:hi], *hint, tq, tc, value)
-                trace += zip((evaluations + joint * (moved + 1)).tolist(), vals.tolist())
                 moved = n + moved
+                trace += zip((before + joint * (moved + 1)).tolist(), vals.tolist())
                 rows_q[moved], rows_c[moved] = new_q, new_c
                 cur_q[moved], cur_c[moved] = table_q[new_q, moved], table_c[new_c, moved]
                 changed = changed or moved.size > 0
-                evaluations += joint * p
                 n += p
                 hi = min(n + 1, hi)             # the element that ended the prefix, if any
                 todo = range(n, hi)
             for m in todo:
-                evaluations += joint * (m - n)          # the skipped elements
                 n = m + 1
                 col_q, col_c = table_q[:, m].tolist(), table_c[:, m].tolist()
                 row_q, row_c = int(rows_q[m]), int(rows_c[m])
@@ -473,7 +474,6 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
                 log_terms = [cterm(base_tc + c) for c in col_c]
                 eq, ec = min(eps_terms), min(log_terms)      # min keeps the first of equals
                 pick_q, pick_c = eps_terms.index(eq), log_terms.index(ec)
-                evaluations += joint
                 # require a real improvement: re-summed totals carry float dust
                 if value - (eq + ec) > 1e-12 * abs(value) and (pick_q, pick_c) != (row_q, row_c):
                     tq, tc = base_tq + col_q[pick_q], base_tc + col_c[pick_c]
@@ -481,15 +481,14 @@ def block_coordinate_descent(objective: ExactObjective, cfg: SolverConfig) -> So
                     cur_q[m], cur_c[m] = col_q[pick_q], col_c[pick_c]
                     value = eq + ec
                     changed = True
-                    trace.append((evaluations, value))
+                    trace.append((before + joint * n, value))
                     break           # the totals moved: the next screen or block starts at m + 1
             else:
-                evaluations += joint * (hi - n)
                 n = hi
         if not changed:
             break
-    return _finalize(obj, levels_to_bits(lex_q[rows_q], lex_c[rows_c], obj.cfg), evaluations,
-                     trace)
+    return _finalize(obj, levels_to_bits(lex_q[rows_q], lex_c[rows_c], obj.cfg),
+                     1 + joint * obj.n * sweeps, trace)
 
 
 def band_levels(h0: complex, u: np.ndarray, phasor: np.ndarray) -> np.ndarray:

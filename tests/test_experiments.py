@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualris import cli, experiments
+from dualris import channels, cli, experiments, ris
 from dualris.cli import (
     ConfigError,
     EXIT_CALIBRATION,
@@ -310,6 +310,53 @@ class TestAttenuationInvariance:
             assert np.array_equal(a, b)
 
 
+class TestAbsorbedFactors:
+    # each fixed link factor scales one band's direct path, or the cascades of
+    # both bands, by one constant that a fitted constant cancels; if a model
+    # change makes one of them matter, this fails, and that factor must become
+    # a config key again. ber (exponential in the SNR) and cost (two terms
+    # that nearly cancel) amplify the bisections' 1e-6 tolerance, so the
+    # check reads the three columns that do not
+    SMALL = RunConfig(sweep=SweepSpec(elevations_deg=(20.0, 80.0), ris_sizes=(0, 128)))
+
+    @pytest.fixture(scope="class")
+    def unpatched(self):
+        cal = calibrate(self.SMALL)
+        return cal, sweep_elevation(self.SMALL, cal)
+
+    @pytest.mark.parametrize("module,name,factor", [
+        (channels, "OPTICAL_TX_GAIN", 4.0),
+        (channels, "MEAN_POINTING_GAIN", 4.0),
+        (channels, "IONOSPHERIC_LOSS", 4.0),
+        (ris, "RIS_TO_GROUND_M", 0.25),            # the RIS-to-ground amplitude times 4
+    ], ids=["optical_tx_gain", "pointing_gain", "ionospheric_loss", "ris_leg"])
+    def test_metrics_ignore_the_factor(self, unpatched, monkeypatch, module, name, factor):
+        monkeypatch.setattr(module, name, getattr(module, name) * factor)
+        cal = calibrate(self.SMALL)
+        assert cal != unpatched[0]
+        rows = sweep_elevation(self.SMALL, cal)
+        assert len(rows) == len(unpatched[1]) == 4
+        for got, want in zip(rows, unpatched[1]):
+            for column in ("snr_db", "qber", "skr_bits_s"):
+                assert getattr(got, column) == pytest.approx(getattr(want, column), rel=1e-5)
+
+
+# the keys of the factors that the calibration absorbs, at their old defaults
+ABSORBED_KEY_DEFAULTS = [
+    ("optical", "beam_divergence_rad", "10e-6"),
+    ("optical", "rx_aperture_m", "0.3"),
+    ("optical", "jitter_rad", "2e-6"),
+    ("rf", "carrier_ghz", "2.0"),
+    ("rf", "tec_units", "10.0"),
+    ("rf", "scint_index", "0.3"),
+    ("rf", "ref_freq_ghz", "1.0"),
+    ("rf", "tx_gain", "1.0"),
+    ("rf", "rx_gain", "1.0"),
+    ("ris", "element_gain", "1.0"),
+    ("ris", "ris_to_ground_km", "0.5"),
+]
+
+
 class TestConfigFile:
     def _write(self, tmp_path, text):
         path = tmp_path / "run.ini"
@@ -347,13 +394,17 @@ output_dir = out
         assert cfg.optical.wavelength_m == 850e-9
 
     def test_unknown_key_rejected(self, tmp_path):
-        # after the typo, keys of removed settings that never changed an output
+        # after the typo, keys of removed settings that never changed an output,
+        # then those of the factors that the calibration absorbs, at their old
+        # defaults
         for text in ("[geometry]\naltitude = 1\n",
                      "[optical]\ncn2 = 1e-13\n",
                      "[optical]\nrytov_variance = 1.0\n",
                      "[optical]\nbaseline_visibility = 0.9\n",
                      "[optical]\nphase_variance = 0.5\n",
-                     "[ris]\nris_offset_phase_seed = 3\n"):
+                     "[ris]\nris_offset_phase_seed = 3\n",
+                     *(f"[{section}]\n{key} = {raw}\n"
+                       for section, key, raw in ABSORBED_KEY_DEFAULTS)):
             with pytest.raises(ConfigError, match="unknown key"):
                 load_config(self._write(tmp_path, text))
 
@@ -366,8 +417,8 @@ output_dir = out
             load_config(self._write(tmp_path, "[geometry]\nsat_altitude_km = tall\n"))
 
     def test_invalid_domain_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_config(self._write(tmp_path, "[rf]\ncarrier_ghz = 9.0\n"))
+        with pytest.raises(ConfigError, match="rain_rate_mm_h"):
+            load_config(self._write(tmp_path, "[rf]\nrain_rate_mm_h = -1\n"))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -620,17 +671,38 @@ class TestCli:
         assert err.startswith("config error: out of memory: Unable to allocate 7.11 PiB")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", [2**60, 2**63 - 1, 2**63, 10**20])
+    @pytest.mark.parametrize("ini,argv", [
+        ("", ["link-budget", "--elevation", "45", "--n", "{n}"]),
+        ("", ["optimize", "--elevation", "45", "--n", "{n}"]),
+        ("[ris]\nn_elements = {n}\n", ["histogram", "--no-timestamp"]),
+        ("[sweep]\nris_sizes = 0, {n}\n", ["sweep", "--no-timestamp"]),
+    ], ids=["link-budget", "optimize", "histogram", "sweep"])
+    def test_unindexable_element_count_exits_config(self, tmp_path, capsys, ini, argv, n):
+        # from 2^60 elements up, numpy refused the cascades' arrays with a
+        # ValueError (array is too big, or maximum allowed dimension exceeded)
+        # instead of a MemoryError, and each run ended in a traceback
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n" + ini.format(n=n))
+        assert run_cli(["--config", str(cfg), *(a.format(n=n) for a in argv)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"config error: N = \d+ elements cannot be indexed: .*\n", err)
+        assert os.listdir(tmp_path) == ["huge.ini"]
+
     HUGE_BETA = "[weights]\nalpha = 1\nbeta = 1e308\n[solver]\nkind = tabu\nobjective = quadratic\n"
     HUGE_EXACT_BETA = "[weights]\nalpha = 1\nbeta = 1e308\n[solver]\nkind = anneal\n"
 
     @pytest.mark.parametrize("argv", [["optimize", "--elevation", "20", "--n", "8"],
                                       ["qubo-export", "--n", "4"], ["calibrate"]])
     def test_overflowing_cascade_prints_one_line(self, tmp_path, argv):
-        # a 5e-324 km ground segment overflows the cascade gains; four lines
-        # of numpy RuntimeWarning came before the config error, so the CLI
-        # runs in its own process, where stderr holds every line it prints
+        # a 1e160 m S-band wavelength leaves the direct power finite (and, at
+        # this tx power, the SNR anchor reachable) but overflows the cascade
+        # gains, whose Friis amplitudes carry the wavelength squared; numpy
+        # RuntimeWarnings came before the config error once, so the CLI runs
+        # in its own process, where stderr holds every line it prints
         cfg = tmp_path / "near.ini"
-        cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n[ris]\nris_to_ground_km = 5e-324\n")
+        cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n"
+                       "[rf]\nwavelength_m = 1e160\ntx_power_w = 1e-310\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(experiments.__file__).parents[1])]
             + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -670,18 +742,13 @@ class TestCli:
         (b"\xff\xfe[run]\nseed = 1\n", ["calibrate"]),
         ("[sweep]\ntrials = 5%\n", ["calibrate"]),
         # values the physics would only reject deep inside calibration
-        ("[optical]\nbeam_divergence_rad = 0\n", ["calibrate"]),
-        ("[optical]\nrx_aperture_m = -1\n", ["calibrate"]),
-        ("[optical]\njitter_rad = -1e-6\n", ["calibrate"]),
+        ("[optical]\nwavelength_m = 0\n", ["calibrate"]),
         ("[weights]\nsnr_target = -5\n", ["link-budget", "--elevation", "45", "--n", "8"]),
         ("[weights]\nmode = swing\nbeta_o = -0.01\n", ["link-budget", "--elevation", "45", "--n", "8"]),
         ("[weights]\nalpha = 7\n", ["link-budget", "--elevation", "45", "--n", "8"]),
         # the sweep pairs each elevation's rows with its leading N = 0 row
         ("[sweep]\nris_sizes = 128,0\n", ["sweep"]),
         ("[sweep]\nris_sizes = 128\n", ["sweep"]),
-        # 0 divided by zero in the cascade; -1 ran as +1 through its square
-        ("[ris]\nris_to_ground_km = 0\n", ["link-budget", "--elevation", "45", "--n", "8"]),
-        ("[ris]\nris_to_ground_km = -1\n", ["link-budget", "--elevation", "45", "--n", "8"]),
         # tables of 2^bits levels per element: 30 ran out of memory, 62 was too big
         ("[ris]\nbits_quantum = 30\n", ["link-budget", "--elevation", "45", "--n", "8"]),
         ("[ris]\nbits_quantum = 62\n", ["link-budget", "--elevation", "45", "--n", "8"]),
@@ -703,22 +770,17 @@ class TestCli:
         ("[weights]\nsnr_target = 1e-17\n", ["link-budget", "--elevation", "45", "--n", "8"]),
         ("[weights]\nmode = swing\nsnr_target = 1e-300\n", ["calibrate"]),
         # divisors that underflow to 0 divided by zero: k_B T B in snr, and the
-        # squares in the optical antenna gains
+        # square in the optical rx gain
         *[(f"[{section}]\n{key} = {raw}\n", ["link-budget", "--elevation", "45", "--n", "16"])
           for section, key, raws in (("rf", "sys_temp_k", ("5e-324",)),
                                      ("rf", "bandwidth_hz", ("5e-324",)),
-                                     ("optical", "wavelength_m", ("1e-300", "5e-324")),
-                                     ("optical", "beam_divergence_rad", ("1e-300", "5e-324")))
+                                     ("optical", "wavelength_m", ("1e-300", "5e-324")))
           for raw in raws],
-        # optical gains that are not finite and > 0: the product of the two
-        # antenna gains, one of them or the mean pointing gain; each raised
-        # OverflowError, a math domain error or failed the QBER's range check
-        *[(f"[optical]\n{key} = {raw}\n", ["link-budget", "--elevation", "45", "--n", "16"])
-          for key, raws in (("wavelength_m", ("1e-150", "1e-160", "1e300")),
-                            ("beam_divergence_rad", ("1e-150", "1e300")),
-                            ("rx_aperture_m", ("1e300", "1e-300")),
-                            ("jitter_rad", ("1e300",)))
-          for raw in raws],
+        # optical gains that are not finite and > 0: the rx gain or its product
+        # with the tx gain; each raised OverflowError, a math domain error or
+        # failed the QBER's range check
+        *[(f"[optical]\nwavelength_m = {raw}\n", ["link-budget", "--elevation", "45", "--n", "16"])
+          for raw in ("1e-150", "1e-160", "1e300")],
     ])
     def test_boundary_config_exits_config(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "edge.ini"
@@ -741,14 +803,10 @@ class TestCli:
           for section, key, raws in (("geometry", "earth_radius_km", ("1e300", "1.7e308")),
                                      ("geometry", "sat_altitude_km", ("1e300", "1.7e308")),
                                      ("rf", "wavelength_m", ("1e300", "1.7e308", "5e-324")),
-                                     ("rf", "ref_freq_ghz", ("1e300", "1.7e308")),
                                      ("rf", "rain_rate_mm_h", ("1e300", "1.7e308")))
           for raw in raws],
-        *[("optical", key, raw, EXIT_CALIBRATION)
-          for key, raws in (("atten_per_km", ("100", "1000", "1e300")),
-                            ("beam_divergence_rad", ("1e150",)),
-                            ("rx_aperture_m", ("1e-160",)))
-          for raw in raws],
+        *[("optical", "atten_per_km", raw, EXIT_CALIBRATION)
+          for raw in ("100", "1000", "1e300")],
     ])
     def test_link_model_failure_exits_with_one_line(self, tmp_path, capsys, section, key,
                                                     raw, code):
@@ -765,13 +823,27 @@ class TestCli:
 
     # every value the removed settings once parsed or refused: the optional
     # float's none and 2.5, the out-of-range temperatures, the non-finite
-    # floats, and a two-trial and a negative sweep
+    # floats, and a two-trial and a negative sweep; then the keys of the
+    # factors that the calibration absorbs, at their old defaults and at the
+    # values the suite once refused with exit 2 or 3
     @pytest.mark.parametrize("section,key,raw", [
         *[("solver", "initial_temp", raw)
           for raw in ("none", "2.5", "0", "-5", "nan", "inf", "-inf")],
         *[("solver", "cooling_rate", raw) for raw in ("nan", "inf", "-inf")],
         ("sweep", "trials", "2"),
         ("sweep", "trials", "-3"),
+        *ABSORBED_KEY_DEFAULTS,
+        *[("optical", "beam_divergence_rad", raw)
+          for raw in ("0", "1e-300", "5e-324", "1e-150", "1e300", "1e150")],
+        *[("optical", "rx_aperture_m", raw) for raw in ("-1", "1e300", "1e-300", "1e-160")],
+        *[("optical", "jitter_rad", raw) for raw in ("-1e-6", "1e300")],
+        ("rf", "carrier_ghz", "9.0"),
+        ("rf", "carrier_ghz", "5.0"),
+        *[("rf", "ref_freq_ghz", raw) for raw in ("1e300", "1.7e308")],
+        *[("ris", "ris_to_ground_km", raw) for raw in ("0", "-1", "5e-324")],
+        ("rf", "tx_gain", "0"),
+        ("rf", "rx_gain", "-1"),
+        ("ris", "element_gain", "-1"),
     ])
     def test_removed_key_exits_config(self, tmp_path, capsys, section, key, raw):
         cfg = tmp_path / "edge.ini"
