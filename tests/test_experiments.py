@@ -824,8 +824,8 @@ class TestCli:
     # every value the removed settings once parsed or refused: the optional
     # float's none and 2.5, the out-of-range temperatures, the non-finite
     # floats, and a two-trial and a negative sweep; then the keys of the
-    # factors that the calibration absorbs, at their old defaults and at the
-    # values the suite once refused with exit 2 or 3
+    # factors that the calibration absorbs, at their old defaults, at the
+    # non-finite floats and at the values the suite once refused with exit 2 or 3
     @pytest.mark.parametrize("section,key,raw", [
         *[("solver", "initial_temp", raw)
           for raw in ("none", "2.5", "0", "-5", "nan", "inf", "-inf")],
@@ -833,6 +833,8 @@ class TestCli:
         ("sweep", "trials", "2"),
         ("sweep", "trials", "-3"),
         *ABSORBED_KEY_DEFAULTS,
+        *[(section, key, raw) for section, key, _ in ABSORBED_KEY_DEFAULTS
+          for raw in ("nan", "inf", "-inf")],
         *[("optical", "beam_divergence_rad", raw)
           for raw in ("0", "1e-300", "5e-324", "1e-150", "1e300", "1e150")],
         *[("optical", "rx_aperture_m", raw) for raw in ("-1", "1e300", "1e-300", "1e-160")],
